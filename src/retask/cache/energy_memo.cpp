@@ -1,17 +1,59 @@
 #include "retask/cache/energy_memo.hpp"
 
+#include <mutex>
+
 #include "retask/obs/metrics.hpp"
 
 namespace retask {
 namespace {
 
-/// Stable slot of the calling thread, assigned on first use and never
-/// reused. Worker-pool threads persist for the process lifetime, so the
-/// counter stays tiny in practice.
+/// Process-wide pool of shard slots: a thread takes a slot on first use and
+/// hands it back when it exits, so a later thread reuses the slot — and, in
+/// every memo, the dead thread's shard (E is pure, so its entries are as good
+/// as fresh ones). Only more than kMaxShards live threads run out.
+class SlotPool {
+ public:
+  std::size_t acquire() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (free_.empty()) return next_++;
+    const std::size_t slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+
+  void release(std::size_t slot) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    free_.push_back(slot);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::size_t> free_;
+  std::size_t next_ = 0;
+};
+
+/// Never destroyed: threads still running during static destruction (a
+/// process-lifetime worker pool) release their slots into it on exit.
+SlotPool& slot_pool() {
+  static SlotPool* const pool = new SlotPool();
+  return *pool;
+}
+
+/// Holds the calling thread's slot for the thread's lifetime. The mutex in
+/// release/acquire orders the dead thread's shard writes before the next
+/// owner's reads.
+struct SlotLease {
+  SlotLease() = default;
+  SlotLease(const SlotLease&) = delete;
+  SlotLease& operator=(const SlotLease&) = delete;
+  ~SlotLease() { slot_pool().release(slot); }
+
+  const std::size_t slot = slot_pool().acquire();
+};
+
 std::size_t thread_slot() {
-  static std::atomic<std::size_t> next_slot{0};
-  thread_local const std::size_t slot = next_slot.fetch_add(1, std::memory_order_relaxed);
-  return slot;
+  thread_local const SlotLease lease;
+  return lease.slot;
 }
 
 }  // namespace
@@ -54,7 +96,10 @@ void EnergyMemo::ensure_dense(Shard& shard, std::size_t width) {
 
 bool EnergyMemo::lookup(Cycles cycles, double& energy) {
   Shard* shard = local_shard();
-  if (shard == nullptr) return false;  // cold fallback, uncounted
+  if (shard == nullptr) {
+    count_shards_exhausted();
+    return false;
+  }
   const std::size_t width = dense_width_.load(std::memory_order_relaxed);
   if (width != 0 && cycles >= 0 && static_cast<std::size_t>(cycles) < width) {
     ensure_dense(*shard, width);
@@ -112,5 +157,7 @@ std::size_t EnergyMemo::shard_count() const {
 void EnergyMemo::count_hit() { RETASK_COUNT("cache.energy_hits", 1); }
 
 void EnergyMemo::count_miss() { RETASK_COUNT("cache.energy_misses", 1); }
+
+void EnergyMemo::count_shards_exhausted() { RETASK_COUNT("cache.fallback.shards_exhausted", 1); }
 
 }  // namespace retask

@@ -19,6 +19,8 @@
 //    therefore do not see each other's entries — sharing across threads
 //    trades perfect reuse for zero synchronization, which is the right
 //    trade when each shard converges to the same hot working set anyway.
+//    A thread's slot is recycled when it exits, so the next thread inherits
+//    the slot together with the dead thread's shard.
 //
 // Sharing contract: attach one memo only to problems with identical
 // (EnergyCurve, work_per_cycle). The memo cannot verify this; the attach
@@ -65,7 +67,10 @@ class EnergyMemo {
   template <typename Fn>
   double get_or_compute(Cycles cycles, const Fn& compute) {
     Shard* shard = local_shard();
-    if (shard == nullptr) return compute(cycles);  // shard slots exhausted
+    if (shard == nullptr) {  // more live threads than shard slots
+      count_shards_exhausted();
+      return compute(cycles);
+    }
     const std::size_t width = dense_width_.load(std::memory_order_relaxed);
     if (width != 0 && cycles >= 0 && static_cast<std::size_t>(cycles) < width) {
       ensure_dense(*shard, width);
@@ -94,8 +99,9 @@ class EnergyMemo {
   /// Non-computing lookup in the calling thread's shard for the batched
   /// paths: on a hit stores the memoized value in `energy` and returns true
   /// (counting a hit); on a miss returns false (counting a miss). When the
-  /// shard slots are exhausted, returns false without counting — matching
-  /// get_or_compute's cold fallback.
+  /// shard slots are exhausted, returns false and counts
+  /// cache.fallback.shards_exhausted — matching get_or_compute's cold
+  /// fallback.
   bool lookup(Cycles cycles, double& energy);
 
   /// Records a cold-path result in the calling thread's shard (no-op when
@@ -117,8 +123,9 @@ class EnergyMemo {
     std::vector<std::uint64_t> dense_set;   ///< validity bitmap for `dense`
   };
 
-  /// Threads ever touching one memo beyond this count fall back to the cold
-  /// path; far above the worker-pool sizes the harness uses.
+  /// Live threads beyond this count fall back to the cold path, counted as
+  /// cache.fallback.shards_exhausted; far above the worker-pool sizes the
+  /// harness uses. Exited threads return their slots (SlotPool in the .cpp).
   static constexpr std::size_t kMaxShards = 256;
 
   /// Densest range reserve_dense accepts: 2^22 entries = 32 MiB of doubles
@@ -132,6 +139,7 @@ class EnergyMemo {
   static void ensure_dense(Shard& shard, std::size_t width);
   static void count_hit();
   static void count_miss();
+  static void count_shards_exhausted();
 
   std::array<std::atomic<Shard*>, kMaxShards> shards_{};
   /// Dense-range width (max_cycles + 1); 0 = hash-only. Monotonic.

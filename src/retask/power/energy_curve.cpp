@@ -6,6 +6,7 @@
 
 #include "retask/common/error.hpp"
 #include "retask/common/math.hpp"
+#include "retask/power/critical_speed.hpp"
 
 namespace retask {
 
@@ -27,7 +28,8 @@ EnergyCurve::EnergyCurve(const PowerModel& model, double window, IdleDiscipline 
   require(window > 0.0, "EnergyCurve: window must be positive");
   validate(sleep_);
   max_workload_ = model_->max_speed() * window_;
-  if (!model_->is_continuous()) build_hull();
+  if (model_->is_continuous()) critical_speed_ = critical_speed(*model_);
+  else build_hull();
 }
 
 EnergyCurve::EnergyCurve(const EnergyCurve& other)
@@ -36,6 +38,7 @@ EnergyCurve::EnergyCurve(const EnergyCurve& other)
       idle_(other.idle_),
       sleep_(other.sleep_),
       max_workload_(other.max_workload_),
+      critical_speed_(other.critical_speed_),
       hull_(other.hull_),
       hull_speeds_(other.hull_speeds_),
       hull_powers_(other.hull_powers_) {}
@@ -47,6 +50,7 @@ EnergyCurve& EnergyCurve::operator=(const EnergyCurve& other) {
     idle_ = other.idle_;
     sleep_ = other.sleep_;
     max_workload_ = other.max_workload_;
+    critical_speed_ = other.critical_speed_;
     hull_ = other.hull_;
     hull_speeds_ = other.hull_speeds_;
     hull_powers_ = other.hull_powers_;
@@ -148,25 +152,18 @@ EnergyCurve::Choice EnergyCurve::best_choice(double cycles) const {
   if (model_->is_continuous()) {
     const double lo =
         clamp(std::max(model_->min_speed(), s_req), std::max(smax * 1e-12, 1e-300), smax);
-    // Awake branch: convex in s, golden section.
-    const auto awake_cost = [&](double s) {
-      const double busy = cycles / s;
-      return busy * model_->power(s) + pind * (window_ - busy);
-    };
-    const double s_awake = lo >= smax ? smax : minimize_unimodal(awake_cost, lo, smax);
-    consider(s_awake, model_->power(s_awake), false);
+    // Awake branch: its cost never decreases in s, so run as slowly as allowed.
+    consider(lo, model_->power(lo), false);
 
     if (enable) {
-      // Sleep branch: idle tail must cover the mode switch.
+      // Sleep branch: the tail must cover the switch; W * P(s) / s is least at s*.
       double sleep_lo = lo;
       if (sleep_.switch_time > 0.0) {
         if (window_ - sleep_.switch_time <= 0.0) sleep_lo = smax * 2.0;  // invalid
         else sleep_lo = std::max(sleep_lo, cycles / (window_ - sleep_.switch_time));
       }
       if (sleep_lo <= smax) {
-        const auto sleep_cost = [&](double s) { return (cycles / s) * model_->power(s); };
-        const double s_sleep =
-            sleep_lo >= smax ? smax : minimize_unimodal(sleep_cost, sleep_lo, smax);
+        const double s_sleep = clamp(critical_speed_, sleep_lo, smax);
         consider(s_sleep, model_->power(s_sleep), true);
       }
     }
@@ -251,9 +248,8 @@ double EnergyCurve::convex_floor(double cycles) const {
     const double smax = model_->max_speed();
     const double lo =
         clamp(std::max(model_->min_speed(), s_avg), std::max(smax * 1e-12, 1e-300), smax);
-    const auto per_cycle = [&](double s) { return model_->power(s) / s; };
-    const double s_star = lo >= smax ? smax : minimize_unimodal(per_cycle, lo, smax);
-    return cycles * std::min({per_cycle(s_star), per_cycle(lo), per_cycle(smax)});
+    const double s = clamp(critical_speed_, lo, smax);  // P(s) / s is least at s*
+    return cycles * (model_->power(s) / s);
   }
   double best = std::numeric_limits<double>::infinity();
   for (const HullPoint& p : hull_) {

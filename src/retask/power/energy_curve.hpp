@@ -21,6 +21,8 @@
 // idle cost 0. E minimizes over the execution speed, which with free sleep
 // reproduces the classic critical-speed rule (never execute below
 // s* = argmin P(s)/s on a dormant-enable processor) automatically.
+// Continuous models must have P(s) - Pind convex and zero at s = 0, as
+// PolynomialPowerModel does: both branch optima are then closed-form.
 //
 // With free sleep E is convex and increasing; positive switch overheads add
 // a jump at W = 0+ (the first cycle forces the processor to wake at all),
@@ -184,6 +186,7 @@ class EnergyCurve {
   IdleDiscipline idle_ = IdleDiscipline::kDormantEnable;
   SleepParams sleep_;
   double max_workload_ = 0.0;
+  double critical_speed_ = 0.0;  // continuous models: argmin P(s)/s in the speed range
   std::vector<HullPoint> hull_;  // discrete models: lower hull of operating points
   // Structure-of-arrays view of hull_ for the vector kernels (same order).
   std::vector<double> hull_speeds_;

@@ -54,8 +54,8 @@ struct PropertyViolation {
 };
 
 /// Relative tolerance for cross-solver objective comparisons. Looser than
-/// kRelTol: objectives are sums of energies minimized by golden-section
-/// search, so independent solve paths legitimately differ in the last bits.
+/// kRelTol: objectives are floating-point sums of energies, so independent
+/// solve paths legitimately differ in the last bits.
 inline constexpr double kObjectiveTol = 1e-7;
 
 /// The standard lineup for an instance with `processor_count` processors:

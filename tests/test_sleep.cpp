@@ -2,6 +2,7 @@
 // energy curve (branch structure, boundary behaviour, plan consistency).
 #include "retask/power/sleep.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -102,13 +103,16 @@ TEST(SleepCurve, SwitchTimeRestrictsSleepableTails) {
   // Light load (W = 0.1): the critical-speed plan leaves a 0.66 tail, well
   // past tsw, so the curve matches free sleeping.
   EXPECT_NEAR(curve.energy(0.1), free_curve.energy(0.1), 1e-9);
-  // Heavy load (W = 0.9): the free curve runs at 0.9 with a 0.1 tail; with
-  // tsw = 0.5 that tail cannot sleep, so the best sleeping plan runs at
-  // least at W / (D - tsw) = 1.8 > smax — impossible — and the curve must
-  // pay awake leakage instead: strictly more energy.
-  EXPECT_GT(curve.energy(0.9), free_curve.energy(0.9));
-  // It must equal the better of "run at 0.9, leak through 0.1" and the
-  // boundary-speed sleeping plan (infeasible here).
+  // W = 0.2: the free curve runs at s* ~ 0.2975 and sleeps through a 0.33
+  // tail, which tsw = 0.5 blocks. The best sleeping plan runs at the
+  // boundary speed W / (D - tsw) = 0.4 and costs 0.5 * P(0.4) = 0.08864,
+  // below the awake plan at 0.2 (0.09216) but strictly above free sleep.
+  EXPECT_GT(curve.energy(0.2), free_curve.energy(0.2));
+  EXPECT_NEAR(curve.energy(0.2), 0.5 * m.power(0.4), 1e-12);
+  // Heavy load (W = 0.9): both curves run at 0.9 for the whole window, so
+  // neither has a tail to sleep through and both cost P(0.9).
+  EXPECT_NEAR(curve.energy(0.9), free_curve.energy(0.9), 1e-12);
+  // It must equal the awake plan "run at 0.9 for the whole window".
   const double awake = m.power(0.9) * (0.9 / 0.9) + 0.08 * (1.0 - 0.9 / 0.9);
   EXPECT_NEAR(curve.energy(0.9), awake, 1e-9);
 }
@@ -180,6 +184,55 @@ TEST(SleepCurve, DiscreteSleepBoundaryCandidate) {
     brute = std::min({brute, awake, asleep});
   }
   EXPECT_NEAR(curve.energy(w), brute, 1e-5);
+}
+
+TEST(SleepCurve, ContinuousCurvesMatchDenseGridBruteForce) {
+  // Brute force over a dense grid of execution speeds for continuous
+  // curves: every grid speed s >= W / D gives an awake plan and, when its
+  // tail covers tsw, a sleeping plan. The curve's closed-form branch optima
+  // must be no worse than any grid plan, and its plan must reproduce it.
+  struct Case {
+    const char* label;
+    PolynomialPowerModel model;
+    IdleDiscipline idle;
+    SleepParams sleep;
+  };
+  const PolynomialPowerModel xscale = PolynomialPowerModel::xscale();
+  const Case cases[] = {
+      {"xscale-enable-free", xscale, IdleDiscipline::kDormantEnable, SleepParams{}},
+      {"xscale-Esw0.1-tsw0.05", xscale, IdleDiscipline::kDormantEnable, SleepParams{0.05, 0.1}},
+      {"xscale-Esw0-tsw0.5", xscale, IdleDiscipline::kDormantEnable, SleepParams{0.5, 0.0}},
+      {"xscale-disable", xscale, IdleDiscipline::kDormantDisable, SleepParams{}},
+      {"cubic-enable", PolynomialPowerModel::cubic(), IdleDiscipline::kDormantEnable,
+       SleepParams{}},
+      // min_speed above the critical speed (~0.2975): s* clamps to 0.4.
+      {"xscale-smin0.4", PolynomialPowerModel(0.08, 1.52, 3.0, 0.4, 1.0),
+       IdleDiscipline::kDormantEnable, SleepParams{}},
+  };
+  constexpr int kGrid = 20000;
+  for (const Case& c : cases) {
+    const EnergyCurve curve(c.model, 1.0, c.idle, c.sleep);
+    const double pind = c.model.static_power();
+    const double smax = c.model.max_speed();
+    for (int k = 1; k <= 20; ++k) {
+      const double w = curve.max_workload() * static_cast<double>(k) / 20.0;
+      const double energy = curve.energy(w);
+      const double lo = std::max(c.model.min_speed(), w);  // window D = 1
+      for (int i = 0; i <= kGrid; ++i) {
+        const double s = i == kGrid ? smax : lo + (smax - lo) * i / kGrid;
+        const double busy = w / s;
+        const double idle = std::max(0.0, 1.0 - busy);
+        double cost = busy * c.model.power(s) + pind * idle;
+        if (c.idle == IdleDiscipline::kDormantEnable && idle >= c.sleep.switch_time) {
+          cost = std::min(cost, busy * c.model.power(s) + c.sleep.switch_energy);
+        }
+        ASSERT_LE(energy, cost * (1.0 + 1e-12))
+            << c.label << " at W = " << w << ", grid speed " << s;
+      }
+      EXPECT_NEAR(curve.plan_energy(curve.plan(w)), energy, 1e-12 * energy)
+          << c.label << " at W = " << w;
+    }
+  }
 }
 
 }  // namespace

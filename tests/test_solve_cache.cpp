@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "retask/cache/energy_memo.hpp"
@@ -197,6 +199,24 @@ TEST(EnergyMemoTest, SharedAcrossWorkersReturnsColdValues) {
   }
 }
 
+TEST(EnergyMemoTest, ExitedThreadsReturnTheirSlots) {
+  // More short-lived threads than shard slots, one after another: each one
+  // reuses a slot an exited thread returned, so every lookup hits.
+  EnergyMemo memo;
+  for (int t = 0; t < 300; ++t) {
+    bool hit = false;
+    double energy = -1.0;
+    std::thread worker([&] {
+      memo.record(t, 0.5 * t);
+      hit = memo.lookup(t, energy);
+    });
+    worker.join();
+    ASSERT_TRUE(hit) << "thread " << t;
+    EXPECT_EQ(energy, 0.5 * t);
+  }
+  EXPECT_EQ(memo.shard_count(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Harness: grouped sweep solving and per-cell memos change nothing about
 // the aggregates, at any job count.
@@ -281,6 +301,33 @@ TEST(HarnessSweepCache, EnergyMemoCountersProveReuse) {
   };
   EXPECT_EQ(counter("cache.energy_misses"), 2u);
   EXPECT_EQ(counter("cache.energy_hits"), 1u);
+}
+
+TEST(EnergyMemoTest, CountsLookupsPastTheLastShardSlot) {
+  // 300 threads alive at once: those past the 256th slot bypass the memo,
+  // and each bypass is counted instead of vanishing silently.
+  constexpr int kThreads = 300;
+  EnergyMemo memo;
+  const auto exhausted = [] {
+    const obs::Registry totals = obs::global_snapshot();
+    return totals.counter(
+        obs::intern_metric(obs::MetricKind::kCounter, "cache.fallback.shards_exhausted"));
+  };
+  const std::uint64_t before = exhausted();
+  std::barrier all_started(kThreads);
+  std::atomic<int> misses{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      memo.record(t, 0.5 * t);  // takes the thread's slot
+      all_started.arrive_and_wait();
+      double energy = 0.0;
+      if (!memo.lookup(t, energy)) misses.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_GE(misses.load(), kThreads - 256);
+  EXPECT_EQ(exhausted() - before, static_cast<std::uint64_t>(misses.load()));
 }
 #endif  // RETASK_OBS_ENABLED
 
