@@ -1,21 +1,35 @@
 // Shared energy memo: a per-problem cache of E(cycles) evaluations.
 //
-// Every solver in core/ spends most of its time in
-// RejectionProblem::energy_of_cycles — each call optimizes a speed schedule
-// over the curve's hull — and a sweep grid evaluates the *same* curve at the
-// same cycle counts thousands of times: the DP objective sweep, the FPTAS
-// guess rounds, the marginal greedy's flip loop, the exhaustive mask loop
-// and the harness's reference solve all revisit overlapping loads. The memo
-// turns those repeats into hash lookups while keeping two hard guarantees:
+// A memo pays only where most lookups hit. One E(W) evaluation on a
+// continuous curve is a closed form that costs less than a hash miss plus
+// its record, and a discrete hull evaluation is a short scan, so a memo on
+// a problem whose loads are mostly new is a net cost; the experiment
+// harness therefore attaches none of its own. The callers that still attach
+// one revisit the same loads many times over one platform:
+//
+//  * caller-shared grids (BatchOptions::shared_energy_memo): the Fig. R1
+//    load and R2 penalty sweeps keep one platform across the grid and share
+//    one memo, whose lineup (exact DP reference, FPTAS guess rounds, greedy
+//    flip loops) re-evaluates the same loads at every point and instance;
+//  * DeltaSolver (serve/delta_solver.hpp): every admit, remove and reprice
+//    re-scans the rows of one resident table, request after request;
+//  * mp-scale's dense memo (core/mp_scale.cpp): the local search replays
+//    millions of rows of one platform, and a dense hit is one indexed load;
+//  * MP-GREEDY (core/multiproc.cpp): its placement and improvement passes
+//    probe the same per-processor loads until they change;
+//  * the budgeted sweep (core/budgeted.cpp): every budget's binary search
+//    probes the same loads.
+//
+// The memo keeps two hard guarantees:
 //
 //  * Bit-identity. E(W) is a pure function of (curve, work_per_cycle,
 //    cycles); the memo only ever returns a value the cold path computed, so
 //    cached and uncached runs produce the same bits in every consumer.
 //  * Lock-free sharding. One memo may be shared across the worker pool (a
-//    whole sweep's cells attach the same memo when their curves are
-//    identical — see exp/harness.hpp). Each thread owns a private shard
-//    selected by a stable per-thread slot, so recording never takes a lock
-//    and never races: a thread only reads and writes its own shard. Threads
+//    caller-shared grid attaches one memo to every cell — see
+//    exp/harness.hpp). Each thread owns a private shard selected by a
+//    stable per-thread slot, so recording never takes a lock and never
+//    races: a thread only reads and writes its own shard. Threads
 //    therefore do not see each other's entries — sharing across threads
 //    trades perfect reuse for zero synchronization, which is the right
 //    trade when each shard converges to the same hot working set anyway.

@@ -77,29 +77,12 @@ std::vector<std::vector<AlgoStats>> run_comparison_batch(
     std::vector<std::vector<RejectionProblem>> problems(block);
     std::vector<std::vector<double>> refs(block, std::vector<double>(points));
     std::vector<char> grouped(block);
-    // One energy memo per sweep point, shared by every instance of the
-    // block whose platform matches the point's first instance. A sweep
-    // point fixes (curve, work_per_cycle) across seeds in the canonical
-    // grids, so instance 0's select-sweep evaluations serve the whole block
-    // — the cross-instance sharing the lockstep select gets structurally.
-    // same_platforms guards the memo sharing contract per cell
-    // (cache/energy_memo.hpp); a factory whose platform varies with the
-    // seed degrades to a private memo, never to a wrong energy.
-    std::vector<std::shared_ptr<EnergyMemo>> point_memos(points);
     for (std::size_t j = 0; j < block; ++j) {
       problems[j].reserve(points);
       for (std::size_t point = 0; point < points; ++point) {
         problems[j].push_back(factories[point](seed0 + static_cast<std::uint64_t>(k_lo + j)));
-        RejectionProblem& cell = problems[j].back();
         if (options.shared_energy_memo != nullptr) {
-          cell.attach_energy_memo(options.shared_energy_memo);
-        } else if (options.cell_energy_memo) {
-          if (point_memos[point] != nullptr && !same_platforms(problems[0][point], cell)) {
-            cell.attach_energy_memo(std::make_shared<EnergyMemo>());
-          } else {
-            if (point_memos[point] == nullptr) point_memos[point] = std::make_shared<EnergyMemo>();
-            cell.attach_energy_memo(point_memos[point]);
-          }
+          problems[j].back().attach_energy_memo(options.shared_energy_memo);
         }
       }
       for (std::size_t point = 0; point < points; ++point) {

@@ -67,18 +67,13 @@ struct BatchOptions {
   /// solver metrics land in the FIRST point's AlgoStats instead of being
   /// split per point (the per-point split does not exist for shared work).
   bool sweep_reuse = true;
-  /// Attach an EnergyMemo per sweep point, shared across every instance of
-  /// a parallel block whose platform (curve, work_per_cycle) matches that
-  /// point's first instance — cells are solved on one thread per block, so
-  /// one instance's cycles -> energy evaluations serve the rest. All lineup
-  /// algorithms solving a cell share its memo by reference. A factory whose
-  /// platform varies with the seed fails the same_platforms guard and gets
-  /// a private per-cell memo instead (bit-identical either way).
-  bool cell_energy_memo = true;
-  /// Caller-supplied memo attached to EVERY problem of the grid instead of
-  /// per-cell memos. The caller asserts all factories produce problems with
-  /// one identical (EnergyCurve, work_per_cycle) pair — see
-  /// RejectionProblem::attach_energy_memo. Leave null to use per-cell memos.
+  /// Caller-supplied memo attached to EVERY problem of the grid. The caller
+  /// asserts all factories produce problems with one identical
+  /// (EnergyCurve, work_per_cycle) pair — see
+  /// RejectionProblem::attach_energy_memo. Null (the default) attaches no
+  /// memo: one closed-form continuous evaluation costs less than a memo
+  /// miss, so only a grid whose lineup revisits the same loads across
+  /// points and instances gains from one.
   std::shared_ptr<EnergyMemo> shared_energy_memo;
   /// Solve instances that do NOT take the sweep-reuse path through the
   /// lockstep batch solver (batch/lockstep.hpp): the replication axis is

@@ -9,6 +9,11 @@
 #include "retask/power/critical_speed.hpp"
 
 namespace retask {
+namespace {
+
+constexpr const char* kInfeasible = "EnergyCurve::energy: workload exceeds smax * window";
+
+}  // namespace
 
 double ExecutionPlan::total_cycles() const {
   double cycles = 0.0;
@@ -28,8 +33,22 @@ EnergyCurve::EnergyCurve(const PowerModel& model, double window, IdleDiscipline 
   require(window > 0.0, "EnergyCurve: window must be positive");
   validate(sleep_);
   max_workload_ = model_->max_speed() * window_;
-  if (model_->is_continuous()) critical_speed_ = critical_speed(*model_);
-  else build_hull();
+  continuous_ = model_->is_continuous();
+  if (!continuous_) {
+    build_hull();
+    return;
+  }
+  const auto* poly = dynamic_cast<const PolynomialPowerModel*>(model_.get());
+  if (poly != nullptr) cont_.poly = poly->polynomial();
+  else cont_.other = model_.get();
+  cont_.s_max = model_->max_speed();
+  cont_.s_lo = std::max({model_->min_speed(), cont_.s_max * 1e-12, 1e-300});
+  cont_.s_crit = critical_speed(*model_);
+  cont_.window = window_;
+  cont_.pind = model_->static_power();
+  cont_.switch_time = sleep_.switch_time;
+  cont_.switch_energy = sleep_.switch_energy;
+  cont_.enable = idle_ == IdleDiscipline::kDormantEnable;
 }
 
 EnergyCurve::EnergyCurve(const EnergyCurve& other)
@@ -38,10 +57,13 @@ EnergyCurve::EnergyCurve(const EnergyCurve& other)
       idle_(other.idle_),
       sleep_(other.sleep_),
       max_workload_(other.max_workload_),
-      critical_speed_(other.critical_speed_),
+      continuous_(other.continuous_),
+      cont_(other.cont_),
       hull_(other.hull_),
       hull_speeds_(other.hull_speeds_),
-      hull_powers_(other.hull_powers_) {}
+      hull_powers_(other.hull_powers_) {
+  if (cont_.other != nullptr) cont_.other = model_.get();
+}
 
 EnergyCurve& EnergyCurve::operator=(const EnergyCurve& other) {
   if (this != &other) {
@@ -50,7 +72,9 @@ EnergyCurve& EnergyCurve::operator=(const EnergyCurve& other) {
     idle_ = other.idle_;
     sleep_ = other.sleep_;
     max_workload_ = other.max_workload_;
-    critical_speed_ = other.critical_speed_;
+    continuous_ = other.continuous_;
+    cont_ = other.cont_;
+    if (cont_.other != nullptr) cont_.other = model_.get();
     hull_ = other.hull_;
     hull_speeds_ = other.hull_speeds_;
     hull_powers_ = other.hull_powers_;
@@ -127,12 +151,39 @@ double EnergyCurve::hull_power(double s) const {
   return hull_.back().power;
 }
 
-bool EnergyCurve::feasible(double cycles) const {
-  return cycles >= 0.0 && leq_tol(cycles, max_workload_);
+// Awake branch: its cost never decreases in s, so run as slowly as allowed.
+// Sleep branch: the tail must cover the switch, and W * P(s) / s is least at
+// s*, so run at s* clamped into the speeds that leave that tail. The two
+// monotonicity arguments are in docs/ALGORITHMS.md §1.
+inline EnergyCurve::Choice EnergyCurve::continuous_choice(const Continuous& c, double cycles) {
+  const double lo = c.speed_bound(cycles);
+  const double busy = cycles / lo;
+  Choice best{lo, busy, false, busy * c.power(lo) + c.pind * std::max(0.0, c.window - busy)};
+  if (!c.enable) return best;
+  double sleep_lo = lo;
+  if (c.switch_time > 0.0) {
+    if (c.window - c.switch_time <= 0.0) return best;
+    sleep_lo = std::max(sleep_lo, cycles / (c.window - c.switch_time));
+  }
+  if (sleep_lo > c.s_max) return best;
+  const double s = std::min(std::max(c.s_crit, sleep_lo), c.s_max);
+  const double sleep_busy = cycles / s;
+  const double idle = std::max(0.0, c.window - sleep_busy);
+  if (idle < c.switch_time) return best;
+  const double cost = sleep_busy * c.power(s) + c.switch_energy;
+  if (cost < best.cost) best = Choice{s, sleep_busy, idle > 0.0, cost};
+  return best;
+}
+
+inline double EnergyCurve::continuous_energy(const Continuous& c, double cycles) {
+  // Dormant-enable processors stay dormant through an empty window.
+  if (cycles <= 0.0) return c.enable ? 0.0 : c.pind * c.window;
+  return continuous_choice(c, cycles).cost;
 }
 
 EnergyCurve::Choice EnergyCurve::best_choice(double cycles) const {
   RETASK_ASSERT(cycles > 0.0);
+  if (continuous_) return continuous_choice(cont_, cycles);
   const double smax = model_->max_speed();
   const double s_req = std::min(cycles / window_, smax);
   const bool enable = idle_ == IdleDiscipline::kDormantEnable;
@@ -149,50 +200,31 @@ EnergyCurve::Choice EnergyCurve::best_choice(double cycles) const {
     if (cost < best.cost) best = Choice{exec_speed, busy, sleeps && idle > 0.0, cost};
   };
 
-  if (model_->is_continuous()) {
-    const double lo =
-        clamp(std::max(model_->min_speed(), s_req), std::max(smax * 1e-12, 1e-300), smax);
-    // Awake branch: its cost never decreases in s, so run as slowly as allowed.
-    consider(lo, model_->power(lo), false);
-
-    if (enable) {
-      // Sleep branch: the tail must cover the switch; W * P(s) / s is least at s*.
-      double sleep_lo = lo;
-      if (sleep_.switch_time > 0.0) {
-        if (window_ - sleep_.switch_time <= 0.0) sleep_lo = smax * 2.0;  // invalid
-        else sleep_lo = std::max(sleep_lo, cycles / (window_ - sleep_.switch_time));
-      }
-      if (sleep_lo <= smax) {
-        const double s_sleep = clamp(critical_speed_, sleep_lo, smax);
-        consider(s_sleep, model_->power(s_sleep), true);
-      }
-    }
-  } else {
-    // Candidate average speeds: the lower feasibility boundary, the sleep
-    // boundary, and every hull vertex at or above the boundary. Both branch
-    // costs are fractional-linear per hull segment, so their optima lie at
-    // these candidates.
-    const double lower = clamp(std::max(s_req, hull_.front().speed), hull_.front().speed, smax);
-    std::vector<double> candidates{lower, smax};
-    for (const HullPoint& p : hull_) {
-      if (p.speed > lower && p.speed < smax) candidates.push_back(p.speed);
-    }
-    if (enable && sleep_.switch_time > 0.0 && window_ - sleep_.switch_time > 0.0) {
-      const double s_boundary = cycles / (window_ - sleep_.switch_time);
-      if (s_boundary > lower && s_boundary < smax) candidates.push_back(s_boundary);
-    }
-    for (const double s : candidates) {
-      const double p = hull_power(s);
-      consider(s, p, false);
-      if (enable) consider(s, p, true);
-    }
+  // Candidate average speeds: the lower feasibility boundary, the sleep
+  // boundary, and every hull vertex at or above the boundary. Both branch
+  // costs are fractional-linear per hull segment, so their optima lie at
+  // these candidates.
+  const double lower = clamp(std::max(s_req, hull_.front().speed), hull_.front().speed, smax);
+  std::vector<double> candidates{lower, smax};
+  for (const HullPoint& p : hull_) {
+    if (p.speed > lower && p.speed < smax) candidates.push_back(p.speed);
+  }
+  if (enable && sleep_.switch_time > 0.0 && window_ - sleep_.switch_time > 0.0) {
+    const double s_boundary = cycles / (window_ - sleep_.switch_time);
+    if (s_boundary > lower && s_boundary < smax) candidates.push_back(s_boundary);
+  }
+  for (const double s : candidates) {
+    const double p = hull_power(s);
+    consider(s, p, false);
+    if (enable) consider(s, p, true);
   }
   RETASK_ASSERT(best.cost < std::numeric_limits<double>::infinity());
   return best;
 }
 
 double EnergyCurve::energy(double cycles) const {
-  require(feasible(cycles), "EnergyCurve::energy: workload exceeds smax * window");
+  require(feasible(cycles), kInfeasible);
+  if (continuous_) return continuous_energy(cont_, cycles);
   if (cycles <= 0.0) {
     // Dormant-enable processors stay dormant through an empty window.
     return idle_ == IdleDiscipline::kDormantEnable ? 0.0 : static_power() * window_;
@@ -201,16 +233,24 @@ double EnergyCurve::energy(double cycles) const {
   // reference body the batched SIMD kernels reduce to — so one-at-a-time and
   // batched evaluation can never diverge by a bit (the energy memo's replay
   // guarantee depends on this). best_choice stays the implementation for
-  // continuous models and for plan(), which needs the speed, not the cost.
-  if (!model_->is_continuous()) return simd::energy_hull_one(hull_params(1.0), cycles);
-  return best_choice(cycles).cost;
+  // plan(), which needs the speed, not the cost.
+  return simd::energy_hull_one(hull_params(1.0), cycles);
 }
 
 void EnergyCurve::energy_cycles_batch(double work_per_cycle, const std::int64_t* cycles,
                                       double* out, std::size_t n) const {
   require(work_per_cycle > 0.0, "EnergyCurve::energy_cycles_batch: work_per_cycle must be positive");
+  if (continuous_) {
+    const Continuous c = cont_;  // hoisted: stores to `out` could alias the members
+    for (std::size_t i = 0; i < n; ++i) {
+      const double w = work_per_cycle * static_cast<double>(cycles[i]);
+      require(feasible(w), kInfeasible);
+      out[i] = continuous_energy(c, w);
+    }
+    return;
+  }
   constexpr std::int64_t kMaxExact = std::int64_t{1} << 52;  // exact int64->double range
-  bool kernel_ok = !model_->is_continuous();
+  bool kernel_ok = true;
   for (std::size_t i = 0; i < n && kernel_ok; ++i) {
     kernel_ok = cycles[i] >= 0 && cycles[i] < kMaxExact;
   }
@@ -223,8 +263,7 @@ void EnergyCurve::energy_cycles_batch(double work_per_cycle, const std::int64_t*
   // Same feasibility contract as energy(), checked up front so the kernel
   // only ever sees workloads the scalar path would accept.
   for (std::size_t i = 0; i < n; ++i) {
-    require(feasible(work_per_cycle * static_cast<double>(cycles[i])),
-            "EnergyCurve::energy: workload exceeds smax * window");
+    require(feasible(work_per_cycle * static_cast<double>(cycles[i])), kInfeasible);
   }
   simd::kernels().energy_hull_cycles(hull_params(work_per_cycle), cycles, out, n);
 }
@@ -243,14 +282,12 @@ double EnergyCurve::convex_floor(double cycles) const {
   // average speed cycles / window across the full window.
   require(feasible(cycles), "EnergyCurve::convex_floor: workload exceeds smax * window");
   if (cycles <= 0.0) return 0.0;  // stays dormant, like energy(0)
-  const double s_avg = cycles / window_;
-  if (model_->is_continuous()) {
-    const double smax = model_->max_speed();
-    const double lo =
-        clamp(std::max(model_->min_speed(), s_avg), std::max(smax * 1e-12, 1e-300), smax);
-    const double s = clamp(critical_speed_, lo, smax);  // P(s) / s is least at s*
-    return cycles * (model_->power(s) / s);
+  if (continuous_) {
+    // P(s) / s is least at s*.
+    const double s = std::min(std::max(cont_.s_crit, cont_.speed_bound(cycles)), cont_.s_max);
+    return cycles * (cont_.power(s) / s);
   }
+  const double s_avg = cycles / window_;
   double best = std::numeric_limits<double>::infinity();
   for (const HullPoint& p : hull_) {
     if (p.speed >= s_avg) best = std::min(best, cycles * p.power / p.speed);
@@ -278,7 +315,7 @@ ExecutionPlan EnergyCurve::plan(double cycles) const {
   }
   const Choice choice = best_choice(cycles);
 
-  if (model_->is_continuous()) {
+  if (continuous_) {
     out.segments.push_back({choice.exec_speed, choice.busy});
   } else {
     // Decompose the average execution speed into the two adjacent hull

@@ -34,10 +34,13 @@
 #ifndef RETASK_POWER_ENERGY_CURVE_HPP
 #define RETASK_POWER_ENERGY_CURVE_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "retask/common/math.hpp"
+#include "retask/power/polynomial_power.hpp"
 #include "retask/power/power_model.hpp"
 #include "retask/power/sleep.hpp"
 #include "retask/simd/kernels.hpp"
@@ -102,7 +105,9 @@ class EnergyCurve {
   double max_workload() const { return max_workload_; }
 
   /// True when `cycles` fit in the window at top speed (tolerant compare).
-  bool feasible(double cycles) const;
+  bool feasible(double cycles) const {
+    return cycles >= 0.0 && (cycles <= max_workload_ || leq_tol(cycles, max_workload_));
+  }
 
   /// Minimum energy to execute `cycles` in the window; requires
   /// feasible(cycles) and cycles >= 0. E(0) is 0 for dormant-enable (the
@@ -110,11 +115,12 @@ class EnergyCurve {
   double energy(double cycles) const;
 
   /// Batched energy over integer cycle counts: out[i] equals
-  /// energy(work_per_cycle * cycles[i]) bit for bit. Discrete (hull) models
-  /// dispatch to the active SIMD backend's fused cycles->energy kernel;
-  /// continuous models — and inputs outside the kernel's exact-conversion
-  /// range [0, 2^52) — fall back to per-element evaluation. Requires
-  /// work_per_cycle > 0 and every workload feasible, like energy().
+  /// energy(work_per_cycle * cycles[i]) bit for bit. Continuous models run
+  /// energy()'s closed-form body in a loop; discrete (hull) models dispatch
+  /// to the active SIMD backend's fused cycles->energy kernel, falling back
+  /// to per-element evaluation outside its exact-conversion range
+  /// [0, 2^52). Requires work_per_cycle > 0 and every workload feasible,
+  /// like energy(), and throws the same Error when one is not.
   void energy_cycles_batch(double work_per_cycle, const std::int64_t* cycles, double* out,
                            std::size_t n) const;
 
@@ -170,6 +176,27 @@ class EnergyCurve {
     bool sleeps = false;      // idle tail spent dormant
     double cost = 0.0;
   };
+  /// What the closed-form continuous body reads, cached at construction so
+  /// that one evaluation makes no virtual call (unless the model is not
+  /// polynomial) and the batch loop can keep it in registers.
+  struct Continuous {
+    PowerPolynomial poly;              // P(s) of a polynomial model
+    const PowerModel* other = nullptr;  // any other continuous model: its power()
+    double s_lo = 0.0;     // lowest execution speed: min_speed, kept off 0
+    double s_max = 0.0;
+    double s_crit = 0.0;   // argmin P(s)/s in the speed range
+    double window = 0.0;
+    double pind = 0.0;
+    double switch_time = 0.0;
+    double switch_energy = 0.0;
+    bool enable = false;   // dormant-enable
+
+    double power(double s) const { return other == nullptr ? poly(s) : other->power(s); }
+    /// Slowest feasible execution speed for `cycles` > 0.
+    double speed_bound(double cycles) const {
+      return std::max(std::min(cycles / window, s_max), s_lo);
+    }
+  };
 
   double static_power() const;
   void build_hull();
@@ -177,6 +204,10 @@ class EnergyCurve {
   double hull_power(double s) const;
   /// Best (speed, branch) decision for a positive workload.
   Choice best_choice(double cycles) const;
+  /// The closed-form continuous body: best_choice for a positive workload,
+  /// and energy for any feasible one.
+  static Choice continuous_choice(const Continuous& c, double cycles);
+  static double continuous_energy(const Continuous& c, double cycles);
   /// Flattened hull + model scalars for the SIMD energy kernels. Only valid
   /// for discrete models; pointers alias hull_speeds_/hull_powers_.
   simd::HullEnergyParams hull_params(double work_per_cycle) const;
@@ -186,7 +217,8 @@ class EnergyCurve {
   IdleDiscipline idle_ = IdleDiscipline::kDormantEnable;
   SleepParams sleep_;
   double max_workload_ = 0.0;
-  double critical_speed_ = 0.0;  // continuous models: argmin P(s)/s in the speed range
+  bool continuous_ = false;
+  Continuous cont_;              // continuous models only
   std::vector<HullPoint> hull_;  // discrete models: lower hull of operating points
   // Structure-of-arrays view of hull_ for the vector kernels (same order).
   std::vector<double> hull_speeds_;

@@ -10,7 +10,7 @@ namespace retask {
 
 PolynomialPowerModel::PolynomialPowerModel(double beta1, double beta2, double alpha,
                                            double min_speed, double max_speed)
-    : beta1_(beta1), beta2_(beta2), alpha_(alpha), min_speed_(min_speed), max_speed_(max_speed) {
+    : poly_{beta1, beta2, alpha}, min_speed_(min_speed), max_speed_(max_speed) {
   require(beta1 >= 0.0, "PolynomialPowerModel: beta1 must be non-negative");
   require(beta2 > 0.0, "PolynomialPowerModel: beta2 must be positive");
   require(alpha > 1.0, "PolynomialPowerModel: alpha must exceed 1");
@@ -29,13 +29,13 @@ PolynomialPowerModel PolynomialPowerModel::xscale() {
 double PolynomialPowerModel::power(double speed) const {
   require(leq_tol(min_speed_, speed) && leq_tol(speed, max_speed_),
           "PolynomialPowerModel::power: speed outside the model's range");
-  return beta1_ + beta2_ * std::pow(speed, alpha_);
+  return poly_(speed);
 }
 
 std::string PolynomialPowerModel::name() const {
   std::ostringstream os;
-  os << "poly(" << beta1_ << "+" << beta2_ << "*s^" << alpha_ << ", s in [" << min_speed_ << ","
-     << max_speed_ << "])";
+  os << "poly(" << poly_.beta1 << "+" << poly_.beta2 << "*s^" << poly_.alpha << ", s in ["
+     << min_speed_ << "," << max_speed_ << "])";
   return os.str();
 }
 
@@ -44,8 +44,8 @@ std::unique_ptr<PowerModel> PolynomialPowerModel::clone() const {
 }
 
 double PolynomialPowerModel::analytic_critical_speed() const {
-  if (beta1_ == 0.0) return 0.0;
-  return std::pow(beta1_ / ((alpha_ - 1.0) * beta2_), 1.0 / alpha_);
+  if (poly_.beta1 == 0.0) return 0.0;
+  return std::pow(poly_.beta1 / ((poly_.alpha - 1.0) * poly_.beta2), 1.0 / poly_.alpha);
 }
 
 }  // namespace retask

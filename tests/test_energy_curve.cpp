@@ -1,11 +1,17 @@
 // Tests for the energy curve E(W): closed forms, both idle disciplines,
-// discrete-speed hull behaviour, execution-plan consistency, and
-// parameterized property sweeps (convexity, monotonicity) across models.
+// discrete-speed hull behaviour, execution-plan consistency, parameterized
+// property sweeps (convexity, monotonicity) across models, and the
+// bit-identity of the continuous body's scalar and batched forms.
 #include "retask/power/energy_curve.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -276,6 +282,118 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return label;
     });
+
+// ---------------------------------------------------------------------------
+// Continuous curves: energy(), the batch loop and plan() run one closed-form
+// body, so they agree bit for bit in every configuration of it.
+
+struct ContinuousCase {
+  const char* label;
+  PolynomialPowerModel model;
+  IdleDiscipline idle;
+  SleepParams sleep;  // {switch_time, switch_energy}
+};
+
+std::vector<ContinuousCase> continuous_cases() {
+  const PolynomialPowerModel xscale = PolynomialPowerModel::xscale();
+  const IdleDiscipline enable = IdleDiscipline::kDormantEnable;
+  return {
+      {"xscale-free", xscale, enable, SleepParams{}},
+      {"xscale-Esw0.1-tsw0.05", xscale, enable, SleepParams{0.05, 0.1}},
+      {"xscale-Esw0-tsw0.5", xscale, enable, SleepParams{0.5, 0.0}},
+      {"xscale-tsw-fills-window", xscale, enable, SleepParams{1.0, 0.02}},
+      {"xscale-disable", xscale, IdleDiscipline::kDormantDisable, SleepParams{}},
+      // min_speed above the critical speed (~0.2975).
+      {"xscale-smin0.4", PolynomialPowerModel(0.08, 1.52, 3.0, 0.4, 1.0), enable, SleepParams{}},
+      {"cubic", PolynomialPowerModel::cubic(), enable, SleepParams{}},
+      {"alpha2", PolynomialPowerModel(0.08, 1.52, 2.0, 0.0, 1.0), enable, SleepParams{}},
+      {"alpha2.5-pow", PolynomialPowerModel(0.08, 1.52, 2.5, 0.0, 1.0), enable, SleepParams{}},
+  };
+}
+
+TEST(ContinuousCurve, BatchMatchesScalarEnergyBitwise) {
+  constexpr std::int64_t kCapacity = 1000;
+  std::vector<std::int64_t> cycles(kCapacity + 1);
+  std::iota(cycles.begin(), cycles.end(), std::int64_t{0});
+  for (const ContinuousCase& c : continuous_cases()) {
+    const EnergyCurve curve(c.model, 1.0, c.idle, c.sleep);
+    const double wpc = curve.max_workload() / static_cast<double>(kCapacity);
+    std::vector<double> batch(cycles.size());
+    curve.energy_cycles_batch(wpc, cycles.data(), batch.data(), cycles.size());
+    for (std::size_t i = 0; i < cycles.size(); ++i) {
+      const double one = curve.energy(wpc * static_cast<double>(cycles[i]));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(batch[i]), std::bit_cast<std::uint64_t>(one))
+          << c.label << " at " << cycles[i] << " cycles";
+    }
+  }
+}
+
+TEST(ContinuousCurve, BatchRejectsInfeasibleLoadsLikeEnergy) {
+  const EnergyCurve curve(PolynomialPowerModel::xscale(), 1.0, IdleDiscipline::kDormantEnable);
+  const double wpc = curve.max_workload() / 1000.0;
+  const auto thrown = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const Error& error) {
+      return error.what();
+    }
+    return "(nothing thrown)";
+  };
+  // Past s_max * D beyond the feasibility tolerance, and below zero.
+  for (const std::int64_t bad : {std::int64_t{1001}, std::int64_t{-1}}) {
+    const std::vector<std::int64_t> cycles{0, 500, bad, 1000};
+    std::vector<double> out(cycles.size());
+    const std::string scalar =
+        thrown([&] { (void)curve.energy(wpc * static_cast<double>(bad)); });
+    const std::string batch = thrown(
+        [&] { curve.energy_cycles_batch(wpc, cycles.data(), out.data(), cycles.size()); });
+    EXPECT_NE(scalar, "(nothing thrown)") << bad;
+    EXPECT_EQ(batch, scalar) << bad;
+  }
+}
+
+/// XScale behind the bare PowerModel interface: a continuous model the
+/// curve cannot see into, so it evaluates through the virtual power().
+class OpaqueXscale final : public PowerModel {
+ public:
+  double power(double speed) const override { return inner_.power(speed); }
+  double static_power() const override { return inner_.static_power(); }
+  double min_speed() const override { return inner_.min_speed(); }
+  double max_speed() const override { return inner_.max_speed(); }
+  bool is_continuous() const override { return true; }
+  std::vector<double> available_speeds() const override { return {}; }
+  std::string name() const override { return "opaque-xscale"; }
+  std::unique_ptr<PowerModel> clone() const override {
+    return std::make_unique<OpaqueXscale>(*this);
+  }
+
+ private:
+  PolynomialPowerModel inner_ = PolynomialPowerModel::xscale();
+};
+
+TEST(ContinuousCurve, OpaqueContinuousModelsMatchThePolynomialBody) {
+  const IdleDiscipline enable = IdleDiscipline::kDormantEnable;
+  for (const SleepParams sleep : {SleepParams{}, SleepParams{0.05, 0.1}}) {
+    const EnergyCurve known(PolynomialPowerModel::xscale(), 1.0, enable, sleep);
+    // Copies outlive their source: each must evaluate its own model.
+    std::optional<EnergyCurve> copied;
+    EnergyCurve assigned(PolynomialPowerModel::cubic(), 2.0, enable);
+    {
+      const EnergyCurve source(OpaqueXscale(), 1.0, enable, sleep);
+      copied.emplace(source);
+      assigned = source;
+    }
+    for (const EnergyCurve* opaque : {&*copied, &assigned}) {
+      for (int k = 0; k <= 100; ++k) {
+        const double w = static_cast<double>(k) / 100.0;
+        EXPECT_EQ(opaque->energy(w), known.energy(w)) << "W = " << w;
+        EXPECT_EQ(opaque->convex_floor(w), known.convex_floor(w)) << "W = " << w;
+        EXPECT_EQ(opaque->plan_energy(opaque->plan(w)), known.plan_energy(known.plan(w)))
+            << "W = " << w;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace retask

@@ -1,5 +1,8 @@
 // Unit tests for the polynomial and table power models.
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -37,6 +40,35 @@ TEST(PolynomialPower, RejectsOutOfRangeSpeed) {
   const PolynomialPowerModel m = PolynomialPowerModel::cubic();
   EXPECT_THROW(m.power(1.5), Error);
   EXPECT_THROW(m.power(-0.1), Error);
+}
+
+/// Representable doubles between two non-negative values.
+std::int64_t ulps_apart(double a, double b) {
+  return std::llabs(std::bit_cast<std::int64_t>(a) - std::bit_cast<std::int64_t>(b));
+}
+
+TEST(PolynomialPower, IntegralExponentsStayWithinAnUlpOfPow) {
+  // alpha 2 and 3 multiply instead of calling std::pow. The term s^alpha
+  // stays within 1 ulp of std::pow; scaling by beta2 can round that ulp into
+  // two of P(s).
+  constexpr int kGrid = 200000;
+  for (const double alpha : {2.0, 3.0}) {
+    const PolynomialPowerModel pure(0.0, 1.0, alpha, 0.0, 1.0);
+    const PolynomialPowerModel leaky(0.08, 1.52, alpha, 0.0, 1.0);
+    for (int i = 0; i <= kGrid; ++i) {
+      const double s = static_cast<double>(i) / kGrid;
+      const double term = std::pow(s, alpha);
+      ASSERT_LE(ulps_apart(pure.power(s), term), 1) << "alpha " << alpha << ", s = " << s;
+      ASSERT_LE(ulps_apart(leaky.power(s), 0.08 + 1.52 * term), 2)
+          << "alpha " << alpha << ", s = " << s;
+    }
+  }
+  // Any other exponent keeps std::pow, bit for bit.
+  const PolynomialPowerModel fractional(0.08, 1.52, 2.5, 0.0, 1.0);
+  for (int i = 0; i <= kGrid; i += 97) {
+    const double s = static_cast<double>(i) / kGrid;
+    ASSERT_EQ(fractional.power(s), 0.08 + 1.52 * std::pow(s, 2.5)) << "s = " << s;
+  }
 }
 
 TEST(PolynomialPower, EnergyPerCycleIsPowerOverSpeed) {

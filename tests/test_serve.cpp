@@ -45,7 +45,7 @@ TEST(FrameProtocol, RejectsTruncatedAndOversizeFrames) {
   }
   {
     std::stringstream stream;
-    stream.write("\x05\x00\x00\x00abc", 7);  // header promises 5, carries 3
+    stream.write("\x05\x00\x00\x00" "abc", 7);  // header promises 5, carries 3
     std::string read;
     EXPECT_THROW(read_frame(stream, read), Error);
   }

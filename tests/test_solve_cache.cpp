@@ -218,8 +218,8 @@ TEST(EnergyMemoTest, ExitedThreadsReturnTheirSlots) {
 }
 
 // ---------------------------------------------------------------------------
-// Harness: grouped sweep solving and per-cell memos change nothing about
-// the aggregates, at any job count.
+// Harness: grouped sweep solving changes nothing about the aggregates, at
+// any job count.
 
 std::vector<std::vector<AlgoStats>> run_batch(const BatchOptions& options, int jobs) {
   std::vector<ProblemFactory> factories;
@@ -256,12 +256,45 @@ void expect_same_aggregates(const std::vector<std::vector<AlgoStats>>& a,
 TEST(HarnessSweepCache, GroupedSolvingMatchesColdHarnessBitForBit) {
   BatchOptions cold;
   cold.sweep_reuse = false;
-  cold.cell_energy_memo = false;
   expect_same_aggregates(run_batch(cold, /*jobs=*/1), run_batch({}, /*jobs=*/1));
 }
 
 TEST(HarnessSweepCache, GroupedSolvingIsJobCountInvariant) {
   expect_same_aggregates(run_batch({}, /*jobs=*/1), run_batch({}, /*jobs=*/8));
+}
+
+TEST(HarnessSweepCache, GridsWithoutASharedMemoAttachNone) {
+  // A load sweep keeps (curve, work_per_cycle) fixed, so one memo may serve
+  // the whole grid. Without one the harness attaches none: no cell counts a
+  // memo lookup, and the aggregates match the memoized grid bit for bit.
+  std::vector<ProblemFactory> factories;
+  for (const double load : {0.8, 1.2, 1.6}) {
+    factories.push_back(
+        [load](std::uint64_t seed) { return test::small_instance(seed, 10, load); });
+  }
+  const auto reference = [](const RejectionProblem& p) { return fractional_lower_bound(p); };
+  const auto lineup = standard_uniproc_lineup();
+  BatchOptions memoized;
+  memoized.shared_energy_memo = std::make_shared<EnergyMemo>();
+  const auto bare = run_comparison_batch(factories, lineup, reference, /*instances=*/4,
+                                         /*seed0=*/11, /*jobs=*/1);
+  const auto shared = run_comparison_batch(factories, lineup, reference, /*instances=*/4,
+                                           /*seed0=*/11, /*jobs=*/1, memoized);
+  expect_same_aggregates(bare, shared);
+#if defined(RETASK_OBS_ENABLED) && RETASK_OBS_ENABLED
+  const obs::MetricId hits = obs::intern_metric(obs::MetricKind::kCounter, "cache.energy_hits");
+  const obs::MetricId misses =
+      obs::intern_metric(obs::MetricKind::kCounter, "cache.energy_misses");
+  std::uint64_t shared_lookups = 0;
+  for (std::size_t p = 0; p < bare.size(); ++p) {
+    for (std::size_t s = 0; s < bare[p].size(); ++s) {
+      EXPECT_EQ(bare[p][s].metrics.counter(hits), 0u) << bare[p][s].name << " point " << p;
+      EXPECT_EQ(bare[p][s].metrics.counter(misses), 0u) << bare[p][s].name << " point " << p;
+      shared_lookups += shared[p][s].metrics.counter(hits) + shared[p][s].metrics.counter(misses);
+    }
+  }
+  EXPECT_GT(shared_lookups, 0u);
+#endif
 }
 
 #if defined(RETASK_OBS_ENABLED) && RETASK_OBS_ENABLED

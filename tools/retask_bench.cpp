@@ -1,6 +1,7 @@
 // retask_bench — pinned-workload benchmark runner with regression gating.
 //
-//   retask_bench --out bench/reports/BENCH_PR5.json     # run + compare
+//   retask_bench                                        # run + compare
+//   retask_bench --out bench/reports/NAME.json          # ... and record the report
 //   retask_bench --write-baseline                       # refresh the baseline
 //   retask_bench --filter greedy --repeats 9            # focus a subset
 //   retask_bench --trace-out trace.json                 # chrome://tracing dump
@@ -54,21 +55,16 @@
 #ifndef RETASK_BENCH_BASELINE_DEFAULT
 #define RETASK_BENCH_BASELINE_DEFAULT ""
 #endif
-#ifndef RETASK_BENCH_REPORT_DIR_DEFAULT
-#define RETASK_BENCH_REPORT_DIR_DEFAULT ""
+#ifndef RETASK_BENCH_REPORT_DEFAULT
+#define RETASK_BENCH_REPORT_DEFAULT "bench_report.json"
 #endif
 
 namespace {
 
 using namespace retask;
 
-std::string default_out_path() {
-  const std::string dir = RETASK_BENCH_REPORT_DIR_DEFAULT;
-  return dir.empty() ? "BENCH_PR10.json" : dir + "/BENCH_PR10.json";
-}
-
 struct BenchCliOptions {
-  std::string out = default_out_path();
+  std::string out = RETASK_BENCH_REPORT_DEFAULT;
   std::string baseline = RETASK_BENCH_BASELINE_DEFAULT;
   std::string filter;
   std::string trace_out;
@@ -86,8 +82,10 @@ const char* kUsage =
 
 usage: retask_bench [options]
 
-  --out FILE         report JSON path (default bench/reports/BENCH_PR10.json
-                     next to the sources; the directory is created)
+  --out FILE         report JSON path (default bench_report.json in the
+                     build directory; the directory is created). Recorded
+                     reports under bench/reports/ are written only when
+                     named here.
   --baseline FILE    baseline JSON to compare against (default: the
                      checked-in bench/baseline/BENCH_BASELINE.json)
   --threshold X      fail when median > X * baseline median (default 2.5)
@@ -361,7 +359,6 @@ std::vector<Workload> build_workloads(int jobs) {
     workloads.push_back({"harness_cap_sweep_cold", [harness_sweep](obs::Registry& metrics) {
                            BatchOptions batch;
                            batch.sweep_reuse = false;
-                           batch.cell_energy_memo = false;
                            harness_sweep(batch, metrics);
                          }});
     workloads.push_back({"harness_cap_sweep_warm", [harness_sweep](obs::Registry& metrics) {
@@ -583,7 +580,7 @@ std::vector<Workload> build_workloads(int jobs) {
                                      std::chrono::steady_clock::now() - start)
                                      .count()));
                            }
-                           const double elapsed =
+                           [[maybe_unused]] const double elapsed =
                                std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                              begin)
                                    .count();
