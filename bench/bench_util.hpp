@@ -60,18 +60,13 @@ inline void print_sweep_metrics(const std::string& title, const std::string& axi
 
 /// Sweep-level knobs forwarded to the harness.
 struct SweepOptions {
-  /// Attach ONE energy memo to every cell of the grid instead of per-cell
-  /// memos. Only set this when the sweep holds the power model, frame and
-  /// resolution fixed across points (so every problem shares one
+  /// Attach ONE energy memo to every cell of the grid (otherwise no cell
+  /// gets a memo). Only set this when the sweep holds the power model,
+  /// frame and resolution fixed across points (so every problem shares one
   /// (EnergyCurve, work_per_cycle) pair — the memo's correctness contract);
   /// the figure drivers that vary only the task sets (load/penalty sweeps)
   /// qualify.
   bool share_energy_memo = false;
-  /// Forwarded to BatchOptions::lockstep: solve same-shape instance blocks
-  /// through the lockstep batch solver (batch/lockstep.hpp). On by default —
-  /// tables are bit-identical either way; RETASK_BATCH=off disables it at
-  /// runtime without a rebuild.
-  bool lockstep = true;
 };
 
 /// Runs `lineup` over every sweep point (instances per point) and prints a
@@ -93,7 +88,6 @@ inline Table run_sweep(const std::string& title, const std::string& axis,
   for (const SweepPoint& point : sweep) factories.push_back(point.factory);
   BatchOptions batch;
   if (options.share_energy_memo) batch.shared_energy_memo = std::make_shared<EnergyMemo>();
-  batch.lockstep = options.lockstep;
   const auto stats =
       run_comparison_batch(factories, lineup, reference, instances, seed0, /*jobs=*/0, batch);
   for (std::size_t i = 0; i < sweep.size(); ++i) {

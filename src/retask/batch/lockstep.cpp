@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "retask/cache/sweep.hpp"
-#include "retask/common/bit_matrix.hpp"
 #include "retask/common/error.hpp"
+#include "retask/core/dp_table.hpp"
 #include "retask/core/exact_dp.hpp"
 #include "retask/core/greedy.hpp"
 #include "retask/obs/metrics.hpp"
@@ -18,11 +18,9 @@
 namespace retask {
 namespace {
 
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
 
 std::atomic<int> g_lanes{-1};  // -1: not yet resolved from the environment
-std::atomic<int> g_fused{-1};  // -1: not yet resolved from the environment
 
 int resolve_lanes() {
   const char* env = std::getenv("RETASK_BATCH");
@@ -37,240 +35,72 @@ int resolve_lanes() {
   return static_cast<int>(parsed);
 }
 
-int resolve_fused() {
-  const char* env = std::getenv("RETASK_FUSED_SWEEP");
-  const std::string name = env != nullptr ? std::string(env) : std::string();
-  if (name.empty() || name == "auto") return 1;
-  if (name == "off") return 0;
-  throw Error("RETASK_FUSED_SWEEP: unknown value '" + name + "' (expected off|auto)");
-}
-
-/// Per-lane fill capacity — the single-instance solver's fill_capacity.
-std::size_t lane_cap(const RejectionProblem& problem) {
-  require(problem.processor_count() == 1, "lockstep: single-processor algorithm");
-  const Cycles cap = std::min(problem.cycle_capacity(), problem.tasks().total_cycles());
-  require(cap >= 0, "lockstep: negative capacity");
-  return static_cast<std::size_t>(cap);
-}
-
-/// Byte budget of one lane's table export (value row + dense checkpoint
-/// rows + choice bits). Captures costlier than this are skipped and the
-/// consumer falls back to a cold seed. The gate is a pure function of the
-/// lane geometry, so gating can never change a solution bit.
-constexpr std::size_t kExportByteBudget = std::size_t{16} << 20;
-
-/// Lane-major fill state of one lockstep chunk: lane k's value row lives at
-/// arena[k * stride] (stride 64-aligned so every lane owns whole choice-bit
-/// words), its choice bits at word offset k * stride / 64 of every take
-/// row. Cells above a lane's own fill cap are never written or read, so
-/// lane k's span is its solo table at capacity cap[k].
-struct LaneTables {
-  std::size_t stride = 0;        ///< doubles per lane, 64-aligned
-  std::vector<std::size_t> cap;  ///< fill capacity per lane
-  std::vector<double> arena;     ///< lane k's value row at arena[k * stride]
-  BitMatrix take;                ///< n rows of stride * m choice bits
-};
-
-/// Fills every lane's knapsack table, each lane by the SAME contiguous
-/// relaxation kernel the single-instance solver uses, with per-lane
-/// reachability bounds and capacity pruning. The fill is per lane on
-/// purpose: the descending relaxation is already 4-wide vectorized on
-/// contiguous cells, while a lane-interleaved traversal must gather strided
-/// cells — measured several times slower on AVX2 (the gather-based
-/// kernels.relax_desc_f64_lanes stays available for layouts that are
-/// interleaved by necessity). When `exports` is non-null, lane k's finished
-/// table — value row, choice bits, dense value-row checkpoints at a stride
-/// targeting <= 4 rows — is captured into (*exports)[k] unless the capture
-/// exceeds kExportByteBudget; the captured state is bit-identical to what
-/// DeltaSolver::admit_all over the lane's task vector retains, which is
-/// exactly the DeltaSolver::adopt_table contract.
+/// Fills lane k of `tables` over chunk[k]'s tasks at cap[k] (one dp_fill
+/// lane each, the solo solver's relaxation; see core/dp_table.hpp for the
+/// lane-major layout and the export capture). The exact_dp.* counters
+/// mirror the solo fill lane by lane, so obs reports stay comparable whether
+/// or not the harness batched the solves.
 void lockstep_fill(const std::vector<const RejectionProblem*>& chunk,
-                   const std::vector<std::size_t>& cap, LaneTables& tables,
+                   const std::vector<std::size_t>& cap, DpScratch& tables,
                    std::vector<DpTableExport>* exports) {
   const std::size_t m = chunk.size();
-  const std::size_t n = chunk[0]->size();
-  std::size_t max_cap = 0;
-  for (std::size_t k = 0; k < m; ++k) max_cap = std::max(max_cap, cap[k]);
-  const std::size_t width = max_cap + 1;
-  tables.stride = (width + 63) / 64 * 64;  // whole take words per lane
-  tables.cap = cap;
-  tables.arena.assign(tables.stride * m, kNegInf);
-  tables.take.reset(n, tables.stride * m);
-  const std::size_t stride = tables.stride;
-
-  const simd::KernelTable& kernels = simd::kernels();
-  // The exact_dp.* counters mirror the serial fill lane by lane (each lane's
-  // cell counts use its own cap[k]+1 width), so obs reports stay comparable
-  // whether or not the harness batched the solves.
-  RETASK_OBS_ONLY(std::uint64_t cells_touched = 0; std::uint64_t cells_skipped = 0;
-                  std::uint64_t tasks_pruned = 0; std::uint64_t table_exports = 0;)
-  for (std::size_t k = 0; k < m; ++k) {
-    double* lane = tables.arena.data() + k * stride;
-    lane[0] = 0.0;  // state w == 0
-    const std::size_t word_offset = k * stride / 64;
-    const std::size_t lane_width = cap[k] + 1;
-    DpTableExport* exported = nullptr;
-    std::size_t export_stride = 0;
-    if (exports != nullptr && n > 0) {
-      // Dense checkpoints at a stride targeting <= 4 retained rows keep the
-      // export's replay cost bounded without retaining one row per task.
-      export_stride = std::max<std::size_t>(1, (n + 3) / 4);
-      const std::size_t bytes = (n / export_stride + 1) * lane_width * sizeof(double) +
-                                n * ((lane_width + 63) / 64) * sizeof(std::uint64_t);
-      if (bytes <= kExportByteBudget) {
-        exported = &(*exports)[k];
-        exported->checkpoint_stride = static_cast<int>(export_stride);
-        exported->cp_values.clear();
-        exported->cp_reach.clear();
-      }
-    }
-    std::size_t reach = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const FrameTask& task = chunk[k]->tasks()[i];
-      const auto ci = static_cast<std::size_t>(task.cycles);
-      if (ci > cap[k]) {  // the serial fill prunes this task
-        RETASK_OBS_ONLY(++tasks_pruned; cells_skipped += cap[k] + 1;)
-      } else {
-        const std::size_t top = std::min(cap[k], reach + ci);
-        RETASK_OBS_ONLY(cells_touched += top + 1 - ci;
-                        cells_skipped += cap[k] + 1 - (top + 1 - ci);)
-        kernels.relax_desc_f64(lane, tables.take.row_words(i) + word_offset, ci, ci, top,
-                               task.penalty);
-        reach = top;
-      }
-      if (exported != nullptr && (i + 1) % export_stride == 0) {
-        exported->cp_values.emplace_back(lane, lane + lane_width);
-        exported->cp_reach.push_back(reach);
-      }
-    }
-    if (exported != nullptr) {
-      exported->value.assign(lane, lane + lane_width);
-      exported->reachable = reach;
-      exported->take.reset(n, lane_width);
-      for (std::size_t i = 0; i < n; ++i) {
-        std::copy_n(tables.take.row_words(i) + word_offset, exported->take.words_per_row(),
-                    exported->take.row_words(i));
-      }
-      RETASK_OBS_ONLY(++table_exports;)
-    }
-  }
+  std::vector<DpFillLane> lanes(m);
+  for (std::size_t k = 0; k < m; ++k) lanes[k] = {chunk[k]->tasks().tasks().data(), cap[k]};
+  [[maybe_unused]] const DpFillCounts counts =
+      dp_fill(tables, chunk[0]->size(), lanes.data(), m, exports);
   RETASK_COUNT("exact_dp.solves", m);
-  RETASK_COUNT("exact_dp.cells_touched", cells_touched);
-  RETASK_COUNT("exact_dp.cells_skipped", cells_skipped);
-  RETASK_COUNT("exact_dp.tasks_pruned", tasks_pruned);
-  RETASK_COUNT("batch.table_exports", table_exports);
-  RETASK_OBS_ONLY(for (std::size_t k = 0; k < m; ++k) {
-    RETASK_RECORD("exact_dp.table_width", cap[k] + 1);
+  RETASK_COUNT("exact_dp.cells_touched", counts.cells_touched);
+  RETASK_COUNT("exact_dp.cells_skipped", counts.cells_skipped);
+  RETASK_COUNT("exact_dp.tasks_pruned", counts.tasks_pruned);
+  RETASK_OBS_ONLY({
+    std::size_t table_exports = 0;
+    for (std::size_t k = 0; exports != nullptr && k < m; ++k) {
+      if (!(*exports)[k].value.empty()) ++table_exports;
+    }
+    RETASK_COUNT("batch.table_exports", table_exports);
+    for (std::size_t k = 0; k < m; ++k) RETASK_RECORD("exact_dp.table_width", cap[k] + 1);
   })
 }
 
 /// Fused select over filled lane tables: sweeps rows [0, select_cap[k]] of
-/// every lane for the best objective and reconstructs each lane's accept
-/// set off the choice bits. `chunk[k]` supplies lane k's tasks and THIS
-/// point's platform — the fused-sweep caller runs one select per sweep
-/// point over a single fill, which the table's prefix property makes
-/// bit-identical to a dedicated fill at select_cap[k] (see
-/// core/exact_dp.cpp fill_table). Every lane reproduces the single-instance
-/// ExactDpSolver bit for bit: the penalty/energy sweep prunes and the
-/// choice-bit reconstruction are exactly the serial ones.
+/// every lane for the best objective (one dp_select over all lanes, so each
+/// 64-row chunk costs one shared energy batch — legal because same-shape
+/// lanes share one curve) and backtracks each lane's accept set. `chunk[k]`
+/// supplies lane k's tasks and THIS point's platform — the fused-sweep
+/// caller runs one select per sweep point over a single fill, which the
+/// table's prefix property makes bit-identical to a dedicated fill at
+/// select_cap[k]. Every lane reproduces the single-instance ExactDpSolver
+/// bit for bit.
 std::vector<RejectionSolution> lockstep_select(const std::vector<const RejectionProblem*>& chunk,
-                                               const LaneTables& tables,
+                                               DpScratch& tables,
                                                const std::vector<std::size_t>& select_cap) {
   const std::size_t m = chunk.size();
-  const std::size_t n = chunk[0]->size();
-  const std::size_t stride = tables.stride;
-  const std::vector<double>& arena = tables.arena;
-  const BitMatrix& take = tables.take;
-  std::size_t width = 0;
-  for (std::size_t k = 0; k < m; ++k) width = std::max(width, select_cap[k] + 1);
-  const std::vector<std::size_t>& cap = select_cap;
-  const simd::KernelTable& kernels = simd::kernels();
   // Select-scan attribution: retask_bench divides this by the enclosing
   // batch timer to report the select's share of lockstep / fused-sweep
   // time (timers never enter the gated bench metrics).
   RETASK_SCOPED_TIMER("batch.select_scan_ns");
-
-  // Chunked select: the serial sweep per lane, with the energy evaluations
-  // of all lanes for one 64-row chunk fused into a single batched call. The
-  // rows needed are predicted at chunk start; the prediction is a superset
-  // of the true need (the best objective only improves within a chunk), and
-  // E is pure, so extra evaluations cannot change a bit. Both the predict
-  // scan and the replay's row walk run off one select_mask_f64 word per
-  // lane per chunk: bit w - w0 is set iff total - kept < snapshot, which
-  // folds the -inf reachability skip into the bound compare, and ascending
-  // bit iteration visits exactly the rows the scalar scan visited, in the
-  // same order (rows the mask over-predicts are re-pruned against the live
-  // best, exactly as the scalar replay re-checks them).
-  std::vector<double> total(m);
-  std::vector<double> best_obj(m, kPosInf);
-  std::vector<double> snapshot(m, kPosInf);
-  std::vector<std::size_t> best_w(m, 0);
-  std::vector<char> done(m, 0);
-  std::vector<std::uint64_t> lane_mask(m, 0);
-  for (std::size_t k = 0; k < m; ++k) total[k] = chunk[k]->tasks().total_penalty();
-  std::vector<Cycles> need_cycles;
-  std::vector<double> need_energy;
-  std::vector<double> energy_at(64, 0.0);
-  RETASK_OBS_ONLY(std::uint64_t scan_words = 0;)
-  for (std::size_t w0 = 0; w0 < width; w0 += 64) {
-    const std::size_t w1 = std::min(width, w0 + 64);
-    std::uint64_t need_mask = 0;
-    bool all_done = true;
-    for (std::size_t k = 0; k < m; ++k) {
-      lane_mask[k] = 0;
-      if (done[k]) continue;
-      all_done = false;
-      snapshot[k] = best_obj[k];
-      if (w0 > cap[k]) continue;
-      const std::size_t rows = std::min(w1, cap[k] + 1) - w0;
-      lane_mask[k] =
-          kernels.select_mask_f64(arena.data() + k * stride + w0, rows, total[k], snapshot[k]);
-      need_mask |= lane_mask[k];
-    }
-    if (all_done) break;
-    need_cycles.clear();
-    for (std::uint64_t bits = need_mask; bits != 0; bits &= bits - 1) {
-      need_cycles.push_back(static_cast<Cycles>(w0 + static_cast<std::size_t>(__builtin_ctzll(bits))));
-    }
-    if (!need_cycles.empty()) {
-      need_energy.resize(need_cycles.size());
-      chunk[0]->energy_of_cycles_batch(need_cycles.data(), need_energy.data(),
-                                       need_cycles.size());
-      std::size_t p = 0;
-      for (std::uint64_t bits = need_mask; bits != 0; bits &= bits - 1) {
-        energy_at[static_cast<std::size_t>(__builtin_ctzll(bits))] = need_energy[p++];
-      }
-      RETASK_COUNT("batch.select_energy_evals", need_cycles.size());
-    }
-    // Kernelized replay of every live lane's decision walk over its masked
-    // rows (same prunes, same early-exit, same improvement order as the
-    // serial sweep; see select_scan_f64 in simd/kernels.hpp).
-    for (std::size_t k = 0; k < m; ++k) {
-      if (done[k] || lane_mask[k] == 0) continue;
-      RETASK_OBS_ONLY(++scan_words;)
-      const std::size_t rows = std::min(w1, cap[k] + 1) - w0;
-      done[k] = kernels.select_scan_f64(arena.data() + k * stride + w0, energy_at.data(), rows,
-                                        lane_mask[k], total[k], w0, &best_obj[k],
-                                        &best_w[k]) != 0
-                    ? 1
-                    : 0;
-    }
+  std::vector<DpSelectLane> lanes(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    lanes[k].kept = tables.value.data() + k * tables.stride;
+    lanes[k].cap = select_cap[k];
+    lanes[k].total_penalty = chunk[k]->tasks().total_penalty();
   }
-  RETASK_COUNT("batch.select_scan_words", scan_words);
+  const RejectionProblem* lead = chunk[0];
+  [[maybe_unused]] const DpSelectStats stats = dp_select(
+      lanes.data(), m,
+      [lead](const Cycles* cycles, double* out, std::size_t n) {
+        lead->energy_of_cycles_batch(cycles, out, n);
+      },
+      tables.select_cycles, tables.select_energy);
+  RETASK_COUNT("batch.select_energy_evals", stats.energy_evals);
+  RETASK_COUNT("batch.select_scan_words", stats.scan_words);
 
   std::vector<RejectionSolution> out;
   out.reserve(m);
   for (std::size_t k = 0; k < m; ++k) {
-    RETASK_ASSERT(best_obj[k] < kPosInf);
-    std::vector<bool> accepted(n, false);
-    std::size_t w = best_w[k];
-    for (std::size_t i = n; i-- > 0;) {
-      if (take.test(i, k * stride + w)) {
-        accepted[i] = true;
-        w -= static_cast<std::size_t>(chunk[k]->tasks()[i].cycles);
-      }
-    }
-    RETASK_ASSERT(w == 0);
+    std::vector<bool> accepted;
+    dp_backtrack(tables.take, k * tables.stride, chunk[k]->tasks().tasks().data(),
+                 chunk[k]->size(), lanes[k].best_w, accepted);
     out.push_back(make_solution_on_one(*chunk[k], std::move(accepted)));
   }
   return out;
@@ -285,8 +115,10 @@ std::vector<RejectionSolution> lockstep_exact_dp(const std::vector<const Rejecti
                                                  std::vector<DpTableExport>* exports) {
   const std::size_t m = chunk.size();
   std::vector<std::size_t> cap(m);
-  for (std::size_t k = 0; k < m; ++k) cap[k] = lane_cap(*chunk[k]);
-  LaneTables tables;
+  for (std::size_t k = 0; k < m; ++k) {
+    cap[k] = static_cast<std::size_t>(dp_fill_capacity(*chunk[k]));
+  }
+  DpScratch tables;
   lockstep_fill(chunk, cap, tables, exports);
   return lockstep_select(chunk, tables, cap);
 }
@@ -307,7 +139,7 @@ std::vector<std::vector<RejectionSolution>> lockstep_fused_sweep(
   std::vector<std::size_t> fill_cap(m, 0);
   for (std::size_t k = 0; k < m; ++k) {
     for (std::size_t p = 0; p < points; ++p) {
-      cap[k][p] = lane_cap(*(*grid[k])[p]);
+      cap[k][p] = static_cast<std::size_t>(dp_fill_capacity(*(*grid[k])[p]));
       fill_cap[k] = std::max(fill_cap[k], cap[k][p]);
     }
   }
@@ -317,7 +149,7 @@ std::vector<std::vector<RejectionSolution>> lockstep_fused_sweep(
   // reads them through that point's problems.
   std::vector<const RejectionProblem*> lane(m);
   for (std::size_t k = 0; k < m; ++k) lane[k] = (*grid[k])[0];
-  LaneTables tables;
+  DpScratch tables;
   lockstep_fill(lane, fill_cap, tables, nullptr);
   RETASK_COUNT("dp.warm_starts", m * (points - 1));
   RETASK_COUNT("batch.fused_sweep_points", m * points);
@@ -503,19 +335,6 @@ void set_lockstep_lanes(int lanes) {
   g_lanes.store(lanes, std::memory_order_release);
 }
 
-bool fused_sweep_enabled() {
-  int fused = g_fused.load(std::memory_order_acquire);
-  if (fused < 0) {
-    fused = resolve_fused();  // deterministic: a first-use race is benign
-    g_fused.store(fused, std::memory_order_release);
-  }
-  return fused != 0;
-}
-
-void set_fused_sweep_enabled(bool enabled) {
-  g_fused.store(enabled ? 1 : 0, std::memory_order_release);
-}
-
 bool same_shape(const RejectionProblem& a, const RejectionProblem& b) {
   // Platform equality (curve/work_per_cycle; see cache/sweep.hpp) plus the
   // lane-layout constraints: same task count and the single-processor form.
@@ -625,8 +444,7 @@ std::vector<std::vector<RejectionSolution>> BatchRejectionSolver::solve_sweep_ba
   };
 
   const int lanes_cfg = config_.lanes < 0 ? lockstep_lanes() : config_.lanes;
-  if (!fused_sweep_enabled() || lanes_cfg < 2 || count < 2 ||
-      kind_of(*base_) != LockstepKind::kExactDp) {
+  if (lanes_cfg < 2 || count < 2 || kind_of(*base_) != LockstepKind::kExactDp) {
     for (std::size_t i = 0; i < count; ++i) fallback(i);
     return out;
   }

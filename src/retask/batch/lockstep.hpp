@@ -6,16 +6,13 @@
 // from it — every instance pays its own DP fill and its own select sweep.
 // This module runs up to `lanes` such instances in lockstep instead:
 //
-//  * Exact DP — one lane-major arena (lane k's table at arena[k * stride])
-//    filled per lane by the same contiguous relaxation kernel the solo
-//    solver uses, with per-lane reachability bounds and capacity pruning.
-//    The select sweep batches the energy evaluations of all lanes through
-//    one `energy_of_cycles_batch` call per 64-row chunk — legal because the
-//    shape check guarantees every lane's curve produces identical bits.
-//    (A lane-interleaved fill through `relax_desc_f64_lanes` was measured
-//    slower than per-lane contiguous fills on AVX2 — gathers lose to the
-//    4-wide contiguous path — so the shared work lives in the select, not
-//    the fill; see lockstep.cpp.)
+//  * Exact DP — one lane-major table (core/dp_table.hpp: lane k's row at
+//    value[k * stride]) filled per lane by the same contiguous relaxation
+//    the solo solver uses, with per-lane reachability bounds and capacity
+//    pruning. The select batches the energy evaluations of all lanes
+//    through one `energy_of_cycles_batch` call per 64-row chunk — legal
+//    because the shape check guarantees every lane's curve produces
+//    identical bits. The shared work lives in the select, not the fill.
 //  * Density / marginal greedy — per-lane decisions replayed position by
 //    position (density) or round by round (local search), with every
 //    energy probe of every live lane fused into one batched evaluation.
@@ -34,7 +31,8 @@
 // strided cells, batched energies match scalar energies bit for bit), so
 // solve_batch() == { base.solve(p) for p in batch } on every backend —
 // tests/test_batch_lockstep.cpp asserts this per backend, and
-// `retask_fuzz --lockstep-diff` re-checks it on random fleets.
+// `retask_fuzz --lockstep-diff` re-checks both batch shapes on random
+// fleets.
 #ifndef RETASK_BATCH_LOCKSTEP_HPP
 #define RETASK_BATCH_LOCKSTEP_HPP
 
@@ -48,20 +46,12 @@ namespace retask {
 
 /// The process-wide lane count: the last set_lockstep_lanes() value, else
 /// the RETASK_BATCH environment variable (off -> 0, auto or unset -> 4, or
-/// an explicit lane count). 0 and 1 both mean "solve per instance".
+/// an explicit lane count). 0 and 1 both mean "solve per instance": no
+/// lockstep lanes and no fused sweeps.
 int lockstep_lanes();
 
 /// Overrides the lane count process-wide (0 disables lockstep batching).
 void set_lockstep_lanes(int lanes);
-
-/// The process-wide fused-sweep switch: the last set_fused_sweep_enabled()
-/// value, else the RETASK_FUSED_SWEEP environment variable (off -> false,
-/// auto or unset -> true). When off, solve_sweep_batch degrades to a
-/// per-instance solve_sweep loop (bit-identical results either way).
-bool fused_sweep_enabled();
-
-/// Overrides the fused-sweep switch process-wide.
-void set_fused_sweep_enabled(bool enabled);
 
 /// Per-instance DP tables captured by solve_batch's lockstep exact-DP path
 /// (one slot per input problem, input order). A slot with an empty `value`
@@ -120,7 +110,7 @@ class BatchRejectionSolver {
   /// AND the cross-instance energy batching at once. Results are
   /// bit-identical to calling base.solve_sweep(grids[i]) per instance;
   /// ineligible instances (mixed task sets, odd shapes, non-exact-DP base,
-  /// fused sweeps disabled) take exactly that fallback.
+  /// fewer than 2 lanes) take exactly that fallback.
   std::vector<std::vector<RejectionSolution>> solve_sweep_batch(
       const std::vector<std::vector<const RejectionProblem*>>& grids) const;
 

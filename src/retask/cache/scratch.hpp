@@ -21,11 +21,12 @@
 
 namespace retask {
 
-/// Buffers of one exact/budgeted DP solve: the value row plus the choice
-/// table, and the chunked-select batch buffers (core/dp_select.hpp: the
+/// Buffers of one exact-DP table (core/dp_table.hpp): the lane-major value
+/// rows plus the choice table, and the chunked-select batch buffers (the
 /// predicted rows of one 64-row chunk and their batched energies).
 struct DpScratch {
-  std::vector<double> value;
+  std::size_t stride = 0;     ///< value cells per lane (dp_fill)
+  std::vector<double> value;  ///< lane k's row at value[k * stride]
   BitMatrix take;
   std::vector<Cycles> select_cycles;
   std::vector<double> select_energy;

@@ -31,7 +31,7 @@ int detect_jobs() {
 // Re-entrancy guard: a parallel_for issued from inside a worker (or from a
 // callback already running under parallel_for) degrades to the inline path
 // instead of deadlocking on the pool.
-thread_local bool t_inside_parallel_region = false;
+thread_local bool t_in_parallel_for = false;
 
 /// Reusable worker pool. Workers are started lazily on first parallel use
 /// and persist for the process lifetime; each parallel region publishes a
@@ -103,7 +103,7 @@ class ThreadPool {
   }
 
   void worker_loop() {
-    t_inside_parallel_region = true;
+    t_in_parallel_for = true;
     std::uint64_t seen_generation = 0;
     while (true) {
       {
@@ -187,28 +187,26 @@ void set_default_jobs(int jobs) {
   g_jobs_override.store(jobs, std::memory_order_relaxed);
 }
 
-bool inside_parallel_region() { return t_inside_parallel_region; }
-
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn, int jobs) {
   require(jobs >= 0, "parallel_for: jobs must be >= 0 (0 = auto)");
   if (jobs == 0) jobs = default_jobs();
   if (static_cast<std::size_t>(jobs) > n) jobs = static_cast<int>(n);
 
-  if (jobs <= 1 || t_inside_parallel_region) {
+  if (jobs <= 1 || t_in_parallel_for) {
     RETASK_COUNT("parallel.regions_inline", 1);
     RETASK_COUNT("parallel.items", n);
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
-  t_inside_parallel_region = true;
+  t_in_parallel_for = true;
   try {
     ThreadPool::instance().run(n, fn, jobs);
   } catch (...) {
-    t_inside_parallel_region = false;
+    t_in_parallel_for = false;
     throw;
   }
-  t_inside_parallel_region = false;
+  t_in_parallel_for = false;
 }
 
 }  // namespace retask

@@ -2,22 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
-#include "retask/batch/wavefront.hpp"
 #include "retask/cache/energy_memo.hpp"
 #include "retask/cache/scratch.hpp"
-#include "retask/common/bit_matrix.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/math.hpp"
+#include "retask/core/dp_table.hpp"
 #include "retask/obs/metrics.hpp"
 #include "retask/simd/kernels.hpp"
 
 namespace retask {
 namespace {
-
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 Cycles cycle_capacity(const BudgetedProblem& problem) {
   return static_cast<Cycles>(
@@ -52,34 +48,13 @@ Cycles budget_cycle_cap(const BudgetedProblem& problem) {
   return budget_cycle_cap_impl(problem, [&](Cycles c) { return energy_of(problem, c); });
 }
 
-/// Knapsack-over-cycles fill into the scratch arena, mirroring the exact-DP
-/// hot loop (see core/exact_dp.cpp, including the prefix property that makes
-/// one fill at the largest cap serve every smaller cap bit-identically).
+/// Knapsack-over-cycles fill into the scratch arena: the exact DP's table
+/// (one dp_fill lane, core/dp_table.hpp), including the prefix property
+/// that makes one fill at the largest cap serve every smaller cap
+/// bit-identically.
 void fill_budgeted_table(const BudgetedProblem& problem, Cycles cap, DpScratch& scratch) {
-  // Same wavefront hook as the exact DP: the two fills share the relaxation
-  // kernel, so the tiled path serves both bit-identically.
-  if (wavefront_fill(problem.tasks, cap, scratch)) return;
-
-  const std::size_t n = problem.tasks.size();
-  const auto width = static_cast<std::size_t>(cap) + 1;
-  std::vector<double>& best = scratch.value;
-  best.assign(width, kNegInf);
-  best[0] = 0.0;
-  BitMatrix& take = scratch.take;
-  take.reset(n, width);
-
-  std::size_t reachable = 0;
-  const simd::KernelTable& kernels = simd::kernels();
-  for (std::size_t i = 0; i < n; ++i) {
-    const FrameTask& task = problem.tasks[i];
-    if (task.cycles > cap) continue;
-    const auto ci = static_cast<std::size_t>(task.cycles);
-    const std::size_t top = std::min(width - 1, reachable + ci);
-    // -inf source cells stay -inf through the add and never beat a row
-    // value, so the kernel subsumes the old explicit sentinel test.
-    kernels.relax_desc_f64(best.data(), take.row_words(i), ci, ci, top, task.penalty);
-    reachable = top;
-  }
+  const DpFillLane lane{problem.tasks.tasks().data(), static_cast<std::size_t>(cap)};
+  dp_fill(scratch, problem.tasks.size(), &lane, 1);
 }
 
 /// Reads the best accept set for cycle cap `cap` off a table filled at
@@ -87,25 +62,15 @@ void fill_budgeted_table(const BudgetedProblem& problem, Cycles cap, DpScratch& 
 /// larger capacity yields bit-identical results.
 BudgetedSolution select_budgeted(const BudgetedProblem& problem, Cycles cap,
                                  const DpScratch& scratch) {
-  const std::size_t n = problem.tasks.size();
-  const std::vector<double>& best = scratch.value;
-  const BitMatrix& take = scratch.take;
-
   // First row attaining the maximum kept value (strict-improvement scan);
   // kNpos means nothing beats the empty accept set.
   const std::size_t hit =
-      simd::kernels().argmax_f64(best.data(), static_cast<std::size_t>(cap) + 1, 0.0);
+      simd::kernels().argmax_f64(scratch.value.data(), static_cast<std::size_t>(cap) + 1, 0.0);
   const std::size_t best_w = hit == simd::kNpos ? 0 : hit;
 
-  std::vector<bool> accepted(n, false);
-  std::size_t w = best_w;
-  for (std::size_t i = n; i-- > 0;) {
-    if (take.test(i, w)) {
-      accepted[i] = true;
-      w -= static_cast<std::size_t>(problem.tasks[i].cycles);
-    }
-  }
-  RETASK_ASSERT(w == 0);
+  std::vector<bool> accepted;
+  dp_backtrack(scratch.take, 0, problem.tasks.tasks().data(), problem.tasks.size(), best_w,
+               accepted);
   return make_budgeted_solution(problem, std::move(accepted));
 }
 

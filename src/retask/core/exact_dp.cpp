@@ -1,152 +1,51 @@
 #include "retask/core/exact_dp.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
-#include "retask/batch/wavefront.hpp"
 #include "retask/cache/scratch.hpp"
-#include "retask/core/dp_select.hpp"
 #include "retask/cache/sweep.hpp"
-#include "retask/common/bit_matrix.hpp"
-#include "retask/common/error.hpp"
+#include "retask/core/dp_table.hpp"
 #include "retask/obs/metrics.hpp"
 #include "retask/obs/trace.hpp"
-#include "retask/simd/kernels.hpp"
 
 namespace retask {
 namespace {
 
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
 /// Fills the knapsack table for `problem`'s task set at capacity `cap` into
-/// the scratch arena: kept[w] = maximum total penalty of accepted tasks
-/// whose cycles sum to exactly w, take(i, w) = the update at task i improved
-/// state w (bit-packed). The table has a prefix property the sweep entry
-/// point exploits: rows w <= c are identical for every fill capacity >= c,
-/// because tasks with cycles > c only ever write rows >= their own cycle
-/// count and rows <= c are reachable only through tasks that both fills
-/// process identically.
+/// the scratch arena (one dp_fill lane; see core/dp_table.hpp for the table
+/// and the prefix property the sweep entry point exploits).
 void fill_table(const RejectionProblem& problem, Cycles cap, DpScratch& scratch) {
-  const std::size_t n = problem.size();
-  const auto width = static_cast<std::size_t>(cap) + 1;
-
-  // Large single fills tile across the pool (bit-identical result; see
-  // batch/wavefront.hpp). The gate declines small tables, jobs=1 and nested
-  // parallelism, in which case the serial loop below runs as before.
-  if (wavefront_fill(problem.tasks(), cap, scratch)) {
-    // The tiled fill produced the same table; record the serial fill's cell
-    // accounting anyway — the exact_dp.* counters are a pure function of the
-    // task cycles (the reach recurrence below), so reports stay comparable
-    // across wavefront modes. The tiling's own work lands under wavefront.*.
-    RETASK_OBS_ONLY({
-      std::uint64_t cells_touched = 0;
-      std::uint64_t cells_skipped = 0;
-      std::uint64_t tasks_pruned = 0;
-      std::size_t reachable = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const FrameTask& task = problem.tasks()[i];
-        if (task.cycles > cap) {
-          ++tasks_pruned;
-          cells_skipped += width;
-          continue;
-        }
-        const auto ci = static_cast<std::size_t>(task.cycles);
-        const std::size_t top = std::min(width - 1, reachable + ci);
-        cells_touched += top + 1 - ci;
-        cells_skipped += width - (top + 1 - ci);
-        reachable = top;
-      }
-      RETASK_COUNT("exact_dp.cells_touched", cells_touched);
-      RETASK_COUNT("exact_dp.cells_skipped", cells_skipped);
-      RETASK_COUNT("exact_dp.tasks_pruned", tasks_pruned);
-    })
-    RETASK_RECORD("exact_dp.table_width", width);
-    return;
-  }
-
-  std::vector<double>& kept = scratch.value;
-  kept.assign(width, kNegInf);
-  kept[0] = 0.0;
-  BitMatrix& take = scratch.take;
-  take.reset(n, width);
-
-  // reachable: largest w with kept[w] > -inf so far; rows above it cannot
-  // produce candidates, so the relaxation never visits them.
-  std::size_t reachable = 0;
-  const simd::KernelTable& kernels = simd::kernels();
-  RETASK_OBS_ONLY(std::uint64_t cells_touched = 0; std::uint64_t cells_skipped = 0;
-                  std::uint64_t tasks_pruned = 0;)
-  for (std::size_t i = 0; i < n; ++i) {
-    const FrameTask& task = problem.tasks()[i];
-    if (task.cycles > cap) {  // can never be accepted
-      RETASK_OBS_ONLY(++tasks_pruned; cells_skipped += width;)
-      continue;
-    }
-    const auto ci = static_cast<std::size_t>(task.cycles);
-    const std::size_t top = std::min(width - 1, reachable + ci);
-    // The reachability bound prunes the row to [ci, top]; the cell counts
-    // follow arithmetically so the relaxation stays untouched.
-    RETASK_OBS_ONLY(cells_touched += top + 1 - ci; cells_skipped += width - (top + 1 - ci);)
-    // Vectorized descending relaxation; kept[w - ci] == -inf stays -inf
-    // after the add, so the explicit sentinel test of the old scalar loop
-    // is subsumed (IEEE: -inf + finite == -inf, and -inf > x never holds).
-    kernels.relax_desc_f64(kept.data(), take.row_words(i), ci, ci, top, task.penalty);
-    reachable = top;
-  }
-  RETASK_COUNT("exact_dp.cells_touched", cells_touched);
-  RETASK_COUNT("exact_dp.cells_skipped", cells_skipped);
-  RETASK_COUNT("exact_dp.tasks_pruned", tasks_pruned);
-  RETASK_RECORD("exact_dp.table_width", width);
+  const DpFillLane lane{problem.tasks().tasks().data(), static_cast<std::size_t>(cap)};
+  [[maybe_unused]] const DpFillCounts counts = dp_fill(scratch, problem.size(), &lane, 1);
+  RETASK_COUNT("exact_dp.cells_touched", counts.cells_touched);
+  RETASK_COUNT("exact_dp.cells_skipped", counts.cells_skipped);
+  RETASK_COUNT("exact_dp.tasks_pruned", counts.tasks_pruned);
+  RETASK_RECORD("exact_dp.table_width", cap + 1);
 }
 
 /// Reads the best solution for `problem` off a table filled at capacity
-/// >= `cap`: sweeps rows [0, cap] for the best objective and reconstructs
-/// the accept set through the choice bits. Only rows <= cap are touched, so
-/// a table filled at a larger capacity yields bit-identical results.
+/// >= `cap`: the chunked select over rows [0, cap] (energies batched
+/// through the problem's fused cycles->energy evaluation), then the
+/// choice-bit backtrack. Only rows <= cap are touched, so a table filled at
+/// a larger capacity yields bit-identical results.
 RejectionSolution select_best(const RejectionProblem& problem, Cycles cap, DpScratch& scratch) {
-  const std::size_t n = problem.size();
-  const BitMatrix& take = scratch.take;
-
-  // Sweep achievable accepted-cycle totals for the best objective. The
-  // energy evaluation is the expensive part (it optimizes the speed
-  // schedule), so rows that cannot win are pruned before touching it: the
-  // penalty term alone already losing skips the row, and E non-decreasing
-  // in the load (the invariant the budgeted binary search and the
-  // exhaustive bound also rely on; asserted for every registered power
-  // model in tests/test_solve_cache.cpp) ends the sweep once the energy
-  // term alone loses. The chunked helper batches the surviving rows
-  // through the fused cycles->energy kernel while replaying exactly these
-  // serial prunes, so the selected row is bit-identical to the naive
-  // sweep's (see core/dp_select.hpp for the superset argument).
-  const double total_penalty = problem.tasks().total_penalty();
-  const DpSelectResult sel = select_best_row(
-      scratch.value, static_cast<std::size_t>(cap), total_penalty,
+  DpSelectLane lane;
+  lane.kept = scratch.value.data();
+  lane.cap = static_cast<std::size_t>(cap);
+  lane.total_penalty = problem.tasks().total_penalty();
+  [[maybe_unused]] const DpSelectStats stats = dp_select(
+      &lane, 1,
       [&problem](const Cycles* cycles, double* out, std::size_t m) {
         problem.energy_of_cycles_batch(cycles, out, m);
       },
       scratch.select_cycles, scratch.select_energy);
-  RETASK_COUNT("exact_dp.energy_evals", sel.energy_evals);
-  RETASK_ASSERT(sel.best_objective < std::numeric_limits<double>::infinity());
+  RETASK_COUNT("exact_dp.energy_evals", stats.energy_evals);
 
-  // Reconstruct the accept set backwards through the per-task choice bits.
-  std::vector<bool> accepted(n, false);
-  std::size_t w = sel.best_w;
-  for (std::size_t i = n; i-- > 0;) {
-    if (take.test(i, w)) {
-      accepted[i] = true;
-      w -= static_cast<std::size_t>(problem.tasks()[i].cycles);
-    }
-  }
-  RETASK_ASSERT(w == 0);
+  std::vector<bool> accepted;
+  dp_backtrack(scratch.take, 0, problem.tasks().tasks().data(), problem.size(), lane.best_w,
+               accepted);
   return make_solution_on_one(problem, std::move(accepted));
-}
-
-Cycles fill_capacity(const RejectionProblem& problem) {
-  require(problem.processor_count() == 1, "ExactDpSolver: single-processor algorithm");
-  const Cycles cap = std::min(problem.cycle_capacity(), problem.tasks().total_cycles());
-  require(cap >= 0, "ExactDpSolver: negative capacity");
-  return cap;
 }
 
 }  // namespace
@@ -154,7 +53,7 @@ Cycles fill_capacity(const RejectionProblem& problem) {
 RejectionSolution ExactDpSolver::solve(const RejectionProblem& problem) const {
   RETASK_SCOPED_TIMER("exact_dp.solve_ns");
   RETASK_TRACE_SCOPE("exact_dp.solve");
-  const Cycles cap = fill_capacity(problem);
+  const Cycles cap = dp_fill_capacity(problem);
   DpScratch& scratch = exact_dp_scratch();
   fill_table(problem, cap, scratch);
   RETASK_COUNT("exact_dp.solves", 1);
@@ -182,13 +81,12 @@ std::vector<RejectionSolution> ExactDpSolver::solve_sweep(
   std::vector<Cycles> caps(points.size());
   Cycles max_cap = 0;
   for (std::size_t p = 0; p < points.size(); ++p) {
-    caps[p] = fill_capacity(*points[p]);
+    caps[p] = dp_fill_capacity(*points[p]);
     max_cap = std::max(max_cap, caps[p]);
   }
 
   // One fill at the largest capacity; every point reads its answer off the
-  // shared prefix (see fill_table's prefix property for why rows <= cap_p
-  // are bit-identical to a dedicated fill at cap_p).
+  // shared prefix (the prefix property in core/dp_table.hpp).
   DpScratch& scratch = exact_dp_scratch();
   fill_table(*points[0], max_cap, scratch);
   RETASK_COUNT("exact_dp.solves", 1);

@@ -65,8 +65,7 @@ std::vector<std::vector<AlgoStats>> run_comparison_batch(
     return slots[((point * reps + k) * algos) + a];
   };
 
-  const std::size_t lanes =
-      options.lockstep ? static_cast<std::size_t>(std::max(1, lockstep_lanes())) : 1;
+  const std::size_t lanes = static_cast<std::size_t>(std::max(1, lockstep_lanes()));
   const std::size_t blocks = (reps + lanes - 1) / lanes;
 
   parallel_for(blocks, [&](std::size_t b) {
@@ -99,11 +98,6 @@ std::vector<std::vector<AlgoStats>> run_comparison_batch(
       grouped[j] = reuse ? 1 : 0;
     }
 
-    // Fused sweeps need at least two grouped instances in the block and the
-    // process-wide switch on; the condition depends only on options and the
-    // block composition, never on `jobs`, so attribution stays stable.
-    const bool fuse_sweeps = options.fused_sweep && lanes >= 2 && fused_sweep_enabled();
-
     for (std::size_t a = 0; a < algos; ++a) {
       std::vector<std::size_t> loose;  // block instances outside the sweep path
       std::vector<std::size_t> swept;  // block instances on the sweep path
@@ -128,12 +122,15 @@ std::vector<std::vector<AlgoStats>> run_comparison_batch(
         }
       };
 
-      if (fuse_sweeps && swept.size() >= 2) {
+      // Fused sweeps need at least two grouped instances in the block; the
+      // condition depends only on the lane count and the block composition,
+      // never on `jobs`, so attribution stays stable.
+      if (lanes >= 2 && swept.size() >= 2) {
         // Cross-instance fusion: the block's grouped instances share one
         // lane-major fill and one fused select per point. Shared work has
         // no per-cell attribution, so the whole fused batch's solver
         // metrics land in the first participating instance's first point
-        // slot (documented on BatchOptions::fused_sweep).
+        // slot (documented on run_comparison_batch).
         const BatchRejectionSolver batched(*lineup[a], BatchConfig{static_cast<int>(lanes)});
         std::vector<std::vector<const RejectionProblem*>> grids(swept.size());
         for (std::size_t idx = 0; idx < swept.size(); ++idx) {
@@ -175,7 +172,7 @@ std::vector<std::vector<AlgoStats>> run_comparison_batch(
         // falls back to per-instance solves for odd shapes), so only metric
         // attribution differs: the batched work lands in the first
         // participating instance's cell (documented on
-        // BatchOptions::lockstep).
+        // run_comparison_batch).
         const BatchRejectionSolver batched(*lineup[a], BatchConfig{static_cast<int>(lanes)});
         for (std::size_t point = 0; point < points; ++point) {
           std::vector<const RejectionProblem*> fleet;

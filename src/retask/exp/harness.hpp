@@ -75,26 +75,6 @@ struct BatchOptions {
   /// miss, so only a grid whose lineup revisits the same loads across
   /// points and instances gains from one.
   std::shared_ptr<EnergyMemo> shared_energy_memo;
-  /// Solve instances that do NOT take the sweep-reuse path through the
-  /// lockstep batch solver (batch/lockstep.hpp): the replication axis is
-  /// split into blocks of lockstep_lanes() instances, and each block's
-  /// same-shape instances run through one BatchRejectionSolver per point.
-  /// Solutions are bit-identical either way (the lockstep contract); like
-  /// sweep_reuse, the only observable difference is metric attribution — a
-  /// batched chunk's solver metrics land in the FIRST participating
-  /// instance's AlgoStats for that point. RETASK_BATCH=off (lanes 0/1)
-  /// disables batching even when this flag is set.
-  bool lockstep = true;
-  /// Fuse the sweep-reuse path ACROSS a block's instances through
-  /// BatchRejectionSolver::solve_sweep_batch: instead of one warm
-  /// solve_sweep per instance, the block's grouped instances share one
-  /// lane-major fill and one fused select per sweep point, so they get the
-  /// warm start and the cross-instance energy batching simultaneously.
-  /// Solutions are bit-identical either way (the solve_sweep_batch
-  /// contract); the whole fused batch's solver metrics land in the first
-  /// participating instance's FIRST point slot. Inert unless sweep_reuse
-  /// also holds; RETASK_FUSED_SWEEP=off or RETASK_BATCH=off disables it.
-  bool fused_sweep = true;
 };
 
 /// Batch form used by the sweep drivers: one factory per sweep point, all
@@ -104,6 +84,16 @@ struct BatchOptions {
 /// Solutions and aggregates are bit-identical to calling run_comparison
 /// point by point at any job count; see BatchOptions for the metric
 /// attribution caveat under sweep_reuse.
+///
+/// Instances are batched in blocks of lockstep_lanes() consecutive seeds
+/// (batch/lockstep.hpp): a block's sweep-reuse instances share one fused
+/// BatchRejectionSolver::solve_sweep_batch, and its remaining instances
+/// run through one solve_batch per point. Solutions are bit-identical
+/// either way (the lockstep contract); like sweep_reuse, the only
+/// observable difference is metric attribution — a batched chunk's solver
+/// metrics land in the FIRST participating instance's AlgoStats (its first
+/// point's slot for a fused sweep). RETASK_BATCH=off (lanes 0/1) solves
+/// every instance on its own.
 std::vector<std::vector<AlgoStats>> run_comparison_batch(
     const std::vector<ProblemFactory>& factories,
     const std::vector<std::unique_ptr<RejectionSolver>>& lineup,

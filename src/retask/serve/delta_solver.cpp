@@ -5,9 +5,8 @@
 #include <limits>
 
 #include "retask/common/error.hpp"
-#include "retask/core/dp_select.hpp"
+#include "retask/core/dp_table.hpp"
 #include "retask/obs/metrics.hpp"
-#include "retask/simd/kernels.hpp"
 
 namespace retask {
 namespace {
@@ -57,15 +56,9 @@ void DeltaSolver::ensure_rows(std::size_t rows) {
 
 void DeltaSolver::relax_row(std::size_t i) {
   // The row may hold bits from an earlier fill epoch (a removed task's
-  // relaxation); the kernel only ORs improvements in, so clear first.
+  // relaxation); the relaxation only ORs improvements in, so clear first.
   std::fill_n(table_.take.row_words(i), table_.take.words_per_row(), std::uint64_t{0});
-  const FrameTask& task = tasks_[i];
-  if (task.cycles > cycle_capacity_) return;  // can never be accepted
-  const auto ci = static_cast<std::size_t>(task.cycles);
-  const std::size_t top = std::min(width_ - 1, reachable_ + ci);
-  simd::kernels().relax_desc_f64(table_.value.data(), table_.take.row_words(i), ci, ci, top,
-                                 task.penalty);
-  reachable_ = top;
+  dp_relax(table_.value.data(), table_.take.row_words(i), width_ - 1, reachable_, tasks_[i]);
 }
 
 void DeltaSolver::push_checkpoint_if_due(std::size_t prefix) {
@@ -262,22 +255,16 @@ void DeltaSolver::select() {
   double total_penalty = 0.0;
   for (const FrameTask& task : tasks_) total_penalty += task.penalty;
 
-  const DpSelectResult sel = select_best_row(
-      table_.value, cap, total_penalty,
+  DpSelectLane lane;
+  lane.kept = table_.value.data();
+  lane.cap = cap;
+  lane.total_penalty = total_penalty;
+  [[maybe_unused]] const DpSelectStats stats = dp_select(
+      &lane, 1,
       [this](const Cycles* cycles, double* out, std::size_t m) { energy_batch(cycles, out, m); },
       table_.select_cycles, table_.select_energy);
-  RETASK_COUNT("serve.select_energy_evals", sel.energy_evals);
-  RETASK_ASSERT(sel.best_objective < std::numeric_limits<double>::infinity());
-
-  solution_.accepted.assign(n, false);
-  std::size_t w = sel.best_w;
-  for (std::size_t i = n; i-- > 0;) {
-    if (table_.take.test(i, w)) {
-      solution_.accepted[i] = true;
-      w -= static_cast<std::size_t>(tasks_[i].cycles);
-    }
-  }
-  RETASK_ASSERT(w == 0);
+  RETASK_COUNT("serve.select_energy_evals", stats.energy_evals);
+  dp_backtrack(table_.take, 0, tasks_.data(), n, lane.best_w, solution_.accepted);
 
   // Score exactly as make_solution does: rejected penalties summed in index
   // order, energy through the single-load evaluation.

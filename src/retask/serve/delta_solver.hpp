@@ -5,9 +5,9 @@
 // EnergyCurve, cycles scaled by work_per_cycle). Cold-solving every request
 // refills the whole exact-DP table — O(n * W) — even though consecutive
 // requests differ by a single task. This solver retains the table between
-// requests and exploits the prefix property documented at
-// core/exact_dp.cpp's fill_table: rows w <= c of a fill at capacity >= c
-// are bit-identical to a dedicated fill at c, and the value row after the
+// requests and exploits the prefix property documented in
+// core/dp_table.hpp: rows w <= c of a fill at capacity >= c are
+// bit-identical to a dedicated fill at c, and the value row after the
 // first k tasks depends only on those k tasks in order.
 //
 //  * The table is filled at the platform's full cycle capacity, so growing
@@ -142,7 +142,7 @@ class DeltaSolver {
 
   void ensure_rows(std::size_t rows);
   /// Clears and relaxes choice row `i` from the current value row, exactly
-  /// as fill_table does at capacity cycle_capacity_.
+  /// as dp_fill does at capacity cycle_capacity_.
   void relax_row(std::size_t i);
   /// Restores the nearest checkpoint at or before prefix length
   /// `invalidated` and replays the remaining tasks in residual order.

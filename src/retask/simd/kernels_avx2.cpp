@@ -76,101 +76,6 @@ void avx2_relax_desc_f64(double* row, std::uint64_t* take_row, std::size_t shift
   if (w > lo) scalar_relax_desc_f64(row, take_row, shift, lo, w - 1, add);
 }
 
-// One quad of 4 adjacent lanes [first, first + 4) of a `lanes`-wide
-// interleaved row. Destinations are 4 contiguous doubles per w; sources use
-// a masked gather with the per-lane constant offset lane - lanes * shift
-// (negative for masked-off lanes is fine — the mask suppresses the load).
-// Divergent lanes (w outside [lo, hi], or inactive) are masked off per
-// iteration, reproducing each lane's scalar range exactly.
-void avx2_relax_lane_quad(double* row, std::uint64_t* take_row, std::size_t lanes,
-                          std::size_t first, const std::size_t* shift, const std::size_t* lo,
-                          const std::size_t* hi, const double* add,
-                          const unsigned char* active) {
-  bool any = false;
-  std::size_t wmin = 0;
-  std::size_t wmax = 0;
-  alignas(32) long long lo_a[4];
-  alignas(32) long long hi_a[4];
-  alignas(32) long long off_a[4];
-  alignas(32) double add_a[4];
-  for (std::size_t k = 0; k < 4; ++k) {
-    const std::size_t lane = first + k;
-    if (active[lane] == 0) {
-      lo_a[k] = 1;  // empty range: the lane never matches any w
-      hi_a[k] = 0;
-      off_a[k] = 0;
-      add_a[k] = 0.0;
-      continue;
-    }
-    lo_a[k] = static_cast<long long>(lo[lane]);
-    hi_a[k] = static_cast<long long>(hi[lane]);
-    off_a[k] = static_cast<long long>(lane) - static_cast<long long>(lanes * shift[lane]);
-    add_a[k] = add[lane];
-    wmin = any ? std::min(wmin, lo[lane]) : lo[lane];
-    wmax = any ? std::max(wmax, hi[lane]) : hi[lane];
-    any = true;
-  }
-  if (!any) return;
-  const __m256i lo_v = _mm256_load_si256(reinterpret_cast<const __m256i*>(lo_a));
-  const __m256i hi_v = _mm256_load_si256(reinterpret_cast<const __m256i*>(hi_a));
-  const __m256i off_v = _mm256_load_si256(reinterpret_cast<const __m256i*>(off_a));
-  const __m256d add_v = _mm256_load_pd(add_a);
-  for (std::size_t w = wmax + 1; w-- > wmin;) {
-    const __m256i w_v = _mm256_set1_epi64x(static_cast<long long>(w));
-    // in-range mask: !(lo > w) && !(w > hi); inactive lanes carry lo > hi.
-    const __m256i outside =
-        _mm256_or_si256(_mm256_cmpgt_epi64(lo_v, w_v), _mm256_cmpgt_epi64(w_v, hi_v));
-    const __m256d mask =
-        _mm256_castsi256_pd(_mm256_xor_si256(outside, _mm256_set1_epi64x(-1)));
-    if (_mm256_movemask_pd(mask) == 0) continue;
-    double* cell = row + w * lanes + first;
-    const __m256d dst = _mm256_loadu_pd(cell);
-    const __m256i idx =
-        _mm256_add_epi64(_mm256_set1_epi64x(static_cast<long long>(w * lanes)), off_v);
-    const __m256d src = _mm256_mask_i64gather_pd(dst, row, idx, mask, 8);
-    const __m256d cand = _mm256_add_pd(src, add_v);
-    const __m256d improved = _mm256_and_pd(mask, _mm256_cmp_pd(cand, dst, _CMP_GT_OQ));
-    const int bits = _mm256_movemask_pd(improved);
-    if (bits != 0) {
-      _mm256_storeu_pd(cell, _mm256_blendv_pd(dst, cand, improved));
-      or_take_bits(take_row, w * lanes + first, static_cast<unsigned>(bits));
-    }
-  }
-}
-
-void avx2_relax_desc_f64_lanes(double* row, std::uint64_t* take_row, std::size_t lanes,
-                               const std::size_t* shift, const std::size_t* lo,
-                               const std::size_t* hi, const double* add,
-                               const unsigned char* active) {
-  if (lanes % kLanes != 0) {
-    scalar_relax_desc_f64_lanes(row, take_row, lanes, shift, lo, hi, add, active);
-    return;
-  }
-  // Lanes are independent (disjoint strided cells), so quad order is free.
-  for (std::size_t first = 0; first < lanes; first += kLanes) {
-    avx2_relax_lane_quad(row, take_row, lanes, first, shift, lo, hi, add, active);
-  }
-}
-
-// Out-of-place span relaxation (wavefront tiles): every cell is a pure
-// function of prev, so the ascending traversal is bit-identical to the
-// scalar loop.
-void avx2_relax_out_f64(const double* prev, double* cur, std::uint64_t* take_row,
-                        std::size_t shift, std::size_t lo, std::size_t hi, double add) {
-  const __m256d add_v = _mm256_set1_pd(add);
-  std::size_t w = lo;
-  for (; w + kLanes <= hi + 1; w += kLanes) {
-    const __m256d src = _mm256_loadu_pd(prev + w - shift);
-    const __m256d dst = _mm256_loadu_pd(prev + w);
-    const __m256d cand = _mm256_add_pd(src, add_v);
-    const __m256d improved = _mm256_cmp_pd(cand, dst, _CMP_GT_OQ);
-    _mm256_storeu_pd(cur + w, _mm256_blendv_pd(dst, cand, improved));
-    const int bits = _mm256_movemask_pd(improved);
-    if (bits != 0) or_take_bits(take_row, w, static_cast<unsigned>(bits));
-  }
-  if (w <= hi) scalar_relax_out_f64(prev, cur, take_row, shift, w, hi, add);
-}
-
 void avx2_relax_desc_i64(std::int64_t* rej, double* payload, std::uint64_t* take_row,
                          std::size_t shift, std::size_t lo, std::size_t hi,
                          std::int64_t add_cycles, double add_payload) {
@@ -440,8 +345,7 @@ void avx2_energy_hull_cycles(const HullEnergyParams& params, const std::int64_t*
 const KernelTable* avx2_table() noexcept {
   static const KernelTable table{
       &avx2_relax_desc_f64,    &avx2_relax_desc_i64,      &avx2_argmax_f64,
-      &avx2_argmin_strided_f64, &avx2_energy_hull_cycles,
-      &avx2_relax_desc_f64_lanes, &avx2_relax_out_f64,     &avx2_select_mask_f64,
+      &avx2_argmin_strided_f64, &avx2_energy_hull_cycles, &avx2_select_mask_f64,
       &avx2_select_scan_f64,
   };
   return &table;

@@ -81,8 +81,7 @@ double energy_hull_one(const HullEnergyParams& params, double work) {
 const KernelTable* scalar_table() noexcept {
   static const KernelTable table{
       &scalar_relax_desc_f64,    &scalar_relax_desc_i64,      &scalar_argmax_f64,
-      &scalar_argmin_strided_f64, &scalar_energy_hull_cycles,
-      &scalar_relax_desc_f64_lanes, &scalar_relax_out_f64,     &scalar_select_mask_f64,
+      &scalar_argmin_strided_f64, &scalar_energy_hull_cycles, &scalar_select_mask_f64,
       &scalar_select_scan_f64,
   };
   return &table;

@@ -336,8 +336,10 @@ std::vector<PropertyViolation> check_lockstep_diff(const InstanceSpec& spec,
 
   // Same-shape fleet: lane 0 is the instance under test (so shrinking can
   // minimize a failure), lanes 1..4 are fresh task sets of the same size
-  // drawn from derived seeds. Five instances at 4 lanes exercises a full
-  // chunk plus a ragged single-instance tail; at 8 lanes, a padded chunk.
+  // drawn from derived seeds, each expanded into the same 3-point capacity
+  // sweep. Five instances at 4 lanes exercises a full chunk plus a ragged
+  // single-instance tail (the per-instance fallback); at 8 lanes, a padded
+  // chunk.
   std::vector<RejectionProblem> fleet;
   fleet.reserve(5);
   fleet.push_back(problem);
@@ -353,94 +355,30 @@ std::vector<PropertyViolation> check_lockstep_diff(const InstanceSpec& spec,
       fleet.pop_back();
     }
   }
-  std::vector<const RejectionProblem*> batch;
-  batch.reserve(fleet.size());
-  for (const RejectionProblem& instance : fleet) batch.push_back(&instance);
-
-  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
-  for (const simd::Backend b : simd::available_vector_backends()) backends.push_back(b);
-
-  const ExactDpSolver exact;
-  const DensityGreedySolver density;
-  const MarginalGreedySolver marginal;
-  const std::vector<const RejectionSolver*> solvers = {&exact, &density, &marginal};
-  for (const RejectionSolver* solver : solvers) {
-    for (const simd::Backend backend : backends) {
-      try {
-        simd::ScopedBackend forced(backend);
-        std::vector<RejectionSolution> base;
-        base.reserve(batch.size());
-        for (const RejectionProblem* instance : batch) base.push_back(solver->solve(*instance));
-        for (const int lanes : {4, 8}) {
-          const BatchRejectionSolver batched(*solver, BatchConfig{lanes});
-          const std::vector<RejectionSolution> lockstep = batched.solve_batch(batch);
-          RETASK_ASSERT(lockstep.size() == base.size());
-          for (std::size_t k = 0; k < base.size(); ++k) {
-            if (lockstep[k].accepted != base[k].accepted ||
-                lockstep[k].energy != base[k].energy ||
-                lockstep[k].penalty != base[k].penalty) {
-              mismatch(solver->name(),
-                       std::string(simd::to_string(backend)) + " lanes=" +
-                           std::to_string(lanes) + " lane " + std::to_string(k) +
-                           ": lockstep objective " + fmt(lockstep[k].objective()) +
-                           " != per-instance " + fmt(base[k].objective()) +
-                           " (or accept masks differ)");
-            }
-          }
-        }
-      } catch (const std::exception& error) {
-        mismatch(solver->name(), std::string("lockstep diff threw: ") + error.what());
-      }
-    }
-  }
-  return violations;
-}
-
-std::vector<PropertyViolation> check_fused_sweep_diff(const InstanceSpec& spec,
-                                                      const RejectionProblem& problem) {
-  std::vector<PropertyViolation> violations;
-  if (problem.processor_count() != 1) return violations;
-  const auto mismatch = [&](const std::string& solver, const std::string& detail) {
-    violations.push_back({"fused-sweep-diff", solver, detail});
-  };
-
-  // Same-shape fleet around the instance (lane 0 is `problem` itself, so
-  // shrinking can minimize a failure), each expanded into the same 3-point
-  // capacity sweep. Five instances at 4 lanes exercises a full fused chunk
-  // plus a ragged single-instance tail (which must take the per-instance
-  // fallback); at 8 lanes, a padded chunk.
-  std::vector<RejectionProblem> fleet;
-  fleet.reserve(5);
-  fleet.push_back(problem);
-  for (std::uint64_t v = 1; v <= 4; ++v) {
-    InstanceSpec variant = spec;
-    variant.task_count = static_cast<int>(problem.size());
-    variant.seed = spec.seed + 0x9e3779b97f4a7c15ULL * v;
-    fleet.push_back(build_instance(variant));
-    if (!same_shape(fleet.front(), fleet.back())) {
-      mismatch("fleet", "variant " + std::to_string(v) + " is not shape-compatible");
-      fleet.pop_back();
-    }
-  }
-
   const std::vector<double> factors{0.5, 0.8, 1.0};
   std::vector<std::vector<RejectionProblem>> sweeps;
   sweeps.reserve(fleet.size());
   for (const RejectionProblem& instance : fleet) {
     sweeps.push_back(make_capacity_sweep(instance, factors));
   }
+  const std::size_t points = factors.size();
   std::vector<std::vector<const RejectionProblem*>> grids(sweeps.size());
+  std::vector<std::vector<const RejectionProblem*>> fleets(points);
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    grids[i].reserve(sweeps[i].size());
-    for (const RejectionProblem& point : sweeps[i]) grids[i].push_back(&point);
+    for (std::size_t p = 0; p < points; ++p) {
+      grids[i].push_back(&sweeps[i][p]);
+      fleets[p].push_back(&sweeps[i][p]);
+    }
   }
 
   std::vector<simd::Backend> backends = {simd::Backend::kScalar};
   for (const simd::Backend b : simd::available_vector_backends()) backends.push_back(b);
 
-  // The exact DP takes the fused cross-instance path; the greedy solvers
-  // are not sweep-fusable and must come back bit-identical through the
-  // per-instance fallback.
+  // Both batch shapes against the two baselines they promise to reproduce
+  // bit for bit: a cold per-point solve and each instance's own warm
+  // solve_sweep. solve_batch runs one same-shape fleet per point; the
+  // greedy solvers are not sweep-fusable, so their solve_sweep_batch must
+  // come back identical through the per-instance fallback.
   const ExactDpSolver exact;
   const DensityGreedySolver density;
   const MarginalGreedySolver marginal;
@@ -449,42 +387,47 @@ std::vector<PropertyViolation> check_fused_sweep_diff(const InstanceSpec& spec,
     for (const simd::Backend backend : backends) {
       try {
         simd::ScopedBackend forced(backend);
-        // The two baselines the fused path promises to reproduce bit for
-        // bit: each instance's own warm sweep and a cold per-point solve.
         std::vector<std::vector<RejectionSolution>> warm(grids.size());
         std::vector<std::vector<RejectionSolution>> cold(grids.size());
         for (std::size_t i = 0; i < grids.size(); ++i) {
           warm[i] = solver->solve_sweep(grids[i]);
-          cold[i].reserve(grids[i].size());
           for (const RejectionProblem* point : grids[i]) cold[i].push_back(solver->solve(*point));
         }
         for (const int lanes : {4, 8}) {
+          const auto check = [&](const char* shape, std::size_t i, std::size_t p,
+                                 const RejectionSolution& got) {
+            const auto differs = [&](const RejectionSolution& want) {
+              return got.accepted != want.accepted || got.energy != want.energy ||
+                     got.penalty != want.penalty;
+            };
+            if (differs(cold[i][p]) || differs(warm[i][p])) {
+              mismatch(solver->name(),
+                       std::string(shape) + " " + std::string(simd::to_string(backend)) +
+                           " lanes=" + std::to_string(lanes) + " instance " + std::to_string(i) +
+                           " point " + std::to_string(p) + ": objective " + fmt(got.objective()) +
+                           " != cold " + fmt(cold[i][p].objective()) + " / warm " +
+                           fmt(warm[i][p].objective()) + " (or accept masks differ)");
+            }
+          };
           const BatchRejectionSolver batched(*solver, BatchConfig{lanes});
+          for (std::size_t p = 0; p < points; ++p) {
+            const std::vector<RejectionSolution> lockstep = batched.solve_batch(fleets[p]);
+            RETASK_ASSERT(lockstep.size() == fleets[p].size());
+            for (std::size_t i = 0; i < lockstep.size(); ++i) {
+              check("solve_batch", i, p, lockstep[i]);
+            }
+          }
           const std::vector<std::vector<RejectionSolution>> fused =
               batched.solve_sweep_batch(grids);
           RETASK_ASSERT(fused.size() == grids.size());
           for (std::size_t i = 0; i < grids.size(); ++i) {
-            RETASK_ASSERT(fused[i].size() == grids[i].size());
-            for (std::size_t p = 0; p < grids[i].size(); ++p) {
-              const RejectionSolution& got = fused[i][p];
-              const auto differs = [&](const RejectionSolution& want) {
-                return got.accepted != want.accepted || got.energy != want.energy ||
-                       got.penalty != want.penalty;
-              };
-              if (differs(warm[i][p]) || differs(cold[i][p])) {
-                mismatch(solver->name(),
-                         std::string(simd::to_string(backend)) + " lanes=" +
-                             std::to_string(lanes) + " instance " + std::to_string(i) +
-                             " point " + std::to_string(p) + ": fused objective " +
-                             fmt(got.objective()) + " != warm " + fmt(warm[i][p].objective()) +
-                             " / cold " + fmt(cold[i][p].objective()) +
-                             " (or accept masks differ)");
-              }
-            }
+            RETASK_ASSERT(fused[i].size() == points);
+            for (std::size_t p = 0; p < points; ++p) check("solve_sweep_batch", i, p, fused[i][p]);
           }
         }
       } catch (const std::exception& error) {
-        mismatch(solver->name(), std::string("fused sweep diff threw: ") + error.what());
+        mismatch(solver->name(), std::string(simd::to_string(backend)) +
+                                     " lockstep diff threw: " + error.what());
       }
     }
   }
@@ -872,11 +815,6 @@ FuzzReport run_differential_fuzz(const FuzzOptions& options, const SuiteFactory&
           }
           if (options.lockstep_diff) {
             std::vector<PropertyViolation> extra = check_lockstep_diff(spec, problem);
-            found.insert(found.end(), std::make_move_iterator(extra.begin()),
-                         std::make_move_iterator(extra.end()));
-          }
-          if (options.fused_sweep_diff) {
-            std::vector<PropertyViolation> extra = check_fused_sweep_diff(spec, problem);
             found.insert(found.end(), std::make_move_iterator(extra.begin()),
                          std::make_move_iterator(extra.end()));
           }

@@ -1,17 +1,15 @@
-// Tests for the lockstep batch solver (batch/lockstep.hpp): solve_batch must
-// reproduce per-instance base.solve() bit for bit on every backend, through
-// shape grouping, ragged tails and lane-count fallbacks; the harness path
-// that feeds it must stay job-count invariant; and the lane-interleaved
-// relaxation kernel must match the scalar reference on every backend (it has
-// no solver consumer since the lane-major fill landed, so the kernel is
-// pinned here directly).
+// Tests for the lockstep batch solver (batch/lockstep.hpp): solve_batch and
+// solve_sweep_batch must reproduce per-instance base.solve() / solve_sweep()
+// bit for bit on every backend, through shape grouping, ragged tails,
+// lane-count fallbacks and choice-word edge widths; the harness path that
+// feeds them must stay job-count invariant; and tables too large for memory
+// must fail with an Error before anything is allocated.
 #include "retask/batch/lockstep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -24,14 +22,12 @@
 #include "retask/core/lower_bound.hpp"
 #include "retask/exp/harness.hpp"
 #include "retask/obs/metrics.hpp"
+#include "retask/power/polynomial_power.hpp"
 #include "retask/simd/backend.hpp"
-#include "retask/simd/kernels.hpp"
 #include "test_util.hpp"
 
 namespace retask {
 namespace {
-
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 /// Every backend the host can actually execute (always includes scalar).
 std::vector<simd::Backend> available_backends() {
@@ -54,6 +50,35 @@ std::vector<RejectionProblem> make_fleet(std::size_t count, std::uint64_t seed0,
     fleet.push_back(test::small_instance(seed0 + i, task_count));
   }
   return fleet;
+}
+
+/// Word-edge fleets: `count` same-shape instances at each capacity 62, 63,
+/// 64, 130 and 1000. Table widths 63/64/65/131/1001 straddle the 64-cell
+/// choice words, and in lockstep lane k's bits start at word k * stride / 64
+/// of the shared rows. Twelve tasks of up to cap / 3 cycles populate most of
+/// the table; one task per instance cannot fit (cycles > cap), so the prune
+/// path runs too. Instance 0 of each fleet carries the task set seeded
+/// 7000 + cap.
+std::vector<std::vector<RejectionProblem>> word_edge_fleets(std::size_t count) {
+  std::vector<std::vector<RejectionProblem>> fleets;
+  for (const Cycles cap : {Cycles{62}, Cycles{63}, Cycles{64}, Cycles{130}, Cycles{1000}}) {
+    std::vector<RejectionProblem> fleet;
+    for (std::size_t v = 0; v < count; ++v) {
+      Rng rng(7000 + static_cast<std::uint64_t>(cap) + 97 * v);
+      std::vector<FrameTask> tasks;
+      for (int i = 0; i < 12; ++i) {
+        tasks.push_back({i, rng.uniform_int(1, std::max<Cycles>(1, cap / 3)),
+                         rng.uniform(0.1, 5.0)});
+      }
+      tasks.push_back({12, cap + 5, 1.0});
+      EnergyCurve curve(PolynomialPowerModel::xscale(), 1.0, IdleDiscipline::kDormantEnable);
+      const double work_per_cycle = curve.max_workload() / static_cast<double>(cap);
+      fleet.emplace_back(FrameTaskSet(std::move(tasks)), std::move(curve), work_per_cycle, 1);
+      EXPECT_EQ(fleet.back().cycle_capacity(), cap);
+    }
+    fleets.push_back(std::move(fleet));
+  }
+  return fleets;
 }
 
 std::vector<const RejectionProblem*> pointers(const std::vector<RejectionProblem>& fleet) {
@@ -105,8 +130,10 @@ bool obs_enabled() {
 }
 
 TEST(BatchLockstep, LaneBitIdentityEveryBackendEverySolver) {
-  const std::vector<RejectionProblem> fleet = make_fleet(8, 101);
-  const std::vector<const RejectionProblem*> ptrs = pointers(fleet);
+  // A seeded fleet plus the word-edge fleets (choice-word edge widths and
+  // lane word offsets; see word_edge_fleets).
+  std::vector<std::vector<RejectionProblem>> fleets = word_edge_fleets(8);
+  fleets.insert(fleets.begin(), make_fleet(8, 101));
   std::vector<std::unique_ptr<RejectionSolver>> bases;
   bases.push_back(std::make_unique<ExactDpSolver>());
   bases.push_back(std::make_unique<DensityGreedySolver>());
@@ -114,10 +141,14 @@ TEST(BatchLockstep, LaneBitIdentityEveryBackendEverySolver) {
   for (const simd::Backend backend : available_backends()) {
     simd::ScopedBackend forced(backend);
     for (const auto& base : bases) {
-      SCOPED_TRACE(std::string(simd::to_string(backend)) + " / " + base->name());
-      for (const int lanes : {4, 8}) {
-        const BatchRejectionSolver batched(*base, BatchConfig{lanes});
-        expect_identical(batched.solve_batch(ptrs), solve_solo(*base, ptrs));
+      for (const std::vector<RejectionProblem>& fleet : fleets) {
+        SCOPED_TRACE(std::string(simd::to_string(backend)) + " / " + base->name() +
+                     " / capacity " + std::to_string(fleet.front().cycle_capacity()));
+        const std::vector<const RejectionProblem*> ptrs = pointers(fleet);
+        for (const int lanes : {4, 8}) {
+          const BatchRejectionSolver batched(*base, BatchConfig{lanes});
+          expect_identical(batched.solve_batch(ptrs), solve_solo(*base, ptrs));
+        }
       }
     }
   }
@@ -241,73 +272,17 @@ TEST(BatchLockstep, HarnessLockstepMatchesUnbatchedRuns) {
   std::vector<std::unique_ptr<RejectionSolver>> lineup;
   lineup.push_back(std::make_unique<ExactDpSolver>());
   lineup.push_back(std::make_unique<MarginalGreedySolver>());
-  BatchOptions on;
-  BatchOptions off;
-  off.lockstep = false;
   const std::vector<ProblemFactory> factories{factory};
   const int before = lockstep_lanes();
   set_lockstep_lanes(8);
-  const auto batched = run_comparison_batch(factories, lineup, reference, 12, 1, 0, on);
-  const auto plain = run_comparison_batch(factories, lineup, reference, 12, 1, 0, off);
+  const auto batched = run_comparison_batch(factories, lineup, reference, 12, 1, 0);
+  set_lockstep_lanes(0);
+  const auto plain = run_comparison_batch(factories, lineup, reference, 12, 1, 0);
   set_lockstep_lanes(before);
   for (std::size_t a = 0; a < lineup.size(); ++a) {
     SCOPED_TRACE(batched[0][a].name);
     EXPECT_EQ(batched[0][a].ratio.mean(), plain[0][a].ratio.mean());
     EXPECT_EQ(batched[0][a].objective.mean(), plain[0][a].objective.mean());
-  }
-}
-
-/// Direct pin of the lane-interleaved relaxation kernel against the scalar
-/// reference on every backend: random interleaved rows, per-lane bounds and
-/// inactive lanes, choice bits included.
-TEST(BatchLockstep, RelaxDescLanesKernelMatchesScalarEveryBackend) {
-  Rng rng(0xBA7C4);
-  const simd::KernelTable& scalar = simd::kernels_for(simd::Backend::kScalar);
-  for (const simd::Backend backend : available_backends()) {
-    const simd::KernelTable& table = simd::kernels_for(backend);
-    for (const std::size_t width : {5u, 64u, 65u, 130u}) {
-      for (const std::size_t lanes : {4u, 8u}) {
-        SCOPED_TRACE(std::string(simd::to_string(backend)) + " width " +
-                     std::to_string(width) + " lanes " + std::to_string(lanes));
-        for (int round = 0; round < 16; ++round) {
-          std::vector<double> row(width * lanes);
-          for (double& v : row) {
-            v = rng.uniform() < 0.25 ? kNegInf : rng.uniform(-50.0, 50.0);
-          }
-          const std::size_t words = (width * lanes + 63) / 64;
-          std::vector<std::uint64_t> take(words, 0);
-          std::vector<std::size_t> shift(lanes), lo(lanes), hi(lanes);
-          std::vector<double> add(lanes);
-          std::vector<unsigned char> active(lanes);
-          for (std::size_t k = 0; k < lanes; ++k) {
-            shift[k] = static_cast<std::size_t>(
-                rng.uniform_int(1, static_cast<std::int64_t>(width) - 1));
-            lo[k] = static_cast<std::size_t>(
-                rng.uniform_int(static_cast<std::int64_t>(shift[k]),
-                                static_cast<std::int64_t>(width) - 1));
-            hi[k] = static_cast<std::size_t>(
-                rng.uniform_int(static_cast<std::int64_t>(lo[k]),
-                                static_cast<std::int64_t>(width) - 1));
-            add[k] = rng.uniform(0.0, 10.0);
-            active[k] = rng.uniform() < 0.75 ? 1 : 0;
-          }
-          std::vector<double> want_row = row;
-          std::vector<std::uint64_t> want_take = take;
-          scalar.relax_desc_f64_lanes(want_row.data(), want_take.data(), lanes, shift.data(),
-                                      lo.data(), hi.data(), add.data(), active.data());
-          std::vector<double> got_row = row;
-          std::vector<std::uint64_t> got_take = take;
-          table.relax_desc_f64_lanes(got_row.data(), got_take.data(), lanes, shift.data(),
-                                     lo.data(), hi.data(), add.data(), active.data());
-          for (std::size_t i = 0; i < got_row.size(); ++i) {
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(got_row[i]),
-                      std::bit_cast<std::uint64_t>(want_row[i]))
-                << "cell " << i;
-          }
-          ASSERT_EQ(got_take, want_take);
-        }
-      }
-    }
   }
 }
 
@@ -341,55 +316,53 @@ TEST(BatchLockstep, FusedSweepMatchesWarmAndColdEveryBackend) {
   // 5 instances at 4 lanes: one full fused chunk plus a ragged singleton
   // tail (which must take the per-instance fallback); at 8 lanes, one
   // padded chunk. Every cell must match both the instance's own warm
-  // solve_sweep and a cold per-point solve, bit for bit.
-  const std::vector<RejectionProblem> fleet = make_fleet(5, 701);
-  std::vector<std::vector<RejectionProblem>> sweeps;
-  const std::vector<std::vector<const RejectionProblem*>> grids = sweep_grids(fleet, sweeps);
+  // solve_sweep and a cold per-point solve, bit for bit — on a seeded
+  // fleet and on the word-edge fleets, whose widest sweep point fills at
+  // the edge width.
+  std::vector<std::vector<RejectionProblem>> fleets = word_edge_fleets(5);
+  fleets.insert(fleets.begin(), make_fleet(5, 701));
   const ExactDpSolver base;
-  // Force the process-wide knob on: a RETASK_FUSED_SWEEP=off environment
-  // (the CI fallback leg) must not hollow this test out.
-  const bool knob = fused_sweep_enabled();
-  set_fused_sweep_enabled(true);
   for (const simd::Backend backend : available_backends()) {
     simd::ScopedBackend forced(backend);
-    SCOPED_TRACE(std::string(simd::to_string(backend)));
-    std::vector<std::vector<RejectionSolution>> warm(grids.size());
-    std::vector<std::vector<RejectionSolution>> cold(grids.size());
-    for (std::size_t i = 0; i < grids.size(); ++i) {
-      warm[i] = base.solve_sweep(grids[i]);
-      cold[i] = solve_solo(base, grids[i]);
-    }
-    expect_grid_identical(warm, cold);  // the warm baseline itself
-    for (const int lanes : {4, 8}) {
-      SCOPED_TRACE("lanes " + std::to_string(lanes));
-      const BatchRejectionSolver batched(base, BatchConfig{lanes});
-      obs::Registry metrics;
-      std::vector<std::vector<RejectionSolution>> fused;
-      {
-        obs::ActiveScope scope(metrics);
-        fused = batched.solve_sweep_batch(grids);
+    for (const std::vector<RejectionProblem>& fleet : fleets) {
+      SCOPED_TRACE(std::string(simd::to_string(backend)) + " / capacity " +
+                   std::to_string(fleet.front().cycle_capacity()));
+      std::vector<std::vector<RejectionProblem>> sweeps;
+      const std::vector<std::vector<const RejectionProblem*>> grids = sweep_grids(fleet, sweeps);
+      std::vector<std::vector<RejectionSolution>> warm(grids.size());
+      std::vector<std::vector<RejectionSolution>> cold(grids.size());
+      for (std::size_t i = 0; i < grids.size(); ++i) {
+        warm[i] = base.solve_sweep(grids[i]);
+        cold[i] = solve_solo(base, grids[i]);
       }
-      expect_grid_identical(fused, warm);
-      if (obs_enabled()) {
-        // 4 lanes: 4 fused instances x 3 points + 1 fallback; 8 lanes: all 5
-        // fused. The fallback instance still warm-starts through its own
-        // solve_sweep, so it never contributes fused points.
-        EXPECT_EQ(counter_of(metrics, "batch.fused_sweep_points"), lanes == 4 ? 12u : 15u);
-        EXPECT_EQ(counter_of(metrics, "batch.sweep_fallbacks"), lanes == 4 ? 1u : 0u);
-        EXPECT_GT(counter_of(metrics, "batch.select_scan_words"), 0u);
+      expect_grid_identical(warm, cold);  // the warm baseline itself
+      for (const int lanes : {4, 8}) {
+        SCOPED_TRACE("lanes " + std::to_string(lanes));
+        const BatchRejectionSolver batched(base, BatchConfig{lanes});
+        obs::Registry metrics;
+        std::vector<std::vector<RejectionSolution>> fused;
+        {
+          obs::ActiveScope scope(metrics);
+          fused = batched.solve_sweep_batch(grids);
+        }
+        expect_grid_identical(fused, warm);
+        if (obs_enabled()) {
+          // 4 lanes: 4 fused instances x 3 points + 1 fallback; 8 lanes: all 5
+          // fused. The fallback instance still warm-starts through its own
+          // solve_sweep, so it never contributes fused points.
+          EXPECT_EQ(counter_of(metrics, "batch.fused_sweep_points"), lanes == 4 ? 12u : 15u);
+          EXPECT_EQ(counter_of(metrics, "batch.sweep_fallbacks"), lanes == 4 ? 1u : 0u);
+          EXPECT_GT(counter_of(metrics, "batch.select_scan_words"), 0u);
+        }
       }
     }
   }
-  set_fused_sweep_enabled(knob);
 }
 
-TEST(BatchLockstep, FusedSweepFallsBackForNonLockstepSolversAndKnobOff) {
+TEST(BatchLockstep, FusedSweepFallsBackForNonLockstepSolversAndSingleLanes) {
   const std::vector<RejectionProblem> fleet = make_fleet(4, 801);
   std::vector<std::vector<RejectionProblem>> sweeps;
   const std::vector<std::vector<const RejectionProblem*>> grids = sweep_grids(fleet, sweeps);
-
-  const bool knob = fused_sweep_enabled();
-  set_fused_sweep_enabled(true);
 
   // Greedy bases have no fused sweep body: every instance falls back to its
   // own solve_sweep, bit-identically.
@@ -410,22 +383,22 @@ TEST(BatchLockstep, FusedSweepFallsBackForNonLockstepSolversAndKnobOff) {
     }
   }
 
-  // RETASK_FUSED_SWEEP=off (the process-wide knob) must route the exact DP
-  // through the same per-instance fallback without changing a bit.
+  // Fewer than 2 lanes (RETASK_BATCH=off resolves to 0) must route the
+  // exact DP through the same per-instance fallback without changing a bit.
   const ExactDpSolver exact;
   for (std::size_t i = 0; i < grids.size(); ++i) want[i] = exact.solve_sweep(grids[i]);
-  set_fused_sweep_enabled(false);
-  obs::Registry metrics;
-  std::vector<std::vector<RejectionSolution>> got;
-  {
-    obs::ActiveScope scope(metrics);
-    got = BatchRejectionSolver(exact, BatchConfig{4}).solve_sweep_batch(grids);
-  }
-  set_fused_sweep_enabled(knob);
-  expect_grid_identical(got, want);
-  if (obs_enabled()) {
-    EXPECT_EQ(counter_of(metrics, "batch.sweep_fallbacks"), grids.size());
-    EXPECT_EQ(counter_of(metrics, "batch.fused_sweep_points"), 0u);
+  for (const int lanes : {0, 1}) {
+    obs::Registry metrics;
+    std::vector<std::vector<RejectionSolution>> got;
+    {
+      obs::ActiveScope scope(metrics);
+      got = BatchRejectionSolver(exact, BatchConfig{lanes}).solve_sweep_batch(grids);
+    }
+    expect_grid_identical(got, want);
+    if (obs_enabled()) {
+      EXPECT_EQ(counter_of(metrics, "batch.sweep_fallbacks"), grids.size());
+      EXPECT_EQ(counter_of(metrics, "batch.fused_sweep_points"), 0u);
+    }
   }
 }
 
@@ -461,8 +434,9 @@ TEST(BatchLockstep, SolveBatchCapturesTablesForLockstepLanesOnly) {
   for (const DpTableExport& table : none.exports) EXPECT_TRUE(table.value.empty());
 }
 
-/// Fused sweeps on and off must produce identical harness aggregates — like
-/// lockstep, fusion may only change metric attribution, never a solution bit.
+/// Fused sweeps (lanes 4) and unbatched warm sweeps (lanes 0) must produce
+/// identical harness aggregates — like lockstep, fusion may only change
+/// metric attribution, never a solution bit.
 TEST(BatchLockstep, HarnessFusedSweepMatchesUnfusedRuns) {
   const auto base_factory = [](std::uint64_t seed) { return test::small_instance(seed, 10, 1.5); };
   // A 3-point capacity sweep: same task set per seed, scaled capacity per
@@ -477,17 +451,12 @@ TEST(BatchLockstep, HarnessFusedSweepMatchesUnfusedRuns) {
   std::vector<std::unique_ptr<RejectionSolver>> lineup;
   lineup.push_back(std::make_unique<ExactDpSolver>());
   lineup.push_back(std::make_unique<MarginalGreedySolver>());
-  BatchOptions on;
-  BatchOptions off;
-  off.fused_sweep = false;
   const int before = lockstep_lanes();
-  const bool knob = fused_sweep_enabled();
   set_lockstep_lanes(4);
-  set_fused_sweep_enabled(true);
-  const auto fused = run_comparison_batch(factories, lineup, reference, 10, 1, 0, on);
-  const auto plain = run_comparison_batch(factories, lineup, reference, 10, 1, 0, off);
+  const auto fused = run_comparison_batch(factories, lineup, reference, 10, 1, 0);
+  set_lockstep_lanes(0);
+  const auto plain = run_comparison_batch(factories, lineup, reference, 10, 1, 0);
   set_lockstep_lanes(before);
-  set_fused_sweep_enabled(knob);
   ASSERT_EQ(fused.size(), plain.size());
   for (std::size_t point = 0; point < fused.size(); ++point) {
     for (std::size_t a = 0; a < lineup.size(); ++a) {
@@ -508,6 +477,39 @@ TEST(BatchLockstep, SameShapeRejectsDifferentGeometry) {
                                                   /*processors=*/2)));
   EXPECT_FALSE(same_shape(
       a, test::small_instance(605, 10, 1.4, 1.0, 1, IdleDiscipline::kDormantDisable)));  // curve
+}
+
+TEST(BatchLockstep, OversizedTablesThrowErrorBeforeAllocating) {
+  // Two tasks of 4e12 and 3e12 cycles under a 1e13-cycle capacity: the fill
+  // capacity is 7e12, a value row of ~56 TB per lane. Every batch shape must
+  // refuse it with an Error naming the size instead of attempting the
+  // allocation.
+  std::vector<RejectionProblem> fleet;
+  for (int k = 0; k < 3; ++k) {
+    EnergyCurve curve(PolynomialPowerModel::xscale(), 1.0, IdleDiscipline::kDormantEnable);
+    const double work_per_cycle = curve.max_workload() / 1e13;
+    fleet.emplace_back(
+        FrameTaskSet({{1, Cycles{4000000000000}, 5.0 + k}, {2, Cycles{3000000000000}, 7.0}}),
+        std::move(curve), work_per_cycle, 1);
+  }
+  const std::vector<const RejectionProblem*> ptrs = pointers(fleet);
+  const ExactDpSolver exact;
+  for (const int lanes : {0, 4}) {
+    SCOPED_TRACE("lanes " + std::to_string(lanes));
+    const BatchRejectionSolver batched(exact, BatchConfig{lanes});
+    EXPECT_THROW(batched.solve_batch(ptrs), Error);
+    LockstepTables tables;
+    EXPECT_THROW(batched.solve_batch(ptrs, &tables), Error);
+    std::vector<std::vector<const RejectionProblem*>> grids;
+    for (const RejectionProblem* p : ptrs) grids.push_back({p});
+    EXPECT_THROW(batched.solve_sweep_batch(grids), Error);
+  }
+  try {
+    BatchRejectionSolver(exact, BatchConfig{4}).solve_batch(ptrs);
+    FAIL() << "expected an Error";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("bytes"), std::string::npos) << error.what();
+  }
 }
 
 TEST(BatchLockstep, LaneKnobValidatesItsRange) {

@@ -126,6 +126,18 @@ TEST(Budgeted, DualityWithRejectionProblem) {
   }
 }
 
+TEST(Budgeted, OversizedTableThrowsErrorBeforeAllocating) {
+  // A 1e13-cycle capacity over 7e12 total cycles: the shared exact-DP fill
+  // refuses the ~56 TB table instead of attempting the allocation.
+  EnergyCurve curve(PolynomialPowerModel::xscale(), 1.0, IdleDiscipline::kDormantEnable);
+  const double work_per_cycle = curve.max_workload() / 1e13;
+  const double budget = curve.energy(curve.max_workload());
+  const BudgetedProblem p{
+      FrameTaskSet({{1, Cycles{4000000000000}, 5.0}, {2, Cycles{3000000000000}, 7.0}}),
+      std::move(curve), work_per_cycle, budget};
+  EXPECT_THROW(solve_budgeted_dp(p), Error);
+}
+
 TEST(Budgeted, ImpossibleBudgetThrows) {
   // Dormant-disable: even the empty set leaks more than the budget.
   BudgetedProblem p{FrameTaskSet({{0, 50, 1.0}}),

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "retask/common/error.hpp"
 #include "retask/core/exhaustive.hpp"
 #include "retask/power/polynomial_power.hpp"
@@ -57,6 +59,26 @@ TEST(ExactDp, OversizedTaskIsAlwaysRejected) {
   const RejectionProblem p = tiny({{0, 150, 50.0}, {1, 40, 0.5}});
   const RejectionSolution s = ExactDpSolver().solve(p);
   EXPECT_FALSE(s.accepted[0]);
+}
+
+TEST(ExactDp, OversizedTableThrowsErrorBeforeAllocating) {
+  // 4e12 + 3e12 cycles under a 1e13-cycle capacity: the fill capacity is
+  // 7e12, so the table (a 64-aligned value row of 7e12 + 64 doubles plus
+  // two rows of choice bits) would take 57 750 000 000 528 bytes. The fill
+  // must refuse it with an Error naming that size, before allocating.
+  EnergyCurve curve(PolynomialPowerModel::xscale(), 1.0, IdleDiscipline::kDormantEnable);
+  const double work_per_cycle = curve.max_workload() / 1e13;
+  const RejectionProblem p(
+      FrameTaskSet({{1, Cycles{4000000000000}, 5.0}, {2, Cycles{3000000000000}, 7.0}}),
+      std::move(curve), work_per_cycle, 1);
+  try {
+    ExactDpSolver().solve(p);
+    FAIL() << "expected an Error";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("57750000000528 bytes"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW(ExactDpSolver().solve_sweep({&p, &p}), Error);
 }
 
 TEST(ExactDp, GuardsMultiprocessorInstances) {

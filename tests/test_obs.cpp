@@ -202,9 +202,9 @@ TEST(Metrics, SolverRunPopulatesScopedRegistry) {
 // Fused-sweep counter parity: the fused cross-instance path must report the
 // same fill/warm-start work as the per-instance warm sweeps it replaces
 // (exact_dp.solves, dp.warm_starts), adding only its own batch.* counters;
-// with the knob off the fused counters stay at zero and every instance is a
+// below 2 lanes the fused counters stay at zero and every instance is a
 // counted fallback.
-TEST(Metrics, FusedSweepCountersMirrorWarmSweepsAndVanishWhenOff) {
+TEST(Metrics, FusedSweepCountersMirrorWarmSweepsAndVanishBelowTwoLanes) {
   const std::vector<double> factors{0.5, 0.8, 1.0};
   std::vector<RejectionProblem> fleet;
   std::vector<std::vector<RejectionProblem>> sweeps;
@@ -235,13 +235,10 @@ TEST(Metrics, FusedSweepCountersMirrorWarmSweepsAndVanishWhenOff) {
   EXPECT_EQ(solo.counter(warm_starts), fleet.size() * (factors.size() - 1));
   EXPECT_EQ(solo.counter(fused_points), 0u);
 
-  const bool knob = fused_sweep_enabled();
-  const BatchRejectionSolver batched(exact, BatchConfig{4});
   Registry fused;
-  set_fused_sweep_enabled(true);
   {
     obs::ActiveScope scope(fused);
-    batched.solve_sweep_batch(grids);
+    BatchRejectionSolver(exact, BatchConfig{4}).solve_sweep_batch(grids);
   }
   // Same fill work as the warm sweeps, plus the fused-path accounting.
   EXPECT_EQ(fused.counter(solves), solo.counter(solves));
@@ -251,12 +248,10 @@ TEST(Metrics, FusedSweepCountersMirrorWarmSweepsAndVanishWhenOff) {
   EXPECT_EQ(fused.counter(fallbacks), 0u);
 
   Registry off;
-  set_fused_sweep_enabled(false);
   {
     obs::ActiveScope scope(off);
-    batched.solve_sweep_batch(grids);
+    BatchRejectionSolver(exact, BatchConfig{1}).solve_sweep_batch(grids);
   }
-  set_fused_sweep_enabled(knob);
   EXPECT_EQ(off.counter(fused_points), 0u);
   EXPECT_EQ(off.counter(scan_words), 0u);
   EXPECT_EQ(off.counter(fallbacks), fleet.size());

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "retask/batch/lockstep.hpp"
-#include "retask/batch/wavefront.hpp"
 #include "retask/cache/sweep.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/parallel.hpp"
@@ -455,10 +454,6 @@ std::vector<Workload> build_workloads(int jobs) {
                          }});
     workloads.push_back({"fused_sweep_fused", [grid](obs::Registry& metrics) {
                            obs::ActiveScope scope(metrics);
-                           // The bench must measure the fused path even under
-                           // a RETASK_FUSED_SWEEP=off environment leg.
-                           const bool knob = fused_sweep_enabled();
-                           set_fused_sweep_enabled(true);
                            const ExactDpSolver base;
                            const BatchRejectionSolver batched(base, BatchConfig{8});
                            std::vector<std::vector<const RejectionProblem*>> grids;
@@ -470,40 +465,6 @@ std::vector<Workload> build_workloads(int jobs) {
                              grids.push_back(std::move(group));
                            }
                            batched.solve_sweep_batch(grids);
-                           set_fused_sweep_enabled(knob);
-                         }});
-  }
-  {
-    // Wavefront DP tiling: one wide exact-DP table (n=96, ~300k cells per
-    // row), filled serially vs. tiled across the pool at 8 jobs. The tiny
-    // penalty scale keeps the select sweep's energy early-exit quick, so the
-    // pair measures the table fill the wavefront parallelizes.
-    const auto problem = [] {
-      const std::unique_ptr<PowerModel> model = make_model_by_name("xscale");
-      ScenarioConfig config;
-      config.task_count = 96;
-      config.load = 1.3;
-      config.resolution = 300000.0;
-      config.penalty_scale = 0.01;
-      config.seed = 51;
-      return std::make_shared<RejectionProblem>(make_scenario(config, *model));
-    }();
-    const auto with_mode = [problem](WavefrontMode mode, int fill_jobs) {
-      const WavefrontMode before_mode = wavefront_mode();
-      const int before_jobs = default_jobs();
-      set_wavefront_mode(mode);
-      set_default_jobs(fill_jobs);
-      ExactDpSolver().solve(*problem);
-      set_default_jobs(before_jobs);
-      set_wavefront_mode(before_mode);
-    };
-    workloads.push_back({"big_dp_wavefront_serial", [with_mode](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           with_mode(WavefrontMode::kOff, 1);
-                         }});
-    workloads.push_back({"big_dp_wavefront_tiled", [with_mode](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           with_mode(WavefrontMode::kForce, 8);
                          }});
   }
 

@@ -54,15 +54,13 @@ usage: retask_fuzz [options]
   --simd-diff        also solve every instance under the forced-scalar
                      kernels and under every vector backend the host can
                      execute, requiring bit-identical solutions
-  --lockstep-diff    also solve a same-shape fleet around every instance
-                     through the lockstep batch solver (lanes 4 and 8, every
-                     backend), requiring bit-identical per-lane solutions
-  --fused-sweep-diff also expand a same-shape fleet around every instance
-                     into capacity sweeps and solve the whole grid through
-                     the fused cross-instance sweep (lanes 4 and 8, every
-                     backend, including ragged lane tails), requiring
-                     bit-identity with each instance's warm solve_sweep and
-                     with cold per-point solves
+  --lockstep-diff    also expand a same-shape fleet around every instance
+                     into capacity sweeps and solve it through the lockstep
+                     batch solver — solve_batch per point and the fused
+                     solve_sweep_batch over the grid (lanes 4 and 8, every
+                     backend, including ragged lane tails) — requiring
+                     bit-identity with cold per-point solves and with each
+                     instance's warm solve_sweep
   --delta-diff       also replay every instance as a serve-mode admit /
                      remove / reprice walk through the incremental
                      DeltaSolver, requiring bit-identical solutions to a
@@ -133,8 +131,6 @@ FuzzCliOptions parse(const std::vector<std::string>& args) {
       options.fuzz.simd_diff = true;
     } else if (arg == "--lockstep-diff") {
       options.fuzz.lockstep_diff = true;
-    } else if (arg == "--fused-sweep-diff") {
-      options.fuzz.fused_sweep_diff = true;
     } else if (arg == "--delta-diff") {
       options.fuzz.delta_diff = true;
     } else if (arg == "--stochastic-diff") {
