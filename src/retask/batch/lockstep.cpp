@@ -62,55 +62,41 @@ void lockstep_fill(const std::vector<const RejectionProblem*>& chunk,
   })
 }
 
-/// Fused select over filled lane tables: sweeps rows [0, select_cap[k]] of
-/// every lane for the best objective (one dp_select over all lanes, so each
-/// 64-row chunk costs one shared energy batch — legal because same-shape
-/// lanes share one curve) and backtracks each lane's accept set. `chunk[k]`
-/// supplies lane k's tasks and THIS point's platform — the fused-sweep
-/// caller runs one select per sweep point over a single fill, which the
-/// table's prefix property makes bit-identical to a dedicated fill at
-/// select_cap[k]. Every lane reproduces the single-instance ExactDpSolver
-/// bit for bit.
+/// Select over filled lane tables: walks lane k's staircase over the records
+/// w <= select_cap[k], evaluating energies through chunk[k], and backtracks
+/// each lane's accept set. `chunk[k]` supplies lane k's tasks and THIS
+/// point's platform — the fused-sweep caller runs one select per sweep point
+/// over a single fill, which the table's prefix property makes bit-identical
+/// to a dedicated fill at select_cap[k]. Every lane reproduces the
+/// single-instance ExactDpSolver bit for bit, energy evaluations included.
 std::vector<RejectionSolution> lockstep_select(const std::vector<const RejectionProblem*>& chunk,
-                                               DpScratch& tables,
+                                               const DpScratch& tables,
                                                const std::vector<std::size_t>& select_cap) {
   const std::size_t m = chunk.size();
-  // Select-scan attribution: retask_bench divides this by the enclosing
-  // batch timer to report the select's share of lockstep / fused-sweep
-  // time (timers never enter the gated bench metrics).
+  // Select attribution: retask_bench divides this by the enclosing batch
+  // timer to report the select's share of lockstep / fused-sweep time
+  // (timers never enter the gated bench metrics).
   RETASK_SCOPED_TIMER("batch.select_scan_ns");
-  std::vector<DpSelectLane> lanes(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    lanes[k].kept = tables.value.data() + k * tables.stride;
-    lanes[k].cap = select_cap[k];
-    lanes[k].total_penalty = chunk[k]->tasks().total_penalty();
-  }
-  const RejectionProblem* lead = chunk[0];
-  [[maybe_unused]] const DpSelectStats stats = dp_select(
-      lanes.data(), m,
-      [lead](const Cycles* cycles, double* out, std::size_t n) {
-        lead->energy_of_cycles_batch(cycles, out, n);
-      },
-      tables.select_cycles, tables.select_energy);
-  RETASK_COUNT("batch.select_energy_evals", stats.energy_evals);
-  RETASK_COUNT("batch.select_scan_words", stats.scan_words);
-
+  [[maybe_unused]] std::uint64_t energy_evals = 0;
   std::vector<RejectionSolution> out;
   out.reserve(m);
   for (std::size_t k = 0; k < m; ++k) {
+    const RejectionProblem& problem = *chunk[k];
+    const DpPick pick =
+        dp_select(tables.stairs[k], select_cap[k], problem.tasks().total_penalty(),
+                  [&problem](Cycles w) { return problem.energy_of_cycles(w); });
+    energy_evals += pick.energy_evals;
     std::vector<bool> accepted;
-    dp_backtrack(tables.take, k * tables.stride, chunk[k]->tasks().tasks().data(),
-                 chunk[k]->size(), lanes[k].best_w, accepted);
-    out.push_back(make_solution_on_one(*chunk[k], std::move(accepted)));
+    dp_backtrack(tables.take, k * tables.stride, problem.tasks().tasks().data(), problem.size(),
+                 pick.best_w, accepted);
+    out.push_back(make_solution_on_one(problem, std::move(accepted)));
   }
+  RETASK_COUNT("batch.select_energy_evals", energy_evals);
   return out;
 }
 
-/// Lockstep exact DP over one same-shape chunk: one shared fill, one fused
-/// select, optionally capturing each lane's table for adoption. The shared
-/// win of the batch is the select — one fused cycles->energy evaluation per
-/// needed row instead of one solo evaluation per lane per row (the shape
-/// check guarantees identical curves).
+/// Lockstep exact DP over one same-shape chunk: one shared fill, one select
+/// per lane, optionally capturing each lane's table for adoption.
 std::vector<RejectionSolution> lockstep_exact_dp(const std::vector<const RejectionProblem*>& chunk,
                                                  std::vector<DpTableExport>* exports) {
   const std::size_t m = chunk.size();
@@ -125,12 +111,11 @@ std::vector<RejectionSolution> lockstep_exact_dp(const std::vector<const Rejecti
 
 /// One fused-sweep chunk: grid[k] points at lane k's sweep points (one task
 /// set per lane, capacities/platforms varying by point; per point, all
-/// lanes share a shape). Each lane fills ONCE at its widest point — the
-/// warm start of ExactDpSolver::solve_sweep — and every point runs one
-/// fused cross-lane select over the shared prefixes, so the sweep gets the
-/// warm-start and the lockstep energy batching simultaneously. Returns
-/// out[k][p], bit-identical to per-lane warm sweeps (and so to per-point
-/// solo solves).
+/// lanes share a shape). Each lane fills ONCE at its widest point and takes
+/// its staircase once — the warm start of ExactDpSolver::solve_sweep — and
+/// every point walks each lane's records w <= that point's capacity.
+/// Returns out[k][p], bit-identical to per-lane warm sweeps (and so to
+/// per-point solo solves).
 std::vector<std::vector<RejectionSolution>> lockstep_fused_sweep(
     const std::vector<const std::vector<const RejectionProblem*>*>& grid) {
   const std::size_t m = grid.size();
@@ -468,7 +453,7 @@ std::vector<std::vector<RejectionSolution>> BatchRejectionSolver::solve_sweep_ba
 
   // First-fit grouping by per-point shape, as solve_batch groups instances:
   // two lanes may share a chunk only when every sweep point pairs same-shape
-  // problems (the per-point fused select shares that point's energies).
+  // problems.
   std::vector<std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < count; ++i) {
     if (!eligible[i]) continue;

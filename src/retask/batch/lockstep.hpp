@@ -6,21 +6,19 @@
 // from it — every instance pays its own DP fill and its own select sweep.
 // This module runs up to `lanes` such instances in lockstep instead:
 //
-//  * Exact DP — one lane-major table (core/dp_table.hpp: lane k's row at
-//    value[k * stride]) filled per lane by the same contiguous relaxation
-//    the solo solver uses, with per-lane reachability bounds and capacity
-//    pruning. The select batches the energy evaluations of all lanes
-//    through one `energy_of_cycles_batch` call per 64-row chunk — legal
-//    because the shape check guarantees every lane's curve produces
-//    identical bits. The shared work lives in the select, not the fill.
+//  * Exact DP — one dp_fill (core/dp_table.hpp) over the chunk's lanes,
+//    each filled by the same contiguous relaxation the solo solver uses,
+//    with per-lane reachability bounds and capacity pruning, into lane-major
+//    choice bits; then each lane walks its own staircase with the solo
+//    select. Lanes share no energy evaluations.
 //  * Density / marginal greedy — per-lane decisions replayed position by
 //    position (density) or round by round (local search), with every
 //    energy probe of every live lane fused into one batched evaluation.
 //  * Fused sweeps (solve_sweep_batch) — a (point x instance) sweep grid is
 //    partitioned into same-shape lane groups; each lane fills ONCE at its
-//    widest point (the warm start of ExactDpSolver::solve_sweep) and every
-//    point runs one fused cross-instance select, so the sweep gets the
-//    warm-start and the lockstep energy batching simultaneously.
+//    widest point and takes its staircase once (the warm start of
+//    ExactDpSolver::solve_sweep), and every point reads each lane's answer
+//    off that staircase.
 //  * Table export (solve_batch + LockstepTables) — the exact-DP lanes'
 //    filled tables can be captured as DpTableExport views for
 //    DeltaSolver::adopt_table, sparing downstream incremental solvers the
@@ -105,9 +103,8 @@ class BatchRejectionSolver {
   /// (one task set per instance, capacities/platforms varying by point, as
   /// RejectionSolver::solve_sweep receives them). Instances whose per-point
   /// shapes match are grouped, cut into lane-sized chunks, and each chunk
-  /// shares ONE lane-major fill (per lane, at the lane's widest point) plus
-  /// one fused lockstep select per point — so a chunk gets the warm-start
-  /// AND the cross-instance energy batching at once. Results are
+  /// shares ONE lane-major fill (per lane, at the lane's widest point) whose
+  /// per-lane staircases answer every point. Results are
   /// bit-identical to calling base.solve_sweep(grids[i]) per instance;
   /// ineligible instances (mixed task sets, odd shapes, non-exact-DP base,
   /// fewer than 2 lanes) take exactly that fallback.

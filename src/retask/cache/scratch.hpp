@@ -4,8 +4,8 @@
 // solve allocated its value row and bit-packed choice table from scratch.
 // The arenas keep one buffer set per (thread, solver family) at its
 // high-water mark — BitMatrix::reset already reuses capacity, and the value
-// rows are assign()ed, so repeated solves at similar sizes stop touching
-// the allocator entirely. Each accessor returns storage private to the
+// rows and staircases are resized in place, so repeated solves at similar
+// sizes stop touching the allocator entirely. Each accessor returns storage private to the
 // calling thread, so the solvers stay safe to run concurrently; solvers
 // must finish with the arena before returning (none of them calls another
 // arena user of the same family while mid-solve).
@@ -21,15 +21,20 @@
 
 namespace retask {
 
-/// Buffers of one exact-DP table (core/dp_table.hpp): the lane-major value
-/// rows plus the choice table, and the chunked-select batch buffers (the
-/// predicted rows of one 64-row chunk and their batched energies).
+/// The staircase of one filled value row (core/dp_table.hpp): the rows whose
+/// kept penalty beats every lighter row's, in ascending order.
+struct DpStaircase {
+  std::vector<std::size_t> rows;  ///< ascending row indices w
+  std::vector<double> kept;       ///< kept[w] of each row, strictly ascending
+};
+
+/// Buffers of one exact-DP fill (core/dp_table.hpp): the value row every lane
+/// is filled through, the lane-major choice bits and each lane's staircase.
 struct DpScratch {
-  std::size_t stride = 0;     ///< value cells per lane (dp_fill)
-  std::vector<double> value;  ///< lane k's row at value[k * stride]
-  BitMatrix take;
-  std::vector<Cycles> select_cycles;
-  std::vector<double> select_energy;
+  std::size_t stride = 0;           ///< choice bits per lane per task (dp_fill)
+  std::vector<double> value;        ///< stride cells: the last filled lane's row
+  BitMatrix take;                   ///< lane k's bits at columns [k * stride, (k + 1) * stride)
+  std::vector<DpStaircase> stairs;  ///< lane k's staircase over [0, its cap]
 };
 
 /// A filled exact-DP table captured for handoff between solvers — the

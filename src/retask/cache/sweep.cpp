@@ -15,6 +15,7 @@ namespace {
 /// continuous models never match — the cost is a missed sharing
 /// opportunity, never a wrong grouping.
 bool same_models(const PowerModel& a, const PowerModel& b) {
+  if (&a == &b) return true;  // curves copied from one another share their model
   if (a.is_continuous() != b.is_continuous()) return false;
   if (a.static_power() != b.static_power()) return false;
   if (a.min_speed() != b.min_speed() || a.max_speed() != b.max_speed()) return false;
@@ -47,6 +48,7 @@ bool same_platforms(const RejectionProblem& a, const RejectionProblem& b) {
 }
 
 bool same_task_sets(const FrameTaskSet& a, const FrameTaskSet& b) {
+  if (&a.tasks() == &b.tasks()) return true;  // copies share one task vector
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].id != b[i].id || a[i].cycles != b[i].cycles || a[i].penalty != b[i].penalty) {

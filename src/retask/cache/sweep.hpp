@@ -19,8 +19,9 @@
 namespace retask {
 
 /// Exact task-set equality: same size and identical (id, cycles, penalty)
-/// triples in order. This is the warm-start precondition — the prefix-DP
-/// table depends on nothing else about the instance.
+/// triples in order; true at once for copies sharing one task vector. This
+/// is the warm-start precondition — the prefix-DP table depends on nothing
+/// else about the instance.
 bool same_task_sets(const FrameTaskSet& a, const FrameTaskSet& b);
 
 /// Bitwise energy-curve equality: identical window, idle discipline, sleep
@@ -37,8 +38,8 @@ bool same_curves(const EnergyCurve& a, const EnergyCurve& b);
 /// precondition.
 bool same_platforms(const RejectionProblem& a, const RejectionProblem& b);
 
-/// Capacity-sweep variants of `base`: every point keeps the task set, the
-/// energy curve and the processor count, and scales work_per_cycle by
+/// Capacity-sweep variants of `base`: every point keeps (and shares) the task
+/// set, the energy curve and the processor count, and scales work_per_cycle by
 /// 1/factor so point i's cycle capacity is ~factor x the base capacity
 /// (factor in (0, 1] sweeps "same tasks, tighter processor"). Factors must
 /// be positive.

@@ -2,17 +2,19 @@
 //
 // The exact DP (core/exact_dp.hpp) keeps, for every accepted cycle total w
 // up to a fill capacity, the largest total penalty its accepted tasks can
-// carry at exactly w (-inf when no subset sums to w). Every solver that
+// carry at exactly w (kept[w], -inf when no subset sums to w), and answers
+// with the row minimizing E(w) + (total_penalty - kept[w]). Every solver that
 // builds or reads such a table — the solo solve and its warm sweep, the
 // budgeted DP, the lockstep lanes and fused sweeps (batch/lockstep.hpp) and
-// the serve-mode delta solver (serve/delta_solver.hpp) — shares the three
-// pieces in this header:
+// the serve-mode delta solver (serve/delta_solver.hpp) — shares the pieces
+// in this header:
 //
 //  * the per-task relaxation with reachability pruning (dp_relax), and the
-//    lane-major fill built on it (dp_fill), which sizes the table against
-//    kDpTableByteBudget before allocating anything;
-//  * the chunked predict/batch/replay select over L lane rows (dp_select),
-//    L = 1 for solo and serve solves;
+//    fill built on it (dp_fill), which runs its lanes one after another
+//    through a single value row, keeps every lane's choice bits, and sizes
+//    the table against kDpTableByteBudget before allocating anything;
+//  * the staircase of a filled value row (dp_staircase) and the select that
+//    walks it (dp_select);
 //  * the accept-set backtrack through the choice bits (dp_backtrack).
 //
 // Prefix property: rows w <= c of a fill at any capacity >= c are
@@ -21,46 +23,58 @@
 // through tasks both fills process identically. Warm sweeps, fused sweeps
 // and the delta solver all read narrower answers off one wider fill.
 //
-// The select reads a solution off the table by sweeping rows for the best
-// objective E(w) + (total_penalty - kept[w]); the energy evaluation
-// dominates that sweep, so it runs in 64-row chunks:
+// Staircase (the dominance rule of Nemhauser and Ullmann, 1969): E is
+// non-decreasing in w, so a row w with kept[w] <= kept[w'] for some lighter
+// row w' < w can never win — both of its terms are at least row w''s, and
+// rounding is monotone, so that holds for the computed values too. Only the
+// rows whose kept penalty beats every lighter row's can be selected: the
+// strict prefix-maximum records of kept, i.e. the Pareto frontier of
+// (cycles, kept penalty). The staircase of a capacity-c select is the
+// records with w <= c, so one staircase taken after a fill answers every
+// narrower select of a sweep.
 //
-//   1. predict — per chunk and lane, keep the rows that survive the penalty
-//      prune against the lane's best objective at chunk entry (one
-//      select_mask_f64 word). The live best only decreases, so this keeps a
-//      superset of the rows the serial sweep would evaluate; E is a pure
-//      function of the row, so extra evaluations cannot change the outcome.
-//   2. batch — one energy callback per chunk over the union of every lane's
-//      predicted rows. The callback must be bit-identical to one-at-a-time
-//      evaluation (RejectionProblem::energy_of_cycles_batch is), and lanes
-//      share it, so they must share one energy curve.
-//   3. replay — per lane, walk the predicted rows with the serial sweep's
-//      live prunes (select_scan_f64): the penalty prune against the current
-//      best and the energy early exit (E non-decreasing in the load) that
-//      ends the lane's sweep. Same decisions in the same order as the
-//      serial sweep, so the selected row is bit-identical.
+// dp_select walks the staircase in ascending w with the serial sweep's rules,
+// evaluating energies one record at a time: take strict improvements only,
+// stop at the first record whose energy alone reaches the best objective,
+// and skip a record whose penalty plus the last evaluated energy reaches it.
+// That prune is the serial sweep's penalty prune tightened by a lower bound:
+// E is non-decreasing, so every later record's energy is at least the last
+// one evaluated, and rounding is monotone, so such a record's objective
+// reaches the best too. No row the walk passes over could improve the best,
+// and a row that would have ended the serial sweep early leaves every later
+// row with an energy that already reaches the best, so the walk selects the
+// same row, with the same objective bits, as the serial sweep over every row
+// [0, cap]: the first row of least objective.
 #ifndef RETASK_CORE_DP_TABLE_HPP
 #define RETASK_CORE_DP_TABLE_HPP
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "retask/cache/scratch.hpp"
 #include "retask/common/bit_matrix.hpp"
+#include "retask/common/error.hpp"
 #include "retask/core/problem.hpp"
 #include "retask/task/task.hpp"
 
 namespace retask {
 
-/// Largest table one dp_fill may allocate: value rows plus choice bits over
-/// every lane. A fill that would need more throws Error naming the size
-/// before it allocates anything. The widest tables the benches build stay
-/// under 1 MiB, so the ceiling only stops capacities the exact DP could not
-/// fill in memory anyway.
+/// Largest table an exact-DP solver may hold: one dp_fill's value row plus
+/// every lane's choice bits, or a DeltaSolver's retained rows. A fill or a
+/// request that would need more throws Error naming the size before it
+/// allocates anything. The widest tables the benches build stay under 1 MiB,
+/// so the ceiling only stops capacities the exact DP could not fill in
+/// memory anyway.
 inline constexpr std::size_t kDpTableByteBudget = std::size_t{1} << 30;
+
+/// Bytes of `value_rows` value rows of `width` cells plus `take_rows` choice
+/// rows of `width` bits each, rounded up to whole 64-bit words; nullopt when
+/// the count overflows size_t.
+std::optional<std::size_t> dp_table_bytes(std::size_t width, std::size_t value_rows,
+                                          std::size_t take_rows);
 
 /// The exact DP's fill capacity for `problem`: min(cycle capacity, total
 /// cycles). Throws Error for multiprocessor problems.
@@ -93,16 +107,23 @@ struct DpFillCounts {
 std::size_t dp_relax(double* value, std::uint64_t* take_row, std::size_t cap,
                      std::size_t& reach, const FrameTask& task);
 
-/// Fills one knapsack table per lane into `table`, lane-major: lane k's
-/// value row starts at table.value[k * table.stride] and its choice bit for
-/// (task i, row w) is take bit (i, k * stride + w). The stride is the widest
-/// lane's cap + 1 rounded up to 64, so every lane owns whole choice words.
-/// Cells above a lane's own cap are never written or read, so lane k's span
-/// is its solo table at capacity lanes[k].cap.
+/// Takes the staircase of rows [0, cap] of `kept` into `out`: every row
+/// whose value beats every lighter row's, ascending. In a filled row, row 0
+/// (the empty accept set, kept 0) always opens it. `out` keeps its capacity
+/// across calls.
+void dp_staircase(const double* kept, std::size_t cap, DpStaircase& out);
+
+/// Fills one knapsack table per lane, one lane after another, through the
+/// single value row table.value (stride cells). Lane k's choice bit for
+/// (task i, row w) is take bit (i, k * stride + w), lane-major; the stride
+/// is the widest lane's cap + 1 rounded up to 64, so every lane owns whole
+/// choice words. After lane k's last task its staircase over [0, cap] is
+/// taken into table.stairs[k]; the next lane then reuses the value row, which
+/// ends holding the last lane's final row.
 ///
-/// The table's size (value rows plus choice bits) is checked against
-/// kDpTableByteBudget first; Error names the size when it overflows size_t
-/// or exceeds the budget, before anything is allocated.
+/// The table's size (one value row plus every lane's choice bits) is checked
+/// against kDpTableByteBudget first; Error names the size when it overflows
+/// size_t or exceeds the budget, before anything is allocated.
 ///
 /// When `exports` is non-null (one slot per lane), lane k's finished table
 /// — value row, choice bits and dense value-row checkpoints every
@@ -114,36 +135,38 @@ std::size_t dp_relax(double* value, std::uint64_t* take_row, std::size_t cap,
 DpFillCounts dp_fill(DpScratch& table, std::size_t n, const DpFillLane* lanes,
                      std::size_t count, std::vector<DpTableExport>* exports = nullptr);
 
-/// One lane of a select: rows [0, cap] of `kept` are swept for the row
-/// minimizing E(w) + (total_penalty - kept[w]); the winner lands in
-/// best_w / best_objective. `mask` and `done` are the select's per-chunk
-/// state.
-struct DpSelectLane {
-  const double* kept = nullptr;
-  std::size_t cap = 0;
-  double total_penalty = 0.0;
-  double best_objective = std::numeric_limits<double>::infinity();
+/// The row a select picked and the energy evaluations it spent.
+struct DpPick {
   std::size_t best_w = 0;
-  std::uint64_t mask = 0;
-  bool done = false;
+  double best_objective = std::numeric_limits<double>::infinity();
+  std::uint64_t energy_evals = 0;
 };
 
-/// Work of one select.
-struct DpSelectStats {
-  std::uint64_t energy_evals = 0;  ///< rows sent through the energy callback
-  std::uint64_t scan_words = 0;    ///< (lane, chunk) replays
-};
-
-/// out[i] = E(cycles[i]) for i < n, bit-identical to one-at-a-time
-/// evaluation.
-using DpEnergyBatch = std::function<void(const Cycles* cycles, double* out, std::size_t n)>;
-
-/// Runs the chunked select (see the header comment) over `count` lanes that
-/// share one energy curve. `batch_cycles` / `batch_energy` are caller-owned
-/// buffers reused across calls. Every lane's result is bit-identical to the
-/// serial row-by-row sweep with the penalty prune and the energy early exit.
-DpSelectStats dp_select(DpSelectLane* lanes, std::size_t count, const DpEnergyBatch& energy_batch,
-                        std::vector<Cycles>& batch_cycles, std::vector<double>& batch_energy);
+/// Selects, among the records of `stairs` with w <= cap, the row minimizing
+/// E(w) + (total_penalty - kept[w]) by the serial walk in the header comment;
+/// `energy(w)` must return E(w) as a pure function of w, non-decreasing in w.
+/// The result is bit-identical to the serial sweep over every row [0, cap].
+template <typename EnergyFn>
+DpPick dp_select(const DpStaircase& stairs, std::size_t cap, double total_penalty,
+                 EnergyFn&& energy) {
+  DpPick pick;
+  double last_energy = -std::numeric_limits<double>::infinity();
+  for (std::size_t j = 0; j < stairs.rows.size() && stairs.rows[j] <= cap; ++j) {
+    const double penalty = total_penalty - stairs.kept[j];
+    if (last_energy + penalty >= pick.best_objective) continue;
+    const double e = energy(static_cast<Cycles>(stairs.rows[j]));
+    ++pick.energy_evals;
+    if (e >= pick.best_objective) break;  // no heavier row can beat the best
+    last_energy = e;
+    const double objective = e + penalty;
+    if (objective < pick.best_objective) {
+      pick.best_objective = objective;
+      pick.best_w = stairs.rows[j];
+    }
+  }
+  RETASK_ASSERT(pick.best_objective < std::numeric_limits<double>::infinity());
+  return pick;
+}
 
 /// Reconstructs the accept set of the lane whose choice bits start at bit
 /// `offset` of every take row, from row `w`: for tasks n-1 down to 0, a set

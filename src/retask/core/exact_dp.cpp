@@ -13,8 +13,9 @@ namespace retask {
 namespace {
 
 /// Fills the knapsack table for `problem`'s task set at capacity `cap` into
-/// the scratch arena (one dp_fill lane; see core/dp_table.hpp for the table
-/// and the prefix property the sweep entry point exploits).
+/// the scratch arena and takes its staircase (one dp_fill lane; see
+/// core/dp_table.hpp for the table and the prefix property the sweep entry
+/// point exploits).
 void fill_table(const RejectionProblem& problem, Cycles cap, DpScratch& scratch) {
   const DpFillLane lane{problem.tasks().tasks().data(), static_cast<std::size_t>(cap)};
   [[maybe_unused]] const DpFillCounts counts = dp_fill(scratch, problem.size(), &lane, 1);
@@ -25,25 +26,18 @@ void fill_table(const RejectionProblem& problem, Cycles cap, DpScratch& scratch)
 }
 
 /// Reads the best solution for `problem` off a table filled at capacity
-/// >= `cap`: the chunked select over rows [0, cap] (energies batched
-/// through the problem's fused cycles->energy evaluation), then the
-/// choice-bit backtrack. Only rows <= cap are touched, so a table filled at
-/// a larger capacity yields bit-identical results.
-RejectionSolution select_best(const RejectionProblem& problem, Cycles cap, DpScratch& scratch) {
-  DpSelectLane lane;
-  lane.kept = scratch.value.data();
-  lane.cap = static_cast<std::size_t>(cap);
-  lane.total_penalty = problem.tasks().total_penalty();
-  [[maybe_unused]] const DpSelectStats stats = dp_select(
-      &lane, 1,
-      [&problem](const Cycles* cycles, double* out, std::size_t m) {
-        problem.energy_of_cycles_batch(cycles, out, m);
-      },
-      scratch.select_cycles, scratch.select_energy);
-  RETASK_COUNT("exact_dp.energy_evals", stats.energy_evals);
+/// >= `cap`: the staircase walk over the records w <= cap, then the
+/// choice-bit backtrack. Only rows <= cap are read, so a table filled at a
+/// larger capacity yields bit-identical results.
+RejectionSolution select_best(const RejectionProblem& problem, Cycles cap,
+                              const DpScratch& scratch) {
+  const DpPick pick =
+      dp_select(scratch.stairs[0], static_cast<std::size_t>(cap), problem.tasks().total_penalty(),
+                [&problem](Cycles w) { return problem.energy_of_cycles(w); });
+  RETASK_COUNT("exact_dp.energy_evals", pick.energy_evals);
 
   std::vector<bool> accepted;
-  dp_backtrack(scratch.take, 0, problem.tasks().tasks().data(), problem.size(), lane.best_w,
+  dp_backtrack(scratch.take, 0, problem.tasks().tasks().data(), problem.size(), pick.best_w,
                accepted);
   return make_solution_on_one(problem, std::move(accepted));
 }
@@ -85,8 +79,8 @@ std::vector<RejectionSolution> ExactDpSolver::solve_sweep(
     max_cap = std::max(max_cap, caps[p]);
   }
 
-  // One fill at the largest capacity; every point reads its answer off the
-  // shared prefix (the prefix property in core/dp_table.hpp).
+  // One fill and one staircase at the largest capacity; every point reads its
+  // answer off the shared prefix (the prefix property in core/dp_table.hpp).
   DpScratch& scratch = exact_dp_scratch();
   fill_table(*points[0], max_cap, scratch);
   RETASK_COUNT("exact_dp.solves", 1);

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "retask/common/error.hpp"
+#include "retask/core/algorithm_registry.hpp"
 #include "retask/power/polynomial_power.hpp"
 #include "retask/power/table_power.hpp"
 #include "retask/sched/stochastic.hpp"
@@ -158,6 +159,7 @@ CliOptions parse_cli_options(const std::vector<std::string>& args) {
   if (!options.help) {
     require(!options.input_path.empty(), "--input is required (see --help)");
     make_model_by_name(options.model);  // validate early
+    make_solver(options.solver);
     if (!options.stochastic.empty()) {
       require(options.mode == CliOptions::Mode::kFrame,
               "--stochastic replays the frame schedule; use --mode frame");

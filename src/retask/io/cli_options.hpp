@@ -39,8 +39,8 @@ struct CliOptions {
 };
 
 /// Parses `args` (without argv[0]); throws retask::Error on unknown flags,
-/// missing values or out-of-range numbers. `--help` sets `help` and skips
-/// the required-argument checks.
+/// missing values, out-of-range numbers or unknown model and solver names.
+/// `--help` sets `help` and skips the required-argument checks.
 CliOptions parse_cli_options(const std::vector<std::string>& args);
 
 /// Usage text shown by --help and on parse errors.

@@ -51,37 +51,6 @@ EnergyCurve::EnergyCurve(const PowerModel& model, double window, IdleDiscipline 
   cont_.enable = idle_ == IdleDiscipline::kDormantEnable;
 }
 
-EnergyCurve::EnergyCurve(const EnergyCurve& other)
-    : model_(other.model_->clone()),
-      window_(other.window_),
-      idle_(other.idle_),
-      sleep_(other.sleep_),
-      max_workload_(other.max_workload_),
-      continuous_(other.continuous_),
-      cont_(other.cont_),
-      hull_(other.hull_),
-      hull_speeds_(other.hull_speeds_),
-      hull_powers_(other.hull_powers_) {
-  if (cont_.other != nullptr) cont_.other = model_.get();
-}
-
-EnergyCurve& EnergyCurve::operator=(const EnergyCurve& other) {
-  if (this != &other) {
-    model_ = other.model_->clone();
-    window_ = other.window_;
-    idle_ = other.idle_;
-    sleep_ = other.sleep_;
-    max_workload_ = other.max_workload_;
-    continuous_ = other.continuous_;
-    cont_ = other.cont_;
-    if (cont_.other != nullptr) cont_.other = model_.get();
-    hull_ = other.hull_;
-    hull_speeds_ = other.hull_speeds_;
-    hull_powers_ = other.hull_powers_;
-  }
-  return *this;
-}
-
 double EnergyCurve::static_power() const { return model_->static_power(); }
 
 double EnergyCurve::idle_cost(double t) const {

@@ -78,16 +78,11 @@ struct ExecutionPlan {
 class EnergyCurve {
  public:
   /// Requires window > 0 and valid sleep parameters. The curve keeps its own
-  /// copy of the model. SleepParams are only meaningful for dormant-enable
-  /// processors (dormant-disable processors never sleep); the default is
-  /// free sleeping.
+  /// copy of the model, which copies of the curve share. SleepParams are only
+  /// meaningful for dormant-enable processors (dormant-disable processors
+  /// never sleep); the default is free sleeping.
   EnergyCurve(const PowerModel& model, double window, IdleDiscipline idle,
               SleepParams sleep = SleepParams{});
-
-  EnergyCurve(const EnergyCurve& other);
-  EnergyCurve& operator=(const EnergyCurve& other);
-  EnergyCurve(EnergyCurve&&) noexcept = default;
-  EnergyCurve& operator=(EnergyCurve&&) noexcept = default;
 
   /// Scheduling window length D.
   double window() const { return window_; }
@@ -181,7 +176,7 @@ class EnergyCurve {
   /// polynomial) and the batch loop can keep it in registers.
   struct Continuous {
     PowerPolynomial poly;              // P(s) of a polynomial model
-    const PowerModel* other = nullptr;  // any other continuous model: its power()
+    const PowerModel* other = nullptr;  // any other continuous model (the shared model_)
     double s_lo = 0.0;     // lowest execution speed: min_speed, kept off 0
     double s_max = 0.0;
     double s_crit = 0.0;   // argmin P(s)/s in the speed range
@@ -212,7 +207,7 @@ class EnergyCurve {
   /// for discrete models; pointers alias hull_speeds_/hull_powers_.
   simd::HullEnergyParams hull_params(double work_per_cycle) const;
 
-  std::unique_ptr<PowerModel> model_;
+  std::shared_ptr<const PowerModel> model_;
   double window_ = 0.0;
   IdleDiscipline idle_ = IdleDiscipline::kDormantEnable;
   SleepParams sleep_;

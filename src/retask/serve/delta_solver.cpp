@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string>
 
 #include "retask/common/error.hpp"
 #include "retask/core/dp_table.hpp"
@@ -34,6 +36,7 @@ DeltaSolver::DeltaSolver(EnergyCurve curve, double work_per_cycle, Config config
   require(config_.checkpoint_stride >= 1, "DeltaSolver: checkpoint_stride must be >= 1");
   cycle_capacity_ = cycle_capacity_for(curve_, work_per_cycle_);
   width_ = static_cast<std::size_t>(cycle_capacity_) + 1;
+  require_within_budget(1, 0);
   table_.value.assign(width_, kNegInf);
   table_.value[0] = 0.0;
   table_.take.reset(0, width_);
@@ -48,10 +51,31 @@ std::size_t DeltaSolver::index_of(int id) const {
   return kNone;
 }
 
+std::size_t DeltaSolver::grown_rows(std::size_t rows) const {
+  return rows <= rows_ ? rows_ : std::max({rows, rows_ * 2, std::size_t{8}});
+}
+
 void DeltaSolver::ensure_rows(std::size_t rows) {
   if (rows <= rows_) return;
-  rows_ = std::max({rows, rows_ * 2, std::size_t{8}});
+  rows_ = grown_rows(rows);
   table_.take.resize_rows(rows_);
+}
+
+void DeltaSolver::require_within_budget(std::size_t value_rows, std::size_t take_rows) const {
+  const std::optional<std::size_t> bytes = dp_table_bytes(width_, value_rows, take_rows);
+  if (bytes && *bytes <= kDpTableByteBudget) return;
+  const std::string shape = std::to_string(value_rows) + " value row(s) and " +
+                            std::to_string(take_rows) + " choice row(s) of " +
+                            std::to_string(width_) + " cells";
+  if (!bytes) throw Error("DeltaSolver: a table of " + shape + " overflows size_t bytes");
+  throw Error("DeltaSolver: a table of " + shape + " needs " + std::to_string(*bytes) +
+              " bytes, over the " + std::to_string(kDpTableByteBudget) + "-byte table budget");
+}
+
+std::size_t DeltaSolver::checkpoint_rows_after(std::size_t tasks) const {
+  const auto stride = static_cast<std::size_t>(config_.checkpoint_stride);
+  const std::size_t due = tasks / stride - tasks_.size() / stride;  // new stride boundaries
+  return cp_values_.size() + std::max(due, cp_pool_.size());
 }
 
 void DeltaSolver::relax_row(std::size_t i) {
@@ -114,6 +138,8 @@ void DeltaSolver::replay_from(std::size_t invalidated) {
 const RejectionSolution& DeltaSolver::admit(const FrameTask& task) {
   validate(task);
   require(index_of(task.id) == kNone, "DeltaSolver::admit: task id already resident");
+  const std::size_t n = tasks_.size() + 1;
+  require_within_budget(1 + checkpoint_rows_after(n), grown_rows(n));
   tasks_.push_back(task);
   total_cycles_ += task.cycles;
   const std::size_t i = tasks_.size() - 1;
@@ -127,13 +153,15 @@ const RejectionSolution& DeltaSolver::admit(const FrameTask& task) {
 }
 
 const RejectionSolution& DeltaSolver::admit_all(const std::vector<FrameTask>& tasks) {
+  const std::size_t n = tasks_.size() + tasks.size();
+  require_within_budget(1 + checkpoint_rows_after(n), grown_rows(n));
+  ensure_rows(n);
   for (const FrameTask& task : tasks) {
     validate(task);
     require(index_of(task.id) == kNone, "DeltaSolver::admit_all: task id already resident");
     tasks_.push_back(task);  // visible to index_of: later duplicates rejected
     total_cycles_ += task.cycles;
     const std::size_t i = tasks_.size() - 1;
-    ensure_rows(i + 1);
     relax_row(i);
     push_checkpoint_if_due(i + 1);
     ++delta_hits_;
@@ -154,6 +182,9 @@ const RejectionSolution& DeltaSolver::adopt_table(const std::vector<FrameTask>& 
   const auto stride = static_cast<std::size_t>(table.checkpoint_stride);
   require(table.cp_values.size() == n / stride && table.cp_reach.size() == table.cp_values.size(),
           "DeltaSolver::adopt_table: checkpoint rows must be dense at the stride");
+  // Every retained checkpoint row moves to the pool; the export's join them.
+  require_within_budget(1 + cp_values_.size() + cp_pool_.size() + table.cp_values.size(),
+                        grown_rows(n));
   for (const FrameTask& task : tasks) {
     validate(task);
     require(index_of(task.id) == kNone, "DeltaSolver::adopt_table: duplicate task id");
@@ -220,28 +251,6 @@ double DeltaSolver::energy_of(Cycles cycles) {
   });
 }
 
-void DeltaSolver::energy_batch(const Cycles* cycles, double* out, std::size_t n) {
-  // Mirrors RejectionProblem::energy_of_cycles_batch: memo hits replay
-  // recorded bits, misses run through the fused batch kernel (bit-identical
-  // to one-at-a-time evaluation) and are recorded.
-  miss_index_.clear();
-  miss_cycles_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!memo_->lookup(cycles[i], out[i])) {
-      miss_index_.push_back(i);
-      miss_cycles_.push_back(cycles[i]);
-    }
-  }
-  if (miss_index_.empty()) return;
-  miss_out_.resize(miss_index_.size());
-  curve_.energy_cycles_batch(work_per_cycle_, miss_cycles_.data(), miss_out_.data(),
-                             miss_index_.size());
-  for (std::size_t j = 0; j < miss_index_.size(); ++j) {
-    memo_->record(miss_cycles_[j], miss_out_[j]);
-    out[miss_index_[j]] = miss_out_[j];
-  }
-}
-
 void DeltaSolver::select() {
   const std::size_t n = tasks_.size();
   // A cold solve fills at min(capacity, total cycles); our retained table
@@ -255,16 +264,12 @@ void DeltaSolver::select() {
   double total_penalty = 0.0;
   for (const FrameTask& task : tasks_) total_penalty += task.penalty;
 
-  DpSelectLane lane;
-  lane.kept = table_.value.data();
-  lane.cap = cap;
-  lane.total_penalty = total_penalty;
-  [[maybe_unused]] const DpSelectStats stats = dp_select(
-      &lane, 1,
-      [this](const Cycles* cycles, double* out, std::size_t m) { energy_batch(cycles, out, m); },
-      table_.select_cycles, table_.select_energy);
-  RETASK_COUNT("serve.select_energy_evals", stats.energy_evals);
-  dp_backtrack(table_.take, 0, tasks_.data(), n, lane.best_w, solution_.accepted);
+  // Rows above the reach are unreachable (-inf) and never records.
+  dp_staircase(table_.value.data(), std::min(cap, reachable_), stairs_);
+  const DpPick pick = dp_select(stairs_, cap, total_penalty,
+                                [this](Cycles w) { return energy_of(w); });
+  RETASK_COUNT("serve.select_energy_evals", pick.energy_evals);
+  dp_backtrack(table_.take, 0, tasks_.data(), n, pick.best_w, solution_.accepted);
 
   // Score exactly as make_solution does: rejected penalties summed in index
   // order, energy through the single-load evaluation.

@@ -30,10 +30,16 @@
 // cold solves to enforce exactly this, and tests/test_delta_solver.cpp
 // pins the edge cases.
 //
-// The request path allocates nothing in steady state: the table and select
-// buffers live in a private DpScratch arena at their high-water mark,
-// checkpoint rows are recycled through a pool, and the solution's vectors
-// are assign()ed in place.
+// The request path allocates nothing in steady state: the table lives in a
+// private DpScratch arena and the staircase in a kept buffer, both at their
+// high-water mark, checkpoint rows are recycled through a pool, and the
+// solution's vectors are assign()ed in place.
+//
+// The retained table — the value row, the choice rows and every checkpoint
+// row, pooled ones included — never exceeds kDpTableByteBudget: the
+// constructor and every admit, admit_all or adopt_table that would grow it
+// past the budget throw Error before changing any state, so a serve session
+// answers `err` and keeps serving.
 #ifndef RETASK_SERVE_DELTA_SOLVER_HPP
 #define RETASK_SERVE_DELTA_SOLVER_HPP
 
@@ -140,7 +146,17 @@ class DeltaSolver {
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
+  /// Choice rows allocated once `rows` are needed (geometric growth).
+  std::size_t grown_rows(std::size_t rows) const;
   void ensure_rows(std::size_t rows);
+  /// Throws Error when retaining `value_rows` value rows (the working row
+  /// plus checkpoint rows) and `take_rows` choice rows would exceed
+  /// kDpTableByteBudget.
+  void require_within_budget(std::size_t value_rows, std::size_t take_rows) const;
+  /// Checkpoint rows retained once the resident set grows to `tasks` tasks:
+  /// the live and pooled rows, plus new rows for the stride boundaries the
+  /// pool cannot cover.
+  std::size_t checkpoint_rows_after(std::size_t tasks) const;
   /// Clears and relaxes choice row `i` from the current value row, exactly
   /// as dp_fill does at capacity cycle_capacity_.
   void relax_row(std::size_t i);
@@ -154,9 +170,6 @@ class DeltaSolver {
   /// energy(work_per_cycle * cycles) through the retained memo — the same
   /// computation RejectionProblem::energy_of_cycles performs.
   double energy_of(Cycles cycles);
-  /// Batched energy_of, mirroring RejectionProblem::energy_of_cycles_batch
-  /// (memo hits replayed, misses through the fused batch kernel).
-  void energy_batch(const Cycles* cycles, double* out, std::size_t n);
 
   EnergyCurve curve_;
   double work_per_cycle_ = 1.0;
@@ -168,11 +181,12 @@ class DeltaSolver {
   Cycles total_cycles_ = 0;
 
   // Retained DP state: value row + choice rows (row capacity grows
-  // geometrically; rows_ tracks the allocated count) + select batch
-  // buffers, all in one private arena.
+  // geometrically; rows_ tracks the allocated count) in one private arena,
+  // and the staircase select() takes of the value row.
   DpScratch table_;
   std::size_t rows_ = 0;
   std::size_t reachable_ = 0;
+  DpStaircase stairs_;
 
   // Value-row checkpoints: cp_values_[c] is the row after the first
   // (c + 1) * checkpoint_stride tasks, cp_reach_[c] the reachability bound
@@ -182,10 +196,6 @@ class DeltaSolver {
   std::vector<std::vector<double>> cp_pool_;
 
   std::shared_ptr<EnergyMemo> memo_;
-  // Scratch of energy_batch's memo miss partition.
-  std::vector<std::size_t> miss_index_;
-  std::vector<Cycles> miss_cycles_;
-  std::vector<double> miss_out_;
 
   RejectionSolution solution_;
   Cycles accepted_load_ = 0;

@@ -83,35 +83,6 @@ struct KernelTable {
   /// `EnergyCurve::energy`. Requires 0 <= cycles[i] < 2^52.
   void (*energy_hull_cycles)(const HullEnergyParams& params, const std::int64_t* cycles,
                              double* out, std::size_t n);
-
-  /// Select-sweep candidate mask over one <= 64-row window of DP kept-value
-  /// cells: bit i is set iff total - kept[i] < snapshot (exact double
-  /// compare). Unreachable cells hold kept[i] == -inf, so total - kept[i] is
-  /// +inf and the bit stays clear — including against snapshot == +inf
-  /// (inf < inf is false) — which folds the sweep's reachability skip and
-  /// its bound prune into one predicate. Inputs are never NaN (kept values
-  /// are penalty partial sums or -inf). Requires n <= 64.
-  std::uint64_t (*select_mask_f64)(const double* kept, std::size_t n, double total,
-                                   double snapshot);
-
-  /// Select-sweep replay over one <= 64-row window: walk the set bits of
-  /// `mask` in ascending order (row w0 + i has DP value kept[i] and energy
-  /// energy_at[i]) replaying the serial sweep's decisions against the live
-  /// best objective *best:
-  ///   penalty = total - kept[i]    -> skip the row when penalty >= *best
-  ///   energy  = energy_at[i]       -> return 1 when energy >= *best (E is
-  ///                                   non-decreasing: the sweep is over)
-  ///   energy + penalty             -> improve *best / *best_w when smaller
-  /// Returns 1 when the energy early-exit fired (the caller must end the
-  /// whole sweep), else 0. Mask bits at or above n are never set
-  /// (select_mask_f64 guarantees it); n bounds the rows a vector body may
-  /// pre-read. Vector backends precompute the penalties and objectives
-  /// branch-free (IEEE adds are commutative bit for bit), but the decision
-  /// walk itself replays in order — the early-exit's timing depends on the
-  /// live best, so it cannot be reassociated. Requires n <= 64.
-  std::uint32_t (*select_scan_f64)(const double* kept, const double* energy_at, std::size_t n,
-                                   std::uint64_t mask, double total, std::size_t w0,
-                                   double* best, std::size_t* best_w);
 };
 
 /// Scalar reference evaluation of one positive-work hull energy; the single

@@ -108,59 +108,6 @@ void avx2_relax_desc_i64(std::int64_t* rej, double* payload, std::uint64_t* take
   }
 }
 
-std::uint64_t avx2_select_mask_f64(const double* kept, std::size_t n, double total,
-                                   double snapshot) {
-  // Elementwise: each lane performs exactly the scalar subtract + compare.
-  const __m256d total_v = _mm256_set1_pd(total);
-  const __m256d snap_v = _mm256_set1_pd(snapshot);
-  std::uint64_t mask = 0;
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256d penalty = _mm256_sub_pd(total_v, _mm256_loadu_pd(kept + i));
-    const int bits = _mm256_movemask_pd(_mm256_cmp_pd(penalty, snap_v, _CMP_LT_OQ));
-    mask |= static_cast<std::uint64_t>(static_cast<unsigned>(bits)) << i;
-  }
-  for (; i < n; ++i) {
-    if (total - kept[i] < snapshot) mask |= std::uint64_t{1} << i;
-  }
-  return mask;
-}
-
-std::uint32_t avx2_select_scan_f64(const double* kept, const double* energy_at, std::size_t n,
-                                   std::uint64_t mask, double total, std::size_t w0,
-                                   double* best, std::size_t* best_w) {
-  if (mask == 0) return 0;
-  // Branch-free 4-wide precompute of every row's penalty and objective —
-  // exactly the scalar walk's operands (IEEE adds commute bit for bit), so
-  // reading them back preserves every bit. Only rows < n are touched; mask
-  // bits at or above n are never set.
-  alignas(32) double pen[64];
-  alignas(32) double obj[64];
-  const __m256d total_v = _mm256_set1_pd(total);
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256d p = _mm256_sub_pd(total_v, _mm256_loadu_pd(kept + i));
-    _mm256_store_pd(pen + i, p);
-    _mm256_store_pd(obj + i, _mm256_add_pd(_mm256_loadu_pd(energy_at + i), p));
-  }
-  for (; i < n; ++i) {
-    pen[i] = total - kept[i];
-    obj[i] = energy_at[i] + pen[i];
-  }
-  // The decision walk replays the scalar order exactly — the early-exit's
-  // timing depends on the live best, so only the arithmetic vectorizes.
-  for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
-    const auto bit = static_cast<std::size_t>(__builtin_ctzll(bits));
-    if (pen[bit] >= *best) continue;
-    if (energy_at[bit] >= *best) return 1;
-    if (obj[bit] < *best) {
-      *best = obj[bit];
-      *best_w = w0 + bit;
-    }
-  }
-  return 0;
-}
-
 std::size_t avx2_argmax_f64(const double* values, std::size_t n, double init) {
   if (n < 2 * kLanes) return scalar_argmax_f64(values, n, init);
   __m256d best_v = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
@@ -344,9 +291,8 @@ void avx2_energy_hull_cycles(const HullEnergyParams& params, const std::int64_t*
 
 const KernelTable* avx2_table() noexcept {
   static const KernelTable table{
-      &avx2_relax_desc_f64,    &avx2_relax_desc_i64,      &avx2_argmax_f64,
-      &avx2_argmin_strided_f64, &avx2_energy_hull_cycles, &avx2_select_mask_f64,
-      &avx2_select_scan_f64,
+      &avx2_relax_desc_f64,     &avx2_relax_desc_i64,     &avx2_argmax_f64,
+      &avx2_argmin_strided_f64, &avx2_energy_hull_cycles,
   };
   return &table;
 }

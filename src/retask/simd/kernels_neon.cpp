@@ -82,34 +82,12 @@ void neon_relax_desc_i64(std::int64_t* rej, double* payload, std::uint64_t* take
   }
 }
 
-std::uint64_t neon_select_mask_f64(const double* kept, std::size_t n, double total,
-                                   double snapshot) {
-  // Elementwise: each lane performs exactly the scalar subtract + compare.
-  const float64x2_t total_v = vdupq_n_f64(total);
-  const float64x2_t snap_v = vdupq_n_f64(snapshot);
-  std::uint64_t mask = 0;
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const float64x2_t penalty = vsubq_f64(total_v, vld1q_f64(kept + i));
-    const unsigned bits = mask_bits(vcltq_f64(penalty, snap_v));
-    mask |= static_cast<std::uint64_t>(bits) << i;
-  }
-  for (; i < n; ++i) {
-    if (total - kept[i] < snapshot) mask |= std::uint64_t{1} << i;
-  }
-  return mask;
-}
-
 }  // namespace
 
 const KernelTable* neon_table() noexcept {
   static const KernelTable table{
-      &neon_relax_desc_f64,      &neon_relax_desc_i64,       &scalar_argmax_f64,
-      &scalar_argmin_strided_f64, &scalar_energy_hull_cycles, &neon_select_mask_f64,
-      // The select-scan's decision walk is serial; at 2 lanes the branch-free
-      // precompute does not pay, so keep the scalar body (trivially
-      // bit-identical).
-      &scalar_select_scan_f64,
+      &neon_relax_desc_f64,       &neon_relax_desc_i64,       &scalar_argmax_f64,
+      &scalar_argmin_strided_f64, &scalar_energy_hull_cycles,
   };
   return &table;
 }

@@ -54,59 +54,6 @@ void sse2_relax_desc_f64(double* row, std::uint64_t* take_row, std::size_t shift
   if (w > lo) scalar_relax_desc_f64(row, take_row, shift, lo, w - 1, add);
 }
 
-std::uint64_t sse2_select_mask_f64(const double* kept, std::size_t n, double total,
-                                   double snapshot) {
-  // Elementwise: each lane performs exactly the scalar subtract + compare.
-  const __m128d total_v = _mm_set1_pd(total);
-  const __m128d snap_v = _mm_set1_pd(snapshot);
-  std::uint64_t mask = 0;
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m128d penalty = _mm_sub_pd(total_v, _mm_loadu_pd(kept + i));
-    const int bits = _mm_movemask_pd(_mm_cmplt_pd(penalty, snap_v));
-    mask |= static_cast<std::uint64_t>(static_cast<unsigned>(bits)) << i;
-  }
-  for (; i < n; ++i) {
-    if (total - kept[i] < snapshot) mask |= std::uint64_t{1} << i;
-  }
-  return mask;
-}
-
-std::uint32_t sse2_select_scan_f64(const double* kept, const double* energy_at, std::size_t n,
-                                   std::uint64_t mask, double total, std::size_t w0,
-                                   double* best, std::size_t* best_w) {
-  if (mask == 0) return 0;
-  // Branch-free 2-wide precompute of every row's penalty and objective —
-  // exactly the scalar walk's operands (IEEE adds commute bit for bit), so
-  // reading them back preserves every bit. Only rows < n are touched; mask
-  // bits at or above n are never set.
-  alignas(16) double pen[64];
-  alignas(16) double obj[64];
-  const __m128d total_v = _mm_set1_pd(total);
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m128d p = _mm_sub_pd(total_v, _mm_loadu_pd(kept + i));
-    _mm_store_pd(pen + i, p);
-    _mm_store_pd(obj + i, _mm_add_pd(_mm_loadu_pd(energy_at + i), p));
-  }
-  for (; i < n; ++i) {
-    pen[i] = total - kept[i];
-    obj[i] = energy_at[i] + pen[i];
-  }
-  // The decision walk replays the scalar order exactly — the early-exit's
-  // timing depends on the live best, so only the arithmetic vectorizes.
-  for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
-    const auto bit = static_cast<std::size_t>(__builtin_ctzll(bits));
-    if (pen[bit] >= *best) continue;
-    if (energy_at[bit] >= *best) return 1;
-    if (obj[bit] < *best) {
-      *best = obj[bit];
-      *best_w = w0 + bit;
-    }
-  }
-  return 0;
-}
-
 std::size_t sse2_argmax_f64(const double* values, std::size_t n, double init) {
   if (n < 2 * kLanes) return scalar_argmax_f64(values, n, init);
   __m128d best_v = _mm_set1_pd(-std::numeric_limits<double>::infinity());
@@ -180,9 +127,8 @@ std::size_t sse2_argmin_strided_f64(const double* values, std::size_t n, std::si
 
 const KernelTable* sse2_table() noexcept {
   static const KernelTable table{
-      &sse2_relax_desc_f64,    &scalar_relax_desc_i64,      &sse2_argmax_f64,
-      &sse2_argmin_strided_f64, &scalar_energy_hull_cycles, &sse2_select_mask_f64,
-      &sse2_select_scan_f64,
+      &sse2_relax_desc_f64,     &scalar_relax_desc_i64,     &sse2_argmax_f64,
+      &sse2_argmin_strided_f64, &scalar_energy_hull_cycles,
   };
   return &table;
 }

@@ -18,9 +18,12 @@ void check_unique_ids(const std::vector<Task>& tasks) {
 
 }  // namespace
 
-FrameTaskSet::FrameTaskSet(std::vector<FrameTask> tasks) : tasks_(std::move(tasks)) {
-  check_unique_ids(tasks_);
-  for (const FrameTask& task : tasks_) {
+FrameTaskSet::FrameTaskSet() : tasks_(std::make_shared<const std::vector<FrameTask>>()) {}
+
+FrameTaskSet::FrameTaskSet(std::vector<FrameTask> tasks)
+    : tasks_(std::make_shared<const std::vector<FrameTask>>(std::move(tasks))) {
+  check_unique_ids(*tasks_);
+  for (const FrameTask& task : *tasks_) {
     validate(task);
     total_cycles_ += task.cycles;
     total_penalty_ += task.penalty;

@@ -4,24 +4,32 @@
 #define RETASK_TASK_TASK_SET_HPP
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "retask/task/task.hpp"
 
 namespace retask {
 
-/// An immutable-after-construction set of frame-based tasks.
+/// An immutable-after-construction set of frame-based tasks. Copies share
+/// one task vector, so copying a set (or a problem holding one) never copies
+/// its tasks.
 class FrameTaskSet {
  public:
-  FrameTaskSet() = default;
+  FrameTaskSet();
 
   /// Validates every task and freezes the set; ids must be unique.
   explicit FrameTaskSet(std::vector<FrameTask> tasks);
 
-  const std::vector<FrameTask>& tasks() const { return tasks_; }
-  std::size_t size() const { return tasks_.size(); }
-  bool empty() const { return tasks_.empty(); }
-  const FrameTask& operator[](std::size_t index) const { return tasks_[index]; }
+  // Copy only: a move would leave its source without a task vector, and a
+  // copy only adds a reference to the shared one.
+  FrameTaskSet(const FrameTaskSet&) = default;
+  FrameTaskSet& operator=(const FrameTaskSet&) = default;
+
+  const std::vector<FrameTask>& tasks() const { return *tasks_; }
+  std::size_t size() const { return tasks_->size(); }
+  bool empty() const { return tasks_->empty(); }
+  const FrameTask& operator[](std::size_t index) const { return (*tasks_)[index]; }
 
   /// Sum of worst-case execution cycles over all tasks.
   Cycles total_cycles() const { return total_cycles_; }
@@ -30,7 +38,7 @@ class FrameTaskSet {
   double total_penalty() const { return total_penalty_; }
 
  private:
-  std::vector<FrameTask> tasks_;
+  std::shared_ptr<const std::vector<FrameTask>> tasks_;
   Cycles total_cycles_ = 0;
   double total_penalty_ = 0.0;
 };

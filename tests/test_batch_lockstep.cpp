@@ -331,8 +331,12 @@ TEST(BatchLockstep, FusedSweepMatchesWarmAndColdEveryBackend) {
       const std::vector<std::vector<const RejectionProblem*>> grids = sweep_grids(fleet, sweeps);
       std::vector<std::vector<RejectionSolution>> warm(grids.size());
       std::vector<std::vector<RejectionSolution>> cold(grids.size());
+      obs::Registry warm_metrics;
       for (std::size_t i = 0; i < grids.size(); ++i) {
-        warm[i] = base.solve_sweep(grids[i]);
+        {
+          obs::ActiveScope scope(warm_metrics);
+          warm[i] = base.solve_sweep(grids[i]);
+        }
         cold[i] = solve_solo(base, grids[i]);
       }
       expect_grid_identical(warm, cold);  // the warm baseline itself
@@ -352,7 +356,12 @@ TEST(BatchLockstep, FusedSweepMatchesWarmAndColdEveryBackend) {
           // solve_sweep, so it never contributes fused points.
           EXPECT_EQ(counter_of(metrics, "batch.fused_sweep_points"), lanes == 4 ? 12u : 15u);
           EXPECT_EQ(counter_of(metrics, "batch.sweep_fallbacks"), lanes == 4 ? 1u : 0u);
-          EXPECT_GT(counter_of(metrics, "batch.select_scan_words"), 0u);
+          // Each lane walks its own staircase as its warm sweep does, so
+          // fused and fallback evaluations add up to the warm sweeps' own.
+          EXPECT_GT(counter_of(metrics, "batch.select_energy_evals"), 0u);
+          EXPECT_EQ(counter_of(metrics, "batch.select_energy_evals") +
+                        counter_of(metrics, "exact_dp.energy_evals"),
+                    counter_of(warm_metrics, "exact_dp.energy_evals"));
         }
       }
     }

@@ -6,6 +6,7 @@
 #include "retask/serve/delta_solver.hpp"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -288,6 +289,22 @@ TEST(DeltaSolver, AdoptTableValidatesItsContract) {
   sparse.cp_values.pop_back();
   sparse.cp_reach.pop_back();
   EXPECT_THROW(empty.adopt_table(captured.fleets[1], std::move(sparse)), Error);
+}
+
+TEST(DeltaSolver, ValueRowOverTheBudgetThrowsBeforeAllocating) {
+  // About 1e12 cycles fit at top speed, so the value row alone would take
+  // about 8e12 bytes, an allocation that fails with bad_alloc. The budget
+  // check must refuse it first, with an Error naming the size.
+  const EnergyCurve curve = xscale_curve();
+  const double wpc = curve.max_workload() / 1e12;
+  const auto width = static_cast<std::size_t>(cycle_capacity_for(curve, wpc)) + 1;
+  try {
+    DeltaSolver delta(curve, wpc);
+    FAIL() << "expected an Error";
+  } catch (const Error& error) {
+    const std::string needs = "needs " + std::to_string(width * sizeof(double)) + " bytes";
+    EXPECT_NE(std::string(error.what()).find(needs), std::string::npos) << error.what();
+  }
 }
 
 TEST(DeltaSolver, SharedMemoCannotChangeSolutions) {

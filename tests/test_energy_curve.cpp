@@ -149,6 +149,45 @@ TEST(EnergyCurve, CopySemantics) {
   EXPECT_EQ(c.window(), 1.0);
 }
 
+TEST(EnergyCurve, CopiesShareTheModelAndOutliveTheSource) {
+  // Copies share one model. Once the source is gone a copy still gives the
+  // source's bits, on a discrete hull and on a continuous curve with sleep
+  // overheads (ContinuousCurve.OpaqueContinuousModelsMatchThePolynomialBody
+  // covers a model the closed-form body reaches through a pointer).
+  const IdleDiscipline enable = IdleDiscipline::kDormantEnable;
+  const SleepParams sleep{0.05, 0.1};
+  for (const bool discrete : {true, false}) {
+    auto source = discrete ? std::make_unique<EnergyCurve>(TablePowerModel::xscale5(), 1.0,
+                                                           enable, sleep)
+                           : std::make_unique<EnergyCurve>(PolynomialPowerModel::xscale(), 1.0,
+                                                           enable, sleep);
+    const EnergyCurve copy = *source;
+    EnergyCurve assigned(PolynomialPowerModel::cubic(), 2.0, IdleDiscipline::kDormantDisable);
+    assigned = *source;
+    EXPECT_EQ(&copy.model(), &source->model());
+    EXPECT_EQ(&assigned.model(), &source->model());
+    std::vector<double> want;
+    for (int k = 0; k <= 100; ++k) {
+      const double w = source->max_workload() * static_cast<double>(k) / 100.0;
+      want.push_back(source->energy(w));
+      want.push_back(source->convex_floor(w));
+      want.push_back(source->plan_energy(source->plan(w)));
+    }
+    source.reset();
+    for (const EnergyCurve* curve : {&copy, static_cast<const EnergyCurve*>(&assigned)}) {
+      std::size_t j = 0;
+      for (int k = 0; k <= 100; ++k) {
+        const double w = curve->max_workload() * static_cast<double>(k) / 100.0;
+        for (const double got :
+             {curve->energy(w), curve->convex_floor(w), curve->plan_energy(curve->plan(w))}) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want[j++]))
+              << (discrete ? "discrete" : "continuous") << " at W = " << w;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Parameterized property sweep over models and disciplines.
 

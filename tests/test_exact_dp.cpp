@@ -4,11 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "retask/common/error.hpp"
+#include "retask/common/rng.hpp"
+#include "retask/core/dp_table.hpp"
 #include "retask/core/exhaustive.hpp"
 #include "retask/power/polynomial_power.hpp"
+#include "retask/power/table_power.hpp"
 #include "test_util.hpp"
 
 namespace retask {
@@ -81,12 +91,142 @@ TEST(ExactDp, OversizedTableThrowsErrorBeforeAllocating) {
   EXPECT_THROW(ExactDpSolver().solve_sweep({&p, &p}), Error);
 }
 
+TEST(DpTable, ByteArithmetic) {
+  // Value rows are 8 bytes a cell; choice rows round their bits up to whole
+  // 64-bit words.
+  EXPECT_EQ(dp_table_bytes(0, 0, 0), std::optional<std::size_t>{0});
+  EXPECT_EQ(dp_table_bytes(64, 1, 0), std::optional<std::size_t>{512});
+  EXPECT_EQ(dp_table_bytes(64, 0, 3), std::optional<std::size_t>{24});
+  EXPECT_EQ(dp_table_bytes(65, 1, 1), std::optional<std::size_t>{65 * 8 + 16});
+  EXPECT_EQ(dp_table_bytes(1000, 3, 5), std::optional<std::size_t>{3 * 8000 + 5 * 16 * 8});
+  // Every product and the sum are checked for size_t overflow.
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(dp_table_bytes(huge / 8 + 1, 1, 0), std::nullopt);
+  EXPECT_EQ(dp_table_bytes(huge / 16, 3, 0), std::nullopt);
+  // huge / 16 cells: a value row of 2^63 - 8 bytes, choice rows of 2^57.
+  const std::size_t take_row = std::size_t{1} << 57;
+  EXPECT_EQ(dp_table_bytes(huge / 16, 0, 127), std::optional<std::size_t>{127 * take_row});
+  EXPECT_EQ(dp_table_bytes(huge / 16, 0, 128), std::nullopt);
+  EXPECT_EQ(dp_table_bytes(huge / 16, 1, 64), std::optional<std::size_t>{huge - 7});
+  EXPECT_EQ(dp_table_bytes(huge / 16, 1, 65), std::nullopt);
+  EXPECT_EQ(dp_table_bytes(huge, 0, 0), std::nullopt);
+}
+
 TEST(ExactDp, GuardsMultiprocessorInstances) {
   ScenarioConfig config;
   config.processor_count = 2;
   const PolynomialPowerModel model = PolynomialPowerModel::xscale();
   const RejectionProblem p = make_scenario(config, model);
   EXPECT_THROW(ExactDpSolver().solve(p), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Staircase select == the serial rule over every row.
+
+constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+struct SerialPick {
+  std::size_t best_w = 0;
+  double best_objective = std::numeric_limits<double>::infinity();
+  std::uint64_t energy_evals = 0;
+};
+
+/// The select before the staircase, written out: every row w in [0, cap] in
+/// ascending order, skipping a row whose penalty alone reaches the best,
+/// stopping at the first whose energy alone reaches it, and taking strict
+/// improvements only.
+SerialPick serial_select(const std::vector<double>& kept, std::size_t cap, double total,
+                         const std::function<double(Cycles)>& energy) {
+  SerialPick pick;
+  for (std::size_t w = 0; w <= cap; ++w) {
+    const double penalty = total - kept[w];
+    if (penalty >= pick.best_objective) continue;
+    const double e = energy(static_cast<Cycles>(w));
+    ++pick.energy_evals;
+    if (e >= pick.best_objective) break;
+    if (e + penalty < pick.best_objective) {
+      pick.best_objective = e + penalty;
+      pick.best_w = w;
+    }
+  }
+  return pick;
+}
+
+/// Value rows as fills produce them (row 0 is the empty set, kept 0): -inf
+/// gaps, ties and plateaus, a record on the last row, a single row, and
+/// seeded random rows mixing all of these.
+std::vector<std::vector<double>> staircase_rows() {
+  std::vector<std::vector<double>> rows = {
+      {0.0},
+      {0.0, kNegInf, kNegInf, 0.7, kNegInf, 1.1, kNegInf, kNegInf, 1.9, kNegInf},
+      {0.0, 0.4, 0.4, 0.4, 0.9, 0.9, 0.3, 0.9, 1.6, 1.6, 1.6, 1.2},
+      {0.0, 0.2, 0.2, kNegInf, 0.2, 0.1, 0.2, 0.2, 3.5},
+      {0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0},
+      {0.0, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf},
+  };
+  Rng rng(0x57A1);
+  for (int r = 0; r < 24; ++r) {
+    std::vector<double> row(static_cast<std::size_t>(rng.uniform_int(1, 160)));
+    row[0] = 0.0;
+    for (std::size_t w = 1; w < row.size(); ++w) {
+      const double u = rng.uniform();
+      if (u < 0.3) {
+        row[w] = kNegInf;
+      } else if (u < 0.5) {
+        row[w] = row[w - 1];  // a plateau (or a -inf run)
+      } else {
+        row[w] = std::round(rng.uniform(0.0, 4.0) * 8.0) / 8.0;  // coarse: ties recur
+      }
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(DpSelect, StaircaseMatchesTheSerialRuleOverEveryRow) {
+  const EnergyCurve continuous(PolynomialPowerModel::xscale(), 1.0,
+                               IdleDiscipline::kDormantEnable);
+  const EnergyCurve discrete(TablePowerModel::xscale5(), 1.0, IdleDiscipline::kDormantDisable);
+  const double wpc = 1.0 / 160.0;  // 160 cycles fit at top speed
+  const std::vector<std::pair<const char*, std::function<double(Cycles)>>> energies = {
+      {"continuous", [&](Cycles w) { return continuous.energy(wpc * static_cast<double>(w)); }},
+      {"table5", [&](Cycles w) { return discrete.energy(wpc * static_cast<double>(w)); }},
+      {"step", [](Cycles w) { return 0.5 * static_cast<double>(w / 7); }},
+  };
+  DpStaircase stairs;
+  for (const std::vector<double>& kept : staircase_rows()) {
+    const std::size_t top = kept.size() - 1;
+    dp_staircase(kept.data(), top, stairs);
+    ASSERT_FALSE(stairs.rows.empty());
+    EXPECT_EQ(stairs.rows.front(), 0u);
+    double max_kept = 0.0;
+    for (const double k : kept) max_kept = std::max(max_kept, k);
+    for (const double total : {max_kept, max_kept + 0.75, max_kept + 3.0}) {
+      for (const auto& [label, energy] : energies) {
+        // One staircase taken at the widest row answers every narrower cap.
+        for (std::size_t cap = 0; cap <= top; ++cap) {
+          SCOPED_TRACE(std::string(label) + " width " + std::to_string(kept.size()) + " cap " +
+                       std::to_string(cap) + " total " + std::to_string(total));
+          const SerialPick want = serial_select(kept, cap, total, energy);
+          const DpPick got = dp_select(stairs, cap, total, energy);
+          EXPECT_EQ(got.best_w, want.best_w);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.best_objective),
+                    std::bit_cast<std::uint64_t>(want.best_objective));
+          EXPECT_LE(got.energy_evals, want.energy_evals);
+        }
+      }
+    }
+  }
+}
+
+TEST(DpSelect, StaircaseKeepsOnlyStrictPrefixRecords) {
+  const std::vector<double> kept = {0.0, kNegInf, 0.5, 0.5, 0.2, 1.0, kNegInf, 1.0, 2.0};
+  DpStaircase stairs;
+  dp_staircase(kept.data(), kept.size() - 1, stairs);
+  EXPECT_EQ(stairs.rows, (std::vector<std::size_t>{0, 2, 5, 8}));
+  EXPECT_EQ(stairs.kept, (std::vector<double>{0.0, 0.5, 1.0, 2.0}));
+  dp_staircase(kept.data(), 4, stairs);  // a narrower cap, reusing the buffers
+  EXPECT_EQ(stairs.rows, (std::vector<std::size_t>{0, 2}));
 }
 
 // ---------------------------------------------------------------------------

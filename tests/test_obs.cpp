@@ -201,9 +201,11 @@ TEST(Metrics, SolverRunPopulatesScopedRegistry) {
 
 // Fused-sweep counter parity: the fused cross-instance path must report the
 // same fill/warm-start work as the per-instance warm sweeps it replaces
-// (exact_dp.solves, dp.warm_starts), adding only its own batch.* counters;
-// below 2 lanes the fused counters stay at zero and every instance is a
-// counted fallback.
+// (exact_dp.solves, dp.warm_starts) and the same select work
+// (batch.select_energy_evals equals the warm sweeps' exact_dp.energy_evals,
+// since every lane walks its own staircase), adding only its own batch.*
+// counters; below 2 lanes the fused counters stay at zero and every instance
+// is a counted fallback.
 TEST(Metrics, FusedSweepCountersMirrorWarmSweepsAndVanishBelowTwoLanes) {
   const std::vector<double> factors{0.5, 0.8, 1.0};
   std::vector<RejectionProblem> fleet;
@@ -221,8 +223,9 @@ TEST(Metrics, FusedSweepCountersMirrorWarmSweepsAndVanishBelowTwoLanes) {
   const obs::MetricId warm_starts = obs::intern_metric(MetricKind::kCounter, "dp.warm_starts");
   const obs::MetricId fused_points =
       obs::intern_metric(MetricKind::kCounter, "batch.fused_sweep_points");
-  const obs::MetricId scan_words =
-      obs::intern_metric(MetricKind::kCounter, "batch.select_scan_words");
+  const obs::MetricId select_evals =
+      obs::intern_metric(MetricKind::kCounter, "batch.select_energy_evals");
+  const obs::MetricId solo_evals = obs::intern_metric(MetricKind::kCounter, "exact_dp.energy_evals");
   const obs::MetricId fallbacks = obs::intern_metric(MetricKind::kCounter, "batch.sweep_fallbacks");
 
   const ExactDpSolver exact;
@@ -244,7 +247,9 @@ TEST(Metrics, FusedSweepCountersMirrorWarmSweepsAndVanishBelowTwoLanes) {
   EXPECT_EQ(fused.counter(solves), solo.counter(solves));
   EXPECT_EQ(fused.counter(warm_starts), solo.counter(warm_starts));
   EXPECT_EQ(fused.counter(fused_points), fleet.size() * factors.size());
-  EXPECT_GT(fused.counter(scan_words), 0u);
+  EXPECT_GT(fused.counter(select_evals), 0u);
+  EXPECT_EQ(fused.counter(select_evals), solo.counter(solo_evals));
+  EXPECT_EQ(fused.counter(solo_evals), 0u);
   EXPECT_EQ(fused.counter(fallbacks), 0u);
 
   Registry off;
@@ -253,7 +258,8 @@ TEST(Metrics, FusedSweepCountersMirrorWarmSweepsAndVanishBelowTwoLanes) {
     BatchRejectionSolver(exact, BatchConfig{1}).solve_sweep_batch(grids);
   }
   EXPECT_EQ(off.counter(fused_points), 0u);
-  EXPECT_EQ(off.counter(scan_words), 0u);
+  EXPECT_EQ(off.counter(select_evals), 0u);
+  EXPECT_EQ(off.counter(solo_evals), solo.counter(solo_evals));
   EXPECT_EQ(off.counter(fallbacks), fleet.size());
   // The fallback is exactly the warm per-instance path.
   EXPECT_EQ(off.counter(solves), solo.counter(solves));

@@ -246,86 +246,6 @@ TEST(SimdKernels, ArgminStridedMatchesScalarIncludingInfSentinels) {
   }
 }
 
-TEST(SimdKernels, SelectMaskMatchesScalarAtEveryWidth) {
-  // The lockstep/select prediction scan: bit i set iff
-  // total - kept[i] < snapshot. -inf kept entries (unreachable rows) fold
-  // into the compare — total - (-inf) = +inf is never < snapshot, even when
-  // snapshot is +inf itself. Widths are capped at the kernel's 64-row
-  // contract.
-  const simd::KernelTable& scalar = *simd::scalar_table();
-  for (const simd::Backend backend : available_backends()) {
-    const simd::KernelTable& table = simd::kernels_for(backend);
-    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
-                                std::size_t{5}, std::size_t{7}, std::size_t{8}, std::size_t{9},
-                                std::size_t{31}, std::size_t{63}, std::size_t{64}}) {
-      Rng rng(0x5E1E ^ (n * 4u + static_cast<std::size_t>(backend)));
-      for (int rep = 0; rep < 12; ++rep) {
-        const std::vector<double> kept = random_f64_row(rng, n);
-        const double total = rng.uniform(0.0, 100.0);
-        for (const double snapshot : {kInf, total, rng.uniform(-50.0, 150.0), 0.0}) {
-          std::uint64_t expected = 0;
-          for (std::size_t i = 0; i < n; ++i) {
-            if (total - kept[i] < snapshot) expected |= std::uint64_t{1} << i;
-          }
-          ASSERT_EQ(scalar.select_mask_f64(kept.data(), n, total, snapshot), expected)
-              << "scalar n=" << n;
-          ASSERT_EQ(table.select_mask_f64(kept.data(), n, total, snapshot), expected)
-              << simd::to_string(backend) << " n=" << n;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, SelectScanMatchesScalarAtEveryWidth) {
-  // The select's replay walk: visits the set mask bits in ascending order,
-  // prunes rows whose penalty alone reaches the incumbent, early-exits (and
-  // reports done) when a candidate's energy alone reaches it, and otherwise
-  // takes objective improvements. Every backend must reproduce the scalar
-  // walk's (best, best_w, done) triple exactly — the walk is order-sensitive,
-  // so a single divergence shows up in the outputs. Widths are capped at the
-  // kernel's 64-row contract; mask bits at or above n are zero per contract.
-  const simd::KernelTable& scalar = *simd::scalar_table();
-  for (const simd::Backend backend : available_backends()) {
-    const simd::KernelTable& table = simd::kernels_for(backend);
-    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
-                                std::size_t{5}, std::size_t{7}, std::size_t{8}, std::size_t{9},
-                                std::size_t{31}, std::size_t{63}, std::size_t{64}}) {
-      Rng rng(0x5CA9 ^ (n * 4u + static_cast<std::size_t>(backend)));
-      for (int rep = 0; rep < 12; ++rep) {
-        const std::vector<double> kept = random_f64_row(rng, n);
-        // Ascending non-negative energies, as the solver's capacity rows
-        // produce — including exact duplicates so ties hit both prune arms.
-        std::vector<double> energy(n);
-        double acc = rng.uniform(0.0, 1.0);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (rng.uniform() < 0.7) acc += rng.uniform(0.0, 3.0);
-          energy[i] = acc;
-        }
-        const double total = rng.uniform(0.0, 100.0);
-        std::uint64_t mask = rng();
-        if (n < 64) mask &= (std::uint64_t{1} << n) - 1;
-        const std::size_t w0 = static_cast<std::size_t>(rng.uniform_int(0, 1000));
-        for (const double init : {kInf, total, rng.uniform(-50.0, 150.0), energy[0]}) {
-          double best_a = init;
-          double best_b = init;
-          std::size_t w_a = static_cast<std::size_t>(-1);
-          std::size_t w_b = static_cast<std::size_t>(-1);
-          const std::uint32_t done_a =
-              scalar.select_scan_f64(kept.data(), energy.data(), n, mask, total, w0, &best_a, &w_a);
-          const std::uint32_t done_b =
-              table.select_scan_f64(kept.data(), energy.data(), n, mask, total, w0, &best_b, &w_b);
-          ASSERT_EQ(done_a, done_b)
-              << simd::to_string(backend) << " n=" << n << " init=" << init;
-          ASSERT_TRUE(bits_equal(best_a, best_b))
-              << simd::to_string(backend) << " n=" << n << " init=" << init;
-          ASSERT_EQ(w_a, w_b) << simd::to_string(backend) << " n=" << n << " init=" << init;
-        }
-      }
-    }
-  }
-}
-
 /// Curves covering both idle disciplines and a costly sleep transition on a
 /// discrete (hull) model — the kernel's entire domain.
 std::vector<EnergyCurve> hull_curves() {

@@ -222,6 +222,7 @@ TEST(CliOptions, RejectsBadInput) {
   EXPECT_THROW(parse_cli_options({"--input", "x", "--frame", "-1"}), Error);
   EXPECT_THROW(parse_cli_options({"--input", "x", "--esw", "-2"}), Error);
   EXPECT_THROW(parse_cli_options({"--input", "x", "--model", "tpu"}), Error);
+  EXPECT_THROW(parse_cli_options({"--input", "x", "--solver", "fptas:-1"}), Error);
   EXPECT_THROW(parse_cli_options({"--wat"}), Error);
 }
 

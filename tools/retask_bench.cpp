@@ -749,9 +749,9 @@ obs::BenchWorkloadResult run_workload(const Workload& workload, int repeats) {
     result.metrics.emplace_back(row.name, row.numeric);
   }
 
-  // Kernel attribution, stdout only (timers never enter the gated report):
-  // the share of the lockstep / fused-sweep batch time the select
-  // prediction+replay scans account for.
+  // Select attribution, stdout only (timers never enter the gated report):
+  // the share of the lockstep / fused-sweep batch time the staircase selects
+  // account for.
   {
     double select_ns = 0.0;
     double batch_ns = 0.0;

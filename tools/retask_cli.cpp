@@ -158,17 +158,25 @@ int run(const CliOptions& options) {
 
 }  // namespace
 
+// Exit codes: 0 success, 1 an error while solving (or a failed EDF check),
+// 2 a usage error, which also prints the usage text.
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
+  CliOptions options;
   try {
-    const CliOptions options = parse_cli_options(args);
-    if (options.help) {
-      std::cout << cli_usage();
-      return 0;
-    }
-    return run(options);
+    options = parse_cli_options(args);
   } catch (const Error& error) {
     std::cerr << "error: " << error.what() << "\n\n" << cli_usage();
     return 2;
+  }
+  if (options.help) {
+    std::cout << cli_usage();
+    return 0;
+  }
+  try {
+    return run(options);
+  } catch (const Error& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
   }
 }
