@@ -5,8 +5,8 @@
 // multiprocessor Lagrangian bound and the solve throughput (instances/sec),
 // plus the MP-SCALE / MP-GREEDY throughput speedup and MP-SCALE's median
 // relative bound gap. The quality columns are bit-identical at any
-// RETASK_JOBS / RETASK_BATCH / SIMD backend (the mp-scale invariance
-// contract); the throughput columns are wall-clock and machine-dependent.
+// RETASK_JOBS / SIMD backend (the mp-scale invariance contract); the
+// throughput columns are wall-clock and machine-dependent.
 //
 // Expected shape: both solvers stay within a few percent of the bound (the
 // gap includes the bound's integrality slack), and the speedup grows with M.

@@ -28,33 +28,12 @@ struct DpStaircase {
   std::vector<double> kept;       ///< kept[w] of each row, strictly ascending
 };
 
-/// Buffers of one exact-DP fill (core/dp_table.hpp): the value row every lane
-/// is filled through, the lane-major choice bits and each lane's staircase.
+/// Buffers of one exact-DP fill (core/dp_table.hpp): the value row, the
+/// per-task choice bits and the filled row's staircase.
 struct DpScratch {
-  std::size_t stride = 0;           ///< choice bits per lane per task (dp_fill)
-  std::vector<double> value;        ///< stride cells: the last filled lane's row
-  BitMatrix take;                   ///< lane k's bits at columns [k * stride, (k + 1) * stride)
-  std::vector<DpStaircase> stairs;  ///< lane k's staircase over [0, its cap]
-};
-
-/// A filled exact-DP table captured for handoff between solvers — the
-/// lockstep lanes (batch/lockstep.hpp) export their per-lane tables in this
-/// form and DeltaSolver::adopt_table (serve/delta_solver.hpp) seeds from it
-/// instead of replaying the fill. The capture is self-describing: `value`
-/// and `take` are the fill at some capacity `value.size() - 1` over the
-/// producing task vector in order, `reachable` is the fill's reachability
-/// bound, and `cp_values[c]` / `cp_reach[c]` snapshot the value row after
-/// the first (c + 1) * checkpoint_stride tasks — dense (one row per stride
-/// boundary), exactly the rows DeltaSolver's own checkpointing would have
-/// retained. An empty `value` means "no capture" (the producer gated it
-/// off); consumers must fall back to a cold seed.
-struct DpTableExport {
-  std::vector<double> value;  ///< kept[w] over w in [0, fill capacity]
-  BitMatrix take;             ///< per-task choice bits, one row per task
-  std::size_t reachable = 0;  ///< largest reachable w after the last task
-  int checkpoint_stride = 0;  ///< tasks between cp_values rows
-  std::vector<std::vector<double>> cp_values;  ///< value row per stride boundary
-  std::vector<std::size_t> cp_reach;           ///< reachability per boundary
+  std::vector<double> value;  ///< the filled value row
+  BitMatrix take;             ///< choice bit (i, w): task i improved row w
+  DpStaircase stairs;         ///< the staircase of the filled row
 };
 
 /// Buffers reused across the guess-refinement rounds of one FPTAS solve.

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "retask/core/problem.hpp"
-#include "retask/power/energy_curve.hpp"
 
 namespace retask {
 
@@ -23,20 +22,6 @@ namespace retask {
 /// is the warm-start precondition — the prefix-DP table depends on nothing
 /// else about the instance.
 bool same_task_sets(const FrameTaskSet& a, const FrameTaskSet& b);
-
-/// Bitwise energy-curve equality: identical window, idle discipline, sleep
-/// parameters and power model (discrete models point by point; continuous
-/// models by parameters when the concrete type is known, else never equal).
-/// E(W) is a pure function of the curve, so equal curves compute identical
-/// energies — the precondition for sharing evaluations across instances.
-bool same_curves(const EnergyCurve& a, const EnergyCurve& b);
-
-/// Platform equality: same work_per_cycle, processor count and energy
-/// curve. Problems on one platform map equal cycle counts to bit-identical
-/// energies, which is exactly the EnergyMemo sharing contract (see
-/// cache/energy_memo.hpp) and the lockstep batch solver's lane-grouping
-/// precondition.
-bool same_platforms(const RejectionProblem& a, const RejectionProblem& b);
 
 /// Capacity-sweep variants of `base`: every point keeps (and shares) the task
 /// set, the energy curve and the processor count, and scales work_per_cycle by

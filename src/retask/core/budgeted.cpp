@@ -49,12 +49,11 @@ Cycles budget_cycle_cap(const BudgetedProblem& problem) {
 }
 
 /// Knapsack-over-cycles fill into the scratch arena: the exact DP's table
-/// (one dp_fill lane, core/dp_table.hpp), including the prefix property
-/// that makes one fill at the largest cap serve every smaller cap
-/// bit-identically.
+/// (core/dp_table.hpp), including the prefix property that makes one fill
+/// at the largest cap serve every smaller cap bit-identically.
 void fill_budgeted_table(const BudgetedProblem& problem, Cycles cap, DpScratch& scratch) {
-  const DpFillLane lane{problem.tasks.tasks().data(), static_cast<std::size_t>(cap)};
-  dp_fill(scratch, problem.tasks.size(), &lane, 1);
+  dp_fill(scratch, problem.tasks.tasks().data(), problem.tasks.size(),
+          static_cast<std::size_t>(cap));
 }
 
 /// Reads the best accept set for cycle cap `cap` off a table filled at
@@ -69,8 +68,7 @@ BudgetedSolution select_budgeted(const BudgetedProblem& problem, Cycles cap,
   const std::size_t best_w = hit == simd::kNpos ? 0 : hit;
 
   std::vector<bool> accepted;
-  dp_backtrack(scratch.take, 0, problem.tasks.tasks().data(), problem.tasks.size(), best_w,
-               accepted);
+  dp_backtrack(scratch.take, problem.tasks.tasks().data(), problem.tasks.size(), best_w, accepted);
   return make_budgeted_solution(problem, std::move(accepted));
 }
 

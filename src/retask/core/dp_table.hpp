@@ -5,14 +5,12 @@
 // carry at exactly w (kept[w], -inf when no subset sums to w), and answers
 // with the row minimizing E(w) + (total_penalty - kept[w]). Every solver that
 // builds or reads such a table — the solo solve and its warm sweep, the
-// budgeted DP, the lockstep lanes and fused sweeps (batch/lockstep.hpp) and
-// the serve-mode delta solver (serve/delta_solver.hpp) — shares the pieces
-// in this header:
+// budgeted DP and the serve-mode delta solver (serve/delta_solver.hpp) —
+// shares the pieces in this header:
 //
 //  * the per-task relaxation with reachability pruning (dp_relax), and the
-//    fill built on it (dp_fill), which runs its lanes one after another
-//    through a single value row, keeps every lane's choice bits, and sizes
-//    the table against kDpTableByteBudget before allocating anything;
+//    fill built on it (dp_fill), which sizes the table against
+//    kDpTableByteBudget before allocating anything;
 //  * the staircase of a filled value row (dp_staircase) and the select that
 //    walks it (dp_select);
 //  * the accept-set backtrack through the choice bits (dp_backtrack).
@@ -20,8 +18,8 @@
 // Prefix property: rows w <= c of a fill at any capacity >= c are
 // bit-identical to a dedicated fill at c, because tasks with cycles > c
 // only write rows >= their own cycle count and rows <= c are reachable only
-// through tasks both fills process identically. Warm sweeps, fused sweeps
-// and the delta solver all read narrower answers off one wider fill.
+// through tasks both fills process identically. Warm sweeps and the delta
+// solver read narrower answers off one wider fill.
 //
 // Staircase (the dominance rule of Nemhauser and Ullmann, 1969): E is
 // non-decreasing in w, so a row w with kept[w] <= kept[w'] for some lighter
@@ -62,8 +60,8 @@
 
 namespace retask {
 
-/// Largest table an exact-DP solver may hold: one dp_fill's value row plus
-/// every lane's choice bits, or a DeltaSolver's retained rows. A fill or a
+/// Largest table an exact-DP solver may hold: one dp_fill's value row and
+/// choice bits, or a DeltaSolver's retained rows. A fill or a
 /// request that would need more throws Error naming the size before it
 /// allocates anything. The widest tables the benches build stay under 1 MiB,
 /// so the ceiling only stops capacities the exact DP could not fill in
@@ -80,17 +78,9 @@ std::optional<std::size_t> dp_table_bytes(std::size_t width, std::size_t value_r
 /// cycles). Throws Error for multiprocessor problems.
 Cycles dp_fill_capacity(const RejectionProblem& problem);
 
-/// One lane of a fill: the fill's `n` tasks starting at `tasks`, filled at
-/// capacity `cap`.
-struct DpFillLane {
-  const FrameTask* tasks = nullptr;
-  std::size_t cap = 0;
-};
-
-/// Cell accounting of one fill, summed over its lanes (the exact_dp.*
-/// counters): each task either relaxes rows [c, top] (touched) and skips
-/// the rest of its lane's cap + 1 rows, or is pruned (c > cap) and skips
-/// them all.
+/// Cell accounting of one fill (the exact_dp.* counters): each task either
+/// relaxes rows [c, top] (touched) and skips the rest of the cap + 1 rows,
+/// or is pruned (c > cap) and skips them all.
 struct DpFillCounts {
   std::uint64_t cells_touched = 0;
   std::uint64_t cells_skipped = 0;
@@ -113,27 +103,13 @@ std::size_t dp_relax(double* value, std::uint64_t* take_row, std::size_t cap,
 /// across calls.
 void dp_staircase(const double* kept, std::size_t cap, DpStaircase& out);
 
-/// Fills one knapsack table per lane, one lane after another, through the
-/// single value row table.value (stride cells). Lane k's choice bit for
-/// (task i, row w) is take bit (i, k * stride + w), lane-major; the stride
-/// is the widest lane's cap + 1 rounded up to 64, so every lane owns whole
-/// choice words. After lane k's last task its staircase over [0, cap] is
-/// taken into table.stairs[k]; the next lane then reuses the value row, which
-/// ends holding the last lane's final row.
-///
-/// The table's size (one value row plus every lane's choice bits) is checked
-/// against kDpTableByteBudget first; Error names the size when it overflows
-/// size_t or exceeds the budget, before anything is allocated.
-///
-/// When `exports` is non-null (one slot per lane), lane k's finished table
-/// — value row, choice bits and dense value-row checkpoints every
-/// max(1, ceil(n / 4)) tasks — is captured into (*exports)[k] unless the
-/// capture would exceed 16 MiB; that state is what DeltaSolver::admit_all
-/// over the lane's tasks retains, i.e. DeltaSolver::adopt_table's contract.
-/// Slots over the budget stay untouched; the gate is a pure function of the
-/// lane geometry, so it can never change a solution bit.
-DpFillCounts dp_fill(DpScratch& table, std::size_t n, const DpFillLane* lanes,
-                     std::size_t count, std::vector<DpTableExport>* exports = nullptr);
+/// Fills the knapsack table of the `n` tasks at `tasks` at capacity `cap`
+/// into `table`: the value row and one row of choice bits per task, each
+/// cap + 1 cells rounded up to 64, then the staircase over [0, cap] into
+/// table.stairs. The table's size is checked against kDpTableByteBudget
+/// first; Error names the size when it overflows size_t or exceeds the
+/// budget, before anything is allocated.
+DpFillCounts dp_fill(DpScratch& table, const FrameTask* tasks, std::size_t n, std::size_t cap);
 
 /// The row a select picked and the energy evaluations it spent.
 struct DpPick {
@@ -168,12 +144,11 @@ DpPick dp_select(const DpStaircase& stairs, std::size_t cap, double total_penalt
   return pick;
 }
 
-/// Reconstructs the accept set of the lane whose choice bits start at bit
-/// `offset` of every take row, from row `w`: for tasks n-1 down to 0, a set
-/// bit (i, offset + w) accepts task i and steps w back by its cycles.
+/// Reconstructs the accept set from row `w`: for tasks n-1 down to 0, a set
+/// choice bit (i, w) accepts task i and steps w back by its cycles.
 /// `accepted` is assigned n entries in place; the walk must end at row 0.
-void dp_backtrack(const BitMatrix& take, std::size_t offset, const FrameTask* tasks,
-                  std::size_t n, std::size_t w, std::vector<bool>& accepted);
+void dp_backtrack(const BitMatrix& take, const FrameTask* tasks, std::size_t n, std::size_t w,
+                  std::vector<bool>& accepted);
 
 }  // namespace retask
 

@@ -13,12 +13,11 @@ namespace retask {
 namespace {
 
 /// Fills the knapsack table for `problem`'s task set at capacity `cap` into
-/// the scratch arena and takes its staircase (one dp_fill lane; see
-/// core/dp_table.hpp for the table and the prefix property the sweep entry
-/// point exploits).
+/// the scratch arena and takes its staircase (see core/dp_table.hpp for the
+/// table and the prefix property the sweep entry point exploits).
 void fill_table(const RejectionProblem& problem, Cycles cap, DpScratch& scratch) {
-  const DpFillLane lane{problem.tasks().tasks().data(), static_cast<std::size_t>(cap)};
-  [[maybe_unused]] const DpFillCounts counts = dp_fill(scratch, problem.size(), &lane, 1);
+  [[maybe_unused]] const DpFillCounts counts = dp_fill(
+      scratch, problem.tasks().tasks().data(), problem.size(), static_cast<std::size_t>(cap));
   RETASK_COUNT("exact_dp.cells_touched", counts.cells_touched);
   RETASK_COUNT("exact_dp.cells_skipped", counts.cells_skipped);
   RETASK_COUNT("exact_dp.tasks_pruned", counts.tasks_pruned);
@@ -32,12 +31,12 @@ void fill_table(const RejectionProblem& problem, Cycles cap, DpScratch& scratch)
 RejectionSolution select_best(const RejectionProblem& problem, Cycles cap,
                               const DpScratch& scratch) {
   const DpPick pick =
-      dp_select(scratch.stairs[0], static_cast<std::size_t>(cap), problem.tasks().total_penalty(),
+      dp_select(scratch.stairs, static_cast<std::size_t>(cap), problem.tasks().total_penalty(),
                 [&problem](Cycles w) { return problem.energy_of_cycles(w); });
   RETASK_COUNT("exact_dp.energy_evals", pick.energy_evals);
 
   std::vector<bool> accepted;
-  dp_backtrack(scratch.take, 0, problem.tasks().tasks().data(), problem.size(), pick.best_w,
+  dp_backtrack(scratch.take, problem.tasks().tasks().data(), problem.size(), pick.best_w,
                accepted);
   return make_solution_on_one(problem, std::move(accepted));
 }

@@ -190,7 +190,7 @@ RejectionSolution FptasSolver::solve(const RejectionProblem& problem) const {
   require(problem.processor_count() == 1, "FptasSolver: single-processor algorithm");
 
   // Upper bound from a genuine heuristic solution.
-  RejectionSolution best = DensityGreedySolver().solve(problem);
+  RejectionSolution best = make_solution_on_one(problem, density_greedy_accepted(problem));
   RETASK_OBS_ONLY(const double seed_objective = best.objective();)
   const double eps_int = epsilon_ / (1.0 + epsilon_);
   RETASK_COUNT("fptas.solves", 1);

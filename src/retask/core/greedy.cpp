@@ -13,6 +13,8 @@
 
 namespace retask {
 
+namespace {
+
 /// Indices sorted by increasing penalty density rho_i / c_i (cheapest
 /// rejection per saved cycle first); ties by index for determinism.
 std::vector<std::size_t> density_order(const RejectionProblem& problem) {
@@ -44,16 +46,9 @@ Cycles reject_until_feasible(const RejectionProblem& problem,
   return load;
 }
 
-RejectionSolution AllAcceptSolver::solve(const RejectionProblem& problem) const {
-  require(problem.processor_count() == 1, "AllAcceptSolver: single-processor algorithm");
-  std::vector<bool> accepted(problem.size(), true);
-  reject_until_feasible(problem, density_order(problem), accepted);
-  return make_solution_on_one(problem, std::move(accepted));
-}
+}  // namespace
 
-RejectionSolution DensityGreedySolver::solve(const RejectionProblem& problem) const {
-  RETASK_SCOPED_TIMER("greedy.density_solve_ns");
-  require(problem.processor_count() == 1, "DensityGreedySolver: single-processor algorithm");
+std::vector<bool> density_greedy_accepted(const RejectionProblem& problem) {
   const std::vector<std::size_t> order = density_order(problem);
   std::vector<bool> accepted(problem.size(), true);
   Cycles load = reject_until_feasible(problem, order, accepted);
@@ -74,7 +69,20 @@ RejectionSolution DensityGreedySolver::solve(const RejectionProblem& problem) co
     }
   }
   RETASK_COUNT("greedy.density_rejections", rejections);
+  return accepted;
+}
+
+RejectionSolution AllAcceptSolver::solve(const RejectionProblem& problem) const {
+  require(problem.processor_count() == 1, "AllAcceptSolver: single-processor algorithm");
+  std::vector<bool> accepted(problem.size(), true);
+  reject_until_feasible(problem, density_order(problem), accepted);
   return make_solution_on_one(problem, std::move(accepted));
+}
+
+RejectionSolution DensityGreedySolver::solve(const RejectionProblem& problem) const {
+  RETASK_SCOPED_TIMER("greedy.density_solve_ns");
+  require(problem.processor_count() == 1, "DensityGreedySolver: single-processor algorithm");
+  return make_solution_on_one(problem, density_greedy_accepted(problem));
 }
 
 RejectionSolution MarginalGreedySolver::solve(const RejectionProblem& problem) const {
@@ -82,8 +90,7 @@ RejectionSolution MarginalGreedySolver::solve(const RejectionProblem& problem) c
   require(problem.processor_count() == 1, "MarginalGreedySolver: single-processor algorithm");
 
   // Seed with the density-greedy solution, then steepest-descent over flips.
-  RejectionSolution seed = DensityGreedySolver().solve(problem);
-  std::vector<bool> accepted = seed.accepted;
+  std::vector<bool> accepted = density_greedy_accepted(problem);
   Cycles load = problem.accepted_cycles(accepted);
   RETASK_COUNT("greedy.marginal_solves", 1);
 
@@ -133,7 +140,7 @@ RejectionSolution MarginalGreedySolver::solve(const RejectionProblem& problem) c
     }
 
     const double threshold = -1e-12 * std::max(objective, 1.0);  // strict improvement only
-    const std::size_t best_index = kernels.argmin_strided_f64(delta.data(), n, 1, threshold);
+    const std::size_t best_index = kernels.argmin_f64(delta.data(), n, threshold);
     if (best_index == simd::kNpos) break;
     RETASK_OBS_ONLY(++moves_made;)
     if (accepted[best_index]) {

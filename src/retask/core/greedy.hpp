@@ -23,17 +23,12 @@
 
 namespace retask {
 
-/// Task indices sorted by increasing penalty density rho_i / c_i (cheapest
-/// rejection per saved cycle first); ties broken by index for determinism.
-/// The shared ordering of the greedy family, exposed so the lockstep batch
-/// solver (batch/lockstep.hpp) replays the exact single-instance decisions.
-std::vector<std::size_t> density_order(const RejectionProblem& problem);
-
-/// Rejects tasks from `accepted` in `order` until the load fits one
-/// processor; returns the remaining accepted cycle load. Throws when the
-/// instance stays infeasible with every task rejected.
-Cycles reject_until_feasible(const RejectionProblem& problem,
-                             const std::vector<std::size_t>& order, std::vector<bool>& accepted);
+/// The density greedy's accept mask for a single-processor `problem`,
+/// outside any solve timer: DensityGreedySolver's pass, and the seed of
+/// MarginalGreedySolver and FptasSolver, whose own timers therefore never
+/// nest greedy.density_solve_ns. Counts greedy.density_solves and
+/// greedy.density_rejections.
+std::vector<bool> density_greedy_accepted(const RejectionProblem& problem);
 
 /// Accept-everything baseline; rejects in increasing penalty density only
 /// while the instance is infeasible.

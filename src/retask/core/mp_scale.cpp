@@ -4,13 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "retask/batch/lockstep.hpp"
 #include "retask/cache/energy_memo.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/parallel.hpp"
@@ -22,16 +20,6 @@
 namespace retask {
 namespace {
 
-/// A screened commit applied while the PE had no DeltaSolver yet. Replayed
-/// through the public admit/remove API after a table adoption, so the
-/// adopted solver reaches exactly the state a cold admit_all over the
-/// current member set would have reached.
-struct PendingOp {
-  bool admit = false;
-  int id = 0;
-  FrameTask task;  ///< only meaningful for admissions
-};
-
 /// Per-PE state of the local search. `member`/`accepted` mirror the PE's
 /// resident set in order; once `delta` exists it is the source of truth and
 /// refresh_from_delta re-derives both from it.
@@ -41,13 +29,6 @@ struct PeState {
   double objective = 0.0;           ///< E(load) + locally rejected penalties
   Cycles accepted_load = 0;
   std::unique_ptr<DeltaSolver> delta;
-  std::vector<PendingOp> ops;  ///< screened commits since phase 2 (export PEs only)
-};
-
-/// One lockstep chunk of the per-PE solve phase: PEs (by index) whose
-/// subproblems share a shape.
-struct PeChunk {
-  std::vector<std::size_t> pes;
 };
 
 }  // namespace
@@ -106,11 +87,10 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
     }
   }
 
-  // --- Phase 2: lockstep per-PE exact rejection ---------------------------
-  // All subproblems share the platform, so same_shape reduces to equal task
-  // counts; group PEs by size, cut groups into lane chunks, and shard the
-  // chunks across the pool. Each PE's solution is bit-identical to a solo
-  // ExactDpSolver solve, so chunking and job count cannot change a bit.
+  // --- Phase 2: per-PE exact rejection -------------------------------------
+  // The m subproblems are independent: one ExactDpSolver::solve per PE,
+  // sharded across the pool. Each solution is a pure function of its
+  // subproblem, so the job count cannot change a bit.
   const auto memo = std::make_shared<EnergyMemo>();
   // Every select sweep and probe evaluates E over loads in [0, capacity];
   // the dense mode turns those tens of millions of replays into indexed
@@ -127,48 +107,14 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
     sub[p]->attach_energy_memo(memo);
   }
 
-  const int lanes = config_.lanes < 0 ? lockstep_lanes() : config_.lanes;
-  const std::size_t chunk_lanes = lanes < 2 ? std::size_t{1} : static_cast<std::size_t>(lanes);
-  std::vector<PeChunk> chunks;
-  {
-    std::map<std::size_t, std::vector<std::size_t>> by_size;  // deterministic order
-    for (std::size_t p = 0; p < m; ++p) {
-      if (sub[p] != nullptr) by_size[pe[p].member.size()].push_back(p);
-    }
-    RETASK_COUNT("mp.pe_size_groups", by_size.size());
-    for (const auto& [size, pes] : by_size) {
-      (void)size;
-      for (std::size_t pos = 0; pos < pes.size(); pos += chunk_lanes) {
-        PeChunk chunk;
-        const std::size_t end = std::min(pes.size(), pos + chunk_lanes);
-        chunk.pes.assign(pes.begin() + static_cast<std::ptrdiff_t>(pos),
-                         pes.begin() + static_cast<std::ptrdiff_t>(end));
-        chunks.push_back(std::move(chunk));
-      }
-    }
-  }
-
   std::vector<RejectionSolution> pe_solution(m);
-  // Phase-2 lockstep tables captured per PE for phase 3: a PE's first exact
-  // probe adopts its already-filled table instead of replaying the whole
-  // fill through admit_all. Slots stay empty for per-instance fallbacks.
-  std::vector<DpTableExport> pe_export(m);
   {
     RETASK_SCOPED_TIMER("mp.pe_solve_ns");
     const ExactDpSolver dp;
-    const BatchRejectionSolver batch(dp, BatchConfig{lanes});
     parallel_for(
-        chunks.size(),
-        [&](std::size_t c) {
-          std::vector<const RejectionProblem*> chunk_problems;
-          chunk_problems.reserve(chunks[c].pes.size());
-          for (const std::size_t p : chunks[c].pes) chunk_problems.push_back(sub[p].get());
-          LockstepTables tables;
-          std::vector<RejectionSolution> solved = batch.solve_batch(chunk_problems, &tables);
-          for (std::size_t j = 0; j < chunks[c].pes.size(); ++j) {
-            pe_solution[chunks[c].pes[j]] = std::move(solved[j]);
-            pe_export[chunks[c].pes[j]] = std::move(tables.exports[j]);
-          }
+        m,
+        [&](std::size_t p) {
+          if (sub[p] != nullptr) pe_solution[p] = dp.solve(*sub[p]);
         },
         config_.jobs);
   }
@@ -219,34 +165,12 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
       if (state.delta == nullptr) {
         DeltaSolver::Config delta_config;
         delta_config.shared_memo = memo;
-        const bool adopt = !pe_export[p].value.empty();
-        if (adopt) delta_config.checkpoint_stride = pe_export[p].checkpoint_stride;
         state.delta = std::make_unique<DeltaSolver>(problem.curve(), problem.work_per_cycle(),
                                                     delta_config);
-        if (adopt) {
-          // Seed from the phase-2 lockstep table: adoption is bit-identical
-          // to admit_all over the phase-2 resident set, and the screened
-          // commits recorded since are replayed through the public API, so
-          // the solver reaches exactly the cold seed's state without
-          // refilling a single DP cell.
-          std::vector<FrameTask> resident;
-          resident.reserve(sub[p]->size());
-          for (std::size_t k = 0; k < sub[p]->size(); ++k) resident.push_back(sub[p]->tasks()[k]);
-          state.delta->adopt_table(resident, std::move(pe_export[p]));
-          for (const PendingOp& op : state.ops) {
-            if (op.admit) {
-              state.delta->admit(op.task);
-            } else {
-              state.delta->remove(op.id);
-            }
-          }
-          state.ops.clear();
-        } else {
-          std::vector<FrameTask> resident;
-          resident.reserve(state.member.size());
-          for (const std::size_t i : state.member) resident.push_back(problem.tasks()[i]);
-          state.delta->admit_all(resident);
-        }
+        std::vector<FrameTask> resident;
+        resident.reserve(state.member.size());
+        for (const std::size_t i : state.member) resident.push_back(problem.tasks()[i]);
+        state.delta->admit_all(resident);
         // For untouched PEs the seed replays the phase-2 fill exactly; after
         // direct screened commits the tracked assignment is feasible but
         // not necessarily optimal for the member set, so the seed's optimum
@@ -294,7 +218,6 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
         state.delta->admit(t);
         refresh_from_delta(q);
       } else {
-        if (!pe_export[q].value.empty()) state.ops.push_back({true, t.id, t});
         state.member.push_back(gi);
         state.accepted.push_back(1);
         state.accepted_load += t.cycles;
@@ -308,9 +231,6 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
         state.delta->remove(problem.tasks()[gi].id);
         refresh_from_delta(p);
       } else {
-        if (!pe_export[p].value.empty()) {
-          state.ops.push_back({false, problem.tasks()[gi].id, FrameTask{}});
-        }
         const auto it = std::find(state.member.begin(), state.member.end(), gi);
         RETASK_ASSERT(it != state.member.end());
         const auto k = static_cast<std::size_t>(it - state.member.begin());
@@ -329,7 +249,6 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
         state.delta->remove(t.id);
         refresh_from_delta(q);
       } else {
-        if (!pe_export[q].value.empty()) state.ops.push_back({false, t.id, FrameTask{}});
         const auto it = std::find(state.member.begin(), state.member.end(), gj);
         RETASK_ASSERT(it != state.member.end());
         const auto k = static_cast<std::size_t>(it - state.member.begin());

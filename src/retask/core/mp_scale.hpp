@@ -12,12 +12,11 @@
 //     are pruned before placement — they are rejected in every feasible
 //     solution, so carrying their weight through the partition only skews
 //     the balance (the Lagrangian bound prices them the same way).
-//  2. The m independent per-PE exact-DP solves run through the lockstep
-//     batch solver (batch/lockstep.hpp): same-size subproblems share lanes
-//     (fused select energy evaluations), and the lane chunks are sharded
-//     across the parallel_for pool. Every PE's solution is bit-identical to
-//     a solo ExactDpSolver solve of its subproblem, so the phase is
-//     invariant to RETASK_JOBS, RETASK_BATCH, and the SIMD backend.
+//  2. Each of the m independent per-PE subproblems gets one exact-DP solve
+//     (ExactDpSolver::solve), sharded across the parallel_for pool:
+//     partitioned DVS scheduling solves each processor on its own. Every
+//     PE's solution is a pure function of its subproblem, so the phase is
+//     invariant to RETASK_JOBS and the SIMD backend.
 //  3. A move/swap local search re-seats locally-rejected tasks on the
 //     least-loaded PE. Probes go through per-PE DeltaSolver instances
 //     (serve/delta_solver.hpp): one O(W) admit-relaxation per probe and a
@@ -27,8 +26,9 @@
 //     platform, so their probe loads hit one cache.
 //
 // The search is serial and deterministic; all parallelism lives in phase 2,
-// whose lanes are bit-exact. Counters: the mp.* family (probes, moves,
-// swaps, delta solvers built, oversized/overflow rejections, bound gap).
+// whose per-PE solves are bit-exact. Counters: the mp.* family (probes,
+// moves, swaps, delta solvers built, oversized/overflow rejections, bound
+// gap).
 #ifndef RETASK_CORE_MP_SCALE_HPP
 #define RETASK_CORE_MP_SCALE_HPP
 
@@ -55,8 +55,6 @@ struct MpScaleConfig {
   /// pays a full DeltaSolver seed, so only the highest-penalty screen
   /// failures get one.
   int max_exact_probes = 16;
-  /// Lockstep lanes for the per-PE solves; -1 resolves RETASK_BATCH.
-  int lanes = -1;
   /// parallel_for jobs for the per-PE solves; 0 resolves RETASK_JOBS.
   int jobs = 0;
   /// Also compute the multiprocessor Lagrangian bound and record the
@@ -64,7 +62,7 @@ struct MpScaleConfig {
   bool record_bound_gap = false;
 };
 
-/// O(n log m) partition + lockstep per-PE exact rejection + delta-driven
+/// O(n log m) partition + per-PE exact rejection + delta-driven
 /// move/swap local search. Registry name "mp-scale".
 class MultiProcScaleSolver final : public RejectionSolver {
  public:

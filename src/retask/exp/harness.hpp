@@ -83,17 +83,9 @@ struct BatchOptions {
 /// run_comparison call per point). Returns one AlgoStats vector per factory.
 /// Solutions and aggregates are bit-identical to calling run_comparison
 /// point by point at any job count; see BatchOptions for the metric
-/// attribution caveat under sweep_reuse.
-///
-/// Instances are batched in blocks of lockstep_lanes() consecutive seeds
-/// (batch/lockstep.hpp): a block's sweep-reuse instances share one fused
-/// BatchRejectionSolver::solve_sweep_batch, and its remaining instances
-/// run through one solve_batch per point. Solutions are bit-identical
-/// either way (the lockstep contract); like sweep_reuse, the only
-/// observable difference is metric attribution — a batched chunk's solver
-/// metrics land in the FIRST participating instance's AlgoStats (its first
-/// point's slot for a fused sweep). RETASK_BATCH=off (lanes 0/1) solves
-/// every instance on its own.
+/// attribution caveat under sweep_reuse. Each instance is one parallel unit:
+/// it solves its points through one solve_sweep when they share a task set
+/// (and sweep_reuse is on), else through one solve per cell.
 std::vector<std::vector<AlgoStats>> run_comparison_batch(
     const std::vector<ProblemFactory>& factories,
     const std::vector<std::unique_ptr<RejectionSolver>>& lineup,

@@ -11,8 +11,8 @@
 // through parallel_for into per-instance slots (instance k is fully
 // determined by seed0 + k, never by the worker that built it). The timed
 // solves then run serially in instance order — the solvers own the pool
-// during their solve (mp-scale's lockstep phase shards its lane chunks
-// across parallel_for), so timing them one at a time measures each solver
+// during their solve (mp-scale's phase 2 shards its per-PE solves across
+// parallel_for), so timing them one at a time measures each solver
 // at full width instead of m solvers fighting for the same workers. All
 // quality aggregates are bit-identical at any job count; only the wall
 // times are machine-dependent.

@@ -80,8 +80,8 @@ void append_histogram_rows(std::vector<MetricRow>& rows, const std::string& name
   rows.push_back({name + ".min", kind, histogram.min, format_numeric(histogram.min)});
   rows.push_back({name + ".max", kind, histogram.max, format_numeric(histogram.max)});
   if (kind == MetricKind::kTimer) {
-    // Totals make scoped timers attributable (e.g. the select scans' share
-    // of a lockstep batch), but float sums are merge-order sensitive, so
+    // Totals make scoped timers attributable (e.g. a solver's share of a
+    // harness run), but float sums are merge-order sensitive, so
     // the row exists only for timers — histogram reports stay bit-stable.
     rows.push_back({name + ".sum", kind, histogram.sum, format_numeric(histogram.sum)});
   }

@@ -108,8 +108,7 @@ void DeltaSolver::drop_checkpoints_to(std::size_t count) {
 
 void DeltaSolver::replay_from(std::size_t invalidated) {
   const auto stride = static_cast<std::size_t>(config_.checkpoint_stride);
-  // Checkpoints still valid; clamped so a retained-row shortfall (an
-  // adopted table whose producer captured fewer rows than dense) degrades
+  // Checkpoints still valid; clamped so a retained-row shortfall degrades
   // to a longer replay instead of an out-of-range read.
   const std::size_t keep = std::min(invalidated / stride, cp_values_.size());
   drop_checkpoints_to(keep);
@@ -171,58 +170,6 @@ const RejectionSolution& DeltaSolver::admit_all(const std::vector<FrameTask>& ta
   return solution_;
 }
 
-const RejectionSolution& DeltaSolver::adopt_table(const std::vector<FrameTask>& tasks,
-                                                  DpTableExport table) {
-  require(tasks_.empty(), "DeltaSolver::adopt_table: solver already has resident tasks");
-  const std::size_t n = tasks.size();
-  require(!table.value.empty() && table.value.size() <= width_,
-          "DeltaSolver::adopt_table: exported width exceeds the platform capacity");
-  require(table.take.rows() == n, "DeltaSolver::adopt_table: choice rows != task count");
-  require(table.checkpoint_stride >= 1, "DeltaSolver::adopt_table: checkpoint_stride must be >= 1");
-  const auto stride = static_cast<std::size_t>(table.checkpoint_stride);
-  require(table.cp_values.size() == n / stride && table.cp_reach.size() == table.cp_values.size(),
-          "DeltaSolver::adopt_table: checkpoint rows must be dense at the stride");
-  // Every retained checkpoint row moves to the pool; the export's join them.
-  require_within_budget(1 + cp_values_.size() + cp_pool_.size() + table.cp_values.size(),
-                        grown_rows(n));
-  for (const FrameTask& task : tasks) {
-    validate(task);
-    require(index_of(task.id) == kNone, "DeltaSolver::adopt_table: duplicate task id");
-    tasks_.push_back(task);  // visible to index_of: later duplicates rejected
-    total_cycles_ += task.cycles;
-  }
-
-  // Rebind the checkpoint cadence to the export's so push_checkpoint_if_due
-  // keeps the dense invariant (cp_values_[c] is the row after (c + 1) *
-  // stride tasks) across future admissions. The stride never affects a
-  // solution bit, only replay cost.
-  config_.checkpoint_stride = table.checkpoint_stride;
-  drop_checkpoints_to(0);
-  for (std::size_t c = 0; c < table.cp_values.size(); ++c) {
-    table.cp_values[c].resize(width_, kNegInf);  // rows above the export stay unreachable
-    cp_values_.push_back(std::move(table.cp_values[c]));
-    cp_reach_.push_back(table.cp_reach[c]);
-  }
-
-  ensure_rows(n);
-  std::copy(table.value.begin(), table.value.end(), table_.value.begin());
-  std::fill(table_.value.begin() + static_cast<std::ptrdiff_t>(table.value.size()),
-            table_.value.end(), kNegInf);
-  reachable_ = table.reachable;
-  const std::size_t src_words = table.take.words_per_row();
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t* row = table_.take.row_words(i);
-    std::copy_n(table.take.row_words(i), src_words, row);
-    std::fill(row + src_words, row + table_.take.words_per_row(), std::uint64_t{0});
-  }
-
-  ++delta_hits_;
-  RETASK_COUNT("serve.delta_hits", 1);
-  RETASK_COUNT("delta.table_adoptions", 1);
-  select();
-  return solution_;
-}
-
 const RejectionSolution& DeltaSolver::remove(int id) {
   const std::size_t i = index_of(id);
   require(i != kNone, "DeltaSolver::remove: unknown task id");
@@ -265,11 +212,11 @@ void DeltaSolver::select() {
   for (const FrameTask& task : tasks_) total_penalty += task.penalty;
 
   // Rows above the reach are unreachable (-inf) and never records.
-  dp_staircase(table_.value.data(), std::min(cap, reachable_), stairs_);
-  const DpPick pick = dp_select(stairs_, cap, total_penalty,
+  dp_staircase(table_.value.data(), std::min(cap, reachable_), table_.stairs);
+  const DpPick pick = dp_select(table_.stairs, cap, total_penalty,
                                 [this](Cycles w) { return energy_of(w); });
   RETASK_COUNT("serve.select_energy_evals", pick.energy_evals);
-  dp_backtrack(table_.take, 0, tasks_.data(), n, pick.best_w, solution_.accepted);
+  dp_backtrack(table_.take, tasks_.data(), n, pick.best_w, solution_.accepted);
 
   // Score exactly as make_solution does: rejected penalties summed in index
   // order, energy through the single-load evaluation.

@@ -30,16 +30,16 @@
 // cold solves to enforce exactly this, and tests/test_delta_solver.cpp
 // pins the edge cases.
 //
-// The request path allocates nothing in steady state: the table lives in a
-// private DpScratch arena and the staircase in a kept buffer, both at their
-// high-water mark, checkpoint rows are recycled through a pool, and the
-// solution's vectors are assign()ed in place.
+// The request path allocates nothing in steady state: the table and its
+// staircase live in a private DpScratch arena at their high-water mark,
+// checkpoint rows are recycled through a pool, and the solution's vectors
+// are assign()ed in place.
 //
 // The retained table — the value row, the choice rows and every checkpoint
 // row, pooled ones included — never exceeds kDpTableByteBudget: the
-// constructor and every admit, admit_all or adopt_table that would grow it
-// past the budget throw Error before changing any state, so a serve session
-// answers `err` and keeps serving.
+// constructor and every admit or admit_all that would grow it past the
+// budget throw Error before changing any state, so a serve session answers
+// `err` and keeps serving.
 #ifndef RETASK_SERVE_DELTA_SOLVER_HPP
 #define RETASK_SERVE_DELTA_SOLVER_HPP
 
@@ -95,18 +95,6 @@ class DeltaSolver {
   /// to admitting the tasks one at a time in order; only the intermediate
   /// solutions are skipped. Seeding path of the multiprocessor local search.
   const RejectionSolution& admit_all(const std::vector<FrameTask>& tasks);
-
-  /// Adopts an already-filled DP table instead of replaying the fill: the
-  /// solver (which must still be empty) becomes bit-identical to
-  /// admit_all(tasks) without touching a single DP cell. `table` must be
-  /// the exact-DP fill over `tasks` in order at a capacity covering every
-  /// reachable row (rows above the exported width are unreachable and stay
-  /// -inf), with DENSE value-row checkpoints every `checkpoint_stride`
-  /// tasks — exactly what the lockstep lanes capture (batch/lockstep.hpp
-  /// LockstepTables). The solver's checkpoint stride is rebound to the
-  /// export's. Every later admit / remove / reprice replays through the
-  /// adopted rows and stays bit-identical to a cold-seeded solver.
-  const RejectionSolution& adopt_table(const std::vector<FrameTask>& tasks, DpTableExport table);
 
   /// Removes the resident task with `id` (throws when unknown) and returns
   /// the new optimal solution.
@@ -180,13 +168,12 @@ class DeltaSolver {
   std::vector<FrameTask> tasks_;
   Cycles total_cycles_ = 0;
 
-  // Retained DP state: value row + choice rows (row capacity grows
-  // geometrically; rows_ tracks the allocated count) in one private arena,
-  // and the staircase select() takes of the value row.
+  // Retained DP state in one private arena: value row + choice rows (row
+  // capacity grows geometrically; rows_ tracks the allocated count) and the
+  // staircase select() takes of the value row.
   DpScratch table_;
   std::size_t rows_ = 0;
   std::size_t reachable_ = 0;
-  DpStaircase stairs_;
 
   // Value-row checkpoints: cp_values_[c] is the row after the first
   // (c + 1) * checkpoint_stride tasks, cp_reach_[c] the reachability bound

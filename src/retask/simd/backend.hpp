@@ -50,7 +50,7 @@ bool backend_available(Backend backend) noexcept;
 
 /// Every vector (non-scalar) backend the host can execute, in enum order;
 /// empty on scalar-only hosts. The single source of the backend list for
-/// the differential checks (`--simd-diff`, `--lockstep-diff`) and the
+/// the differential checks (`--simd-diff`, `--mp-diff`) and the
 /// equivalence tests, so a new backend is picked up everywhere at once.
 std::vector<Backend> available_vector_backends();
 

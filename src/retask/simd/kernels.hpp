@@ -1,6 +1,6 @@
 // Vector kernels behind the DP/FPTAS/greedy hot loops.
 //
-// Each kernel is elementwise over contiguous (or strided) arrays, so a wider
+// Each kernel is elementwise over contiguous arrays, so a wider
 // backend performs exactly the scalar reference's arithmetic per element —
 // no reassociated sums, no FMA contraction (the build sets -ffp-contract=off)
 // — which is what makes the bit-identity guarantee hold. The scalar bodies in
@@ -72,11 +72,10 @@ struct KernelTable {
   /// no element beats init.
   std::size_t (*argmax_f64)(const double* values, std::size_t n, double init);
 
-  /// Strided strict argmin: first index i (element values[i*stride]) with
-  /// values[i*stride] < init and == min over the scanned elements. Returns
-  /// kNpos when no element beats init. `stride >= 1` in elements.
-  std::size_t (*argmin_strided_f64)(const double* values, std::size_t n, std::size_t stride,
-                                    double init);
+  /// First index i with values[i] < init and values[i] == min(values), i.e.
+  /// the scalar left-to-right strict-improvement argmin. Returns kNpos when
+  /// no element beats init.
+  std::size_t (*argmin_f64)(const double* values, std::size_t n, double init);
 
   /// Fused cycles -> energy evaluation for a discrete (hull) power model:
   /// out[i] = energy of `cycles[i]` demand, bit-identical to

@@ -146,9 +146,8 @@ std::size_t avx2_argmax_f64(const double* values, std::size_t n, double init) {
   return kNpos;  // unreachable: the maximum exists
 }
 
-std::size_t avx2_argmin_strided_f64(const double* values, std::size_t n, std::size_t stride,
-                                    double init) {
-  if (stride != 1 || n < 2 * kLanes) return scalar_argmin_strided_f64(values, n, stride, init);
+std::size_t avx2_argmin_f64(const double* values, std::size_t n, double init) {
+  if (n < 2 * kLanes) return scalar_argmin_f64(values, n, init);
   __m256d best_v = _mm256_set1_pd(std::numeric_limits<double>::infinity());
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
@@ -291,8 +290,8 @@ void avx2_energy_hull_cycles(const HullEnergyParams& params, const std::int64_t*
 
 const KernelTable* avx2_table() noexcept {
   static const KernelTable table{
-      &avx2_relax_desc_f64,     &avx2_relax_desc_i64,     &avx2_argmax_f64,
-      &avx2_argmin_strided_f64, &avx2_energy_hull_cycles,
+      &avx2_relax_desc_f64, &avx2_relax_desc_i64, &avx2_argmax_f64,
+      &avx2_argmin_f64,     &avx2_energy_hull_cycles,
   };
   return &table;
 }

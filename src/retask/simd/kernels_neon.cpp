@@ -86,8 +86,8 @@ void neon_relax_desc_i64(std::int64_t* rej, double* payload, std::uint64_t* take
 
 const KernelTable* neon_table() noexcept {
   static const KernelTable table{
-      &neon_relax_desc_f64,       &neon_relax_desc_i64,       &scalar_argmax_f64,
-      &scalar_argmin_strided_f64, &scalar_energy_hull_cycles,
+      &neon_relax_desc_f64, &neon_relax_desc_i64, &scalar_argmax_f64,
+      &scalar_argmin_f64,   &scalar_energy_hull_cycles,
   };
   return &table;
 }

@@ -80,8 +80,8 @@ double energy_hull_one(const HullEnergyParams& params, double work) {
 
 const KernelTable* scalar_table() noexcept {
   static const KernelTable table{
-      &scalar_relax_desc_f64,     &scalar_relax_desc_i64,     &scalar_argmax_f64,
-      &scalar_argmin_strided_f64, &scalar_energy_hull_cycles,
+      &scalar_relax_desc_f64, &scalar_relax_desc_i64, &scalar_argmax_f64,
+      &scalar_argmin_f64,     &scalar_energy_hull_cycles,
   };
   return &table;
 }

@@ -88,9 +88,8 @@ std::size_t sse2_argmax_f64(const double* values, std::size_t n, double init) {
   return kNpos;  // unreachable
 }
 
-std::size_t sse2_argmin_strided_f64(const double* values, std::size_t n, std::size_t stride,
-                                    double init) {
-  if (stride != 1 || n < 2 * kLanes) return scalar_argmin_strided_f64(values, n, stride, init);
+std::size_t sse2_argmin_f64(const double* values, std::size_t n, double init) {
+  if (n < 2 * kLanes) return scalar_argmin_f64(values, n, init);
   __m128d best_v = _mm_set1_pd(std::numeric_limits<double>::infinity());
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) best_v = _mm_min_pd(best_v, _mm_loadu_pd(values + i));
@@ -127,8 +126,8 @@ std::size_t sse2_argmin_strided_f64(const double* values, std::size_t n, std::si
 
 const KernelTable* sse2_table() noexcept {
   static const KernelTable table{
-      &sse2_relax_desc_f64,     &scalar_relax_desc_i64,     &sse2_argmax_f64,
-      &sse2_argmin_strided_f64, &scalar_energy_hull_cycles,
+      &sse2_relax_desc_f64, &scalar_relax_desc_i64, &sse2_argmax_f64,
+      &sse2_argmin_f64,     &scalar_energy_hull_cycles,
   };
   return &table;
 }

@@ -5,7 +5,6 @@
 #include <optional>
 #include <sstream>
 
-#include "retask/batch/lockstep.hpp"
 #include "retask/cache/sweep.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/parallel.hpp"
@@ -326,114 +325,6 @@ std::vector<PropertyViolation> check_simd_diff(const RejectionProblem& problem) 
   return violations;
 }
 
-std::vector<PropertyViolation> check_lockstep_diff(const InstanceSpec& spec,
-                                                   const RejectionProblem& problem) {
-  std::vector<PropertyViolation> violations;
-  if (problem.processor_count() != 1) return violations;
-  const auto mismatch = [&](const std::string& solver, const std::string& detail) {
-    violations.push_back({"lockstep-diff", solver, detail});
-  };
-
-  // Same-shape fleet: lane 0 is the instance under test (so shrinking can
-  // minimize a failure), lanes 1..4 are fresh task sets of the same size
-  // drawn from derived seeds, each expanded into the same 3-point capacity
-  // sweep. Five instances at 4 lanes exercises a full chunk plus a ragged
-  // single-instance tail (the per-instance fallback); at 8 lanes, a padded
-  // chunk.
-  std::vector<RejectionProblem> fleet;
-  fleet.reserve(5);
-  fleet.push_back(problem);
-  for (std::uint64_t v = 1; v <= 4; ++v) {
-    InstanceSpec variant = spec;
-    variant.task_count = static_cast<int>(problem.size());
-    variant.seed = spec.seed + 0x9e3779b97f4a7c15ULL * v;
-    fleet.push_back(build_instance(variant));
-    if (!same_shape(fleet.front(), fleet.back())) {
-      // Never expected (the builder derives shape from the spec alone), but
-      // a silent scalar fallback would hollow the check out.
-      mismatch("fleet", "variant " + std::to_string(v) + " is not shape-compatible");
-      fleet.pop_back();
-    }
-  }
-  const std::vector<double> factors{0.5, 0.8, 1.0};
-  std::vector<std::vector<RejectionProblem>> sweeps;
-  sweeps.reserve(fleet.size());
-  for (const RejectionProblem& instance : fleet) {
-    sweeps.push_back(make_capacity_sweep(instance, factors));
-  }
-  const std::size_t points = factors.size();
-  std::vector<std::vector<const RejectionProblem*>> grids(sweeps.size());
-  std::vector<std::vector<const RejectionProblem*>> fleets(points);
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    for (std::size_t p = 0; p < points; ++p) {
-      grids[i].push_back(&sweeps[i][p]);
-      fleets[p].push_back(&sweeps[i][p]);
-    }
-  }
-
-  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
-  for (const simd::Backend b : simd::available_vector_backends()) backends.push_back(b);
-
-  // Both batch shapes against the two baselines they promise to reproduce
-  // bit for bit: a cold per-point solve and each instance's own warm
-  // solve_sweep. solve_batch runs one same-shape fleet per point; the
-  // greedy solvers are not sweep-fusable, so their solve_sweep_batch must
-  // come back identical through the per-instance fallback.
-  const ExactDpSolver exact;
-  const DensityGreedySolver density;
-  const MarginalGreedySolver marginal;
-  const std::vector<const RejectionSolver*> solvers = {&exact, &density, &marginal};
-  for (const RejectionSolver* solver : solvers) {
-    for (const simd::Backend backend : backends) {
-      try {
-        simd::ScopedBackend forced(backend);
-        std::vector<std::vector<RejectionSolution>> warm(grids.size());
-        std::vector<std::vector<RejectionSolution>> cold(grids.size());
-        for (std::size_t i = 0; i < grids.size(); ++i) {
-          warm[i] = solver->solve_sweep(grids[i]);
-          for (const RejectionProblem* point : grids[i]) cold[i].push_back(solver->solve(*point));
-        }
-        for (const int lanes : {4, 8}) {
-          const auto check = [&](const char* shape, std::size_t i, std::size_t p,
-                                 const RejectionSolution& got) {
-            const auto differs = [&](const RejectionSolution& want) {
-              return got.accepted != want.accepted || got.energy != want.energy ||
-                     got.penalty != want.penalty;
-            };
-            if (differs(cold[i][p]) || differs(warm[i][p])) {
-              mismatch(solver->name(),
-                       std::string(shape) + " " + std::string(simd::to_string(backend)) +
-                           " lanes=" + std::to_string(lanes) + " instance " + std::to_string(i) +
-                           " point " + std::to_string(p) + ": objective " + fmt(got.objective()) +
-                           " != cold " + fmt(cold[i][p].objective()) + " / warm " +
-                           fmt(warm[i][p].objective()) + " (or accept masks differ)");
-            }
-          };
-          const BatchRejectionSolver batched(*solver, BatchConfig{lanes});
-          for (std::size_t p = 0; p < points; ++p) {
-            const std::vector<RejectionSolution> lockstep = batched.solve_batch(fleets[p]);
-            RETASK_ASSERT(lockstep.size() == fleets[p].size());
-            for (std::size_t i = 0; i < lockstep.size(); ++i) {
-              check("solve_batch", i, p, lockstep[i]);
-            }
-          }
-          const std::vector<std::vector<RejectionSolution>> fused =
-              batched.solve_sweep_batch(grids);
-          RETASK_ASSERT(fused.size() == grids.size());
-          for (std::size_t i = 0; i < grids.size(); ++i) {
-            RETASK_ASSERT(fused[i].size() == points);
-            for (std::size_t p = 0; p < points; ++p) check("solve_sweep_batch", i, p, fused[i][p]);
-          }
-        }
-      } catch (const std::exception& error) {
-        mismatch(solver->name(), std::string(simd::to_string(backend)) +
-                                     " lockstep diff threw: " + error.what());
-      }
-    }
-  }
-  return violations;
-}
-
 std::vector<PropertyViolation> check_delta_diff(const InstanceSpec& spec,
                                                 const RejectionProblem& problem) {
   std::vector<PropertyViolation> violations;
@@ -710,25 +601,18 @@ std::vector<PropertyViolation> check_mp_diff(const InstanceSpec& spec,
   };
 
   try {
-    // 2) mp-scale invariance: jobs, lockstep lanes, and SIMD backend must
-    // not change a bit (the solver's core contract — all parallelism lives
-    // in the bit-exact phase 2).
+    // 2) mp-scale invariance: the job count and the SIMD backend must not
+    // change a bit (the solver's core contract — all parallelism lives in
+    // the bit-exact phase 2).
     MpScaleConfig base_config;
     base_config.jobs = 1;
-    base_config.lanes = 0;  // solo per-PE solves
     const RejectionSolution base = MultiProcScaleSolver(base_config).solve(problem);
-    const struct {
-      int jobs;
-      int lanes;
-    } variants[] = {{0, 4}, {2, 8}, {4, 2}};
-    for (const auto& variant : variants) {
+    for (const int jobs : {0, 2, 4}) {
       MpScaleConfig config;
-      config.jobs = variant.jobs;
-      config.lanes = variant.lanes;
+      config.jobs = jobs;
       const RejectionSolution other = MultiProcScaleSolver(config).solve(problem);
       if (!same_solution(base, other)) {
-        mismatch("mp-scale", "jobs=" + std::to_string(variant.jobs) + " lanes=" +
-                                 std::to_string(variant.lanes) + " objective " +
+        mismatch("mp-scale", "jobs=" + std::to_string(jobs) + " objective " +
                                  fmt(other.objective()) + " != baseline " +
                                  fmt(base.objective()) + " (or masks/bindings differ)");
       }
@@ -750,7 +634,7 @@ std::vector<PropertyViolation> check_mp_diff(const InstanceSpec& spec,
 
     // 3a) Composition: local search off + LTF placement + no oversized task
     // reduces mp-scale to exactly the mp-ltf-dp pipeline (same partition,
-    // lockstep-solved subproblems bit-identical to its solo DP solves).
+    // same per-PE exact-DP solves).
     bool oversized = false;
     for (std::size_t i = 0; i < problem.size(); ++i) {
       oversized = oversized || problem.tasks()[i].cycles > problem.cycle_capacity();
@@ -810,11 +694,6 @@ FuzzReport run_differential_fuzz(const FuzzOptions& options, const SuiteFactory&
           }
           if (options.simd_diff) {
             std::vector<PropertyViolation> extra = check_simd_diff(problem);
-            found.insert(found.end(), std::make_move_iterator(extra.begin()),
-                         std::make_move_iterator(extra.end()));
-          }
-          if (options.lockstep_diff) {
-            std::vector<PropertyViolation> extra = check_lockstep_diff(spec, problem);
             found.insert(found.end(), std::make_move_iterator(extra.begin()),
                          std::make_move_iterator(extra.end()));
           }

@@ -76,7 +76,6 @@ struct FuzzOptions {
   bool shrink = true;       ///< minimize failing instances
   bool sweep_cache = false; ///< also check warm-vs-cold sweep solve identity
   bool simd_diff = false;   ///< also check forced-scalar vs SIMD solve identity
-  bool lockstep_diff = false; ///< also check batch-lockstep vs per-instance identity
   bool delta_diff = false;  ///< also check serve-mode delta-solve vs cold identity
   bool stochastic_diff = false; ///< also cross-check ladder vs continuous reclamation
   bool mp_diff = false;     ///< also check heap-partition and mp-scale identities
@@ -100,22 +99,6 @@ std::vector<PropertyViolation> check_sweep_cache(const RejectionProblem& problem
 /// equality. Single-processor instances only (returns empty otherwise, and
 /// on scalar-only hosts).
 std::vector<PropertyViolation> check_simd_diff(const RejectionProblem& problem);
-
-/// Lockstep-batch vs per-instance check: builds a same-shape fleet around
-/// `problem` (lane 0 is `problem` itself, the other lanes are freshly drawn
-/// task sets from `spec` variants) and expands every instance into a
-/// 3-point capacity sweep. Both batch shapes of BatchRejectionSolver run at
-/// lane counts 4 and 8 — a full chunk plus a ragged tail, and a padded
-/// chunk — under the scalar table and every available vector backend, for
-/// every lockstep-capable solver (exact DP, density greedy, marginal
-/// greedy): solve_batch over each point's fleet, and solve_sweep_batch
-/// over the whole (instance x point) grid. Every cell must be bitwise
-/// identical to a cold per-point solve AND to the instance's own warm
-/// solve_sweep; any difference is a "lockstep-diff" violation naming the
-/// shape, backend, lanes, instance and point. Single-processor instances
-/// only (returns empty otherwise).
-std::vector<PropertyViolation> check_lockstep_diff(const InstanceSpec& spec,
-                                                   const RejectionProblem& problem);
 
 /// Serve-mode delta-solve vs cold-solve check: admits `problem`'s tasks one
 /// at a time into a DeltaSolver (checkpoint stride 4, so removals exercise
@@ -154,12 +137,12 @@ std::vector<PropertyViolation> check_stochastic_diff(const InstanceSpec& spec,
 /// O(n * m) linear-scan reference (`partition_items_reference`) over the
 /// instance's cycle weights, every policy, several bin counts — bin
 /// assignments and bin loads must match bit for bit; (2) the mp-scale
-/// solver's invariance contract — solutions at different jobs / lockstep
-/// lane counts and under every available SIMD backend must be bitwise
-/// identical; (3) composition identities — with local search off and no
-/// oversized task, mp-scale under LTF placement reproduces mp-ltf-dp
-/// bitwise, and every produced solution's objective stays at or above the
-/// multiprocessor Lagrangian lower bound (soundness of core/lower_bound).
+/// solver's invariance contract — solutions at different job counts and
+/// under every available SIMD backend must be bitwise identical; (3)
+/// composition identities — with local search off and no oversized task,
+/// mp-scale under LTF placement reproduces mp-ltf-dp bitwise, and every
+/// produced solution's objective stays at or above the multiprocessor
+/// Lagrangian lower bound (soundness of core/lower_bound).
 /// Violations are "mp-diff". Layers 2-3 need processor_count >= 2; layer 1
 /// runs on every instance.
 std::vector<PropertyViolation> check_mp_diff(const InstanceSpec& spec,

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "retask/batch/lockstep.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/rng.hpp"
 #include "retask/core/exact_dp.hpp"
@@ -171,124 +170,6 @@ TEST(DeltaSolver, AdmitAllMatchesOneAtATimeAdmitsBitwise) {
   EXPECT_EQ(bulk.solution().accepted, stepwise.solution().accepted);
   expect_matches_cold(bulk, "remove after admit_all");
   EXPECT_THROW(bulk.admit_all({{20, 10, 0.1}, {20, 12, 0.2}}), Error);
-}
-
-/// Captures the lockstep lane tables over a 4-lane same-shape fleet built
-/// from penalty-scaled variants of mixed_tasks(); `fleets[k]` holds lane k's
-/// task vector, `solved[k]` its lockstep solution.
-struct CapturedFleet {
-  std::vector<std::vector<FrameTask>> fleets;
-  std::vector<RejectionSolution> solved;
-  LockstepTables tables;
-};
-
-CapturedFleet capture_fleet() {
-  CapturedFleet out;
-  const std::vector<FrameTask> base = mixed_tasks();
-  std::vector<RejectionProblem> fleet;
-  for (int v = 0; v < 4; ++v) {
-    std::vector<FrameTask> tasks = base;
-    for (FrameTask& task : tasks) task.penalty *= 1.0 + 0.25 * v;
-    out.fleets.push_back(tasks);
-    fleet.emplace_back(FrameTaskSet(std::move(tasks)), xscale_curve(), kWpc, 1);
-  }
-  std::vector<const RejectionProblem*> ptrs;
-  for (const RejectionProblem& p : fleet) ptrs.push_back(&p);
-  const ExactDpSolver exact;
-  out.solved = BatchRejectionSolver(exact, BatchConfig{4}).solve_batch(ptrs, &out.tables);
-  return out;
-}
-
-TEST(DeltaSolver, AdoptTableReproducesColdSeedingBitwise) {
-  CapturedFleet captured = capture_fleet();
-  ASSERT_EQ(captured.tables.exports.size(), 4u);
-  for (std::size_t k = 0; k < captured.fleets.size(); ++k) {
-    SCOPED_TRACE("lane " + std::to_string(k));
-    ASSERT_FALSE(captured.tables.exports[k].value.empty());
-    const int stride = captured.tables.exports[k].checkpoint_stride;
-    DeltaSolver adopted(xscale_curve(), kWpc);
-    const RejectionSolution& live =
-        adopted.adopt_table(captured.fleets[k], std::move(captured.tables.exports[k]));
-    // The adopted solution is the lane's lockstep solution ...
-    EXPECT_EQ(live.accepted, captured.solved[k].accepted);
-    EXPECT_EQ(live.energy, captured.solved[k].energy);
-    EXPECT_EQ(live.penalty, captured.solved[k].penalty);
-    // ... and exactly what cold seeding at the export's stride produces.
-    DeltaSolver::Config cold_config;
-    cold_config.checkpoint_stride = stride;
-    DeltaSolver cold(xscale_curve(), kWpc, cold_config);
-    cold.admit_all(captured.fleets[k]);
-    EXPECT_EQ(live.accepted, cold.solution().accepted);
-    EXPECT_EQ(live.energy, cold.solution().energy);
-    EXPECT_EQ(live.penalty, cold.solution().penalty);
-    EXPECT_EQ(adopted.accepted_load(), cold.accepted_load());
-    expect_matches_cold(adopted, "adopt");
-  }
-}
-
-TEST(DeltaSolver, AdoptTableStaysBitIdenticalAcrossLaterMutations) {
-  // Every later request must replay through the adopted rows and
-  // checkpoints exactly as through cold-seeded ones: drive the adopted
-  // solver and a cold-seeded twin through the same remove / readmit /
-  // reprice walk (including a first-stride cold fall) and compare bitwise
-  // at every step.
-  CapturedFleet captured = capture_fleet();
-  for (std::size_t k = 0; k < captured.fleets.size(); ++k) {
-    SCOPED_TRACE("lane " + std::to_string(k));
-    ASSERT_FALSE(captured.tables.exports[k].value.empty());
-    DeltaSolver::Config cold_config;
-    cold_config.checkpoint_stride = captured.tables.exports[k].checkpoint_stride;
-    DeltaSolver adopted(xscale_curve(), kWpc);
-    DeltaSolver cold(xscale_curve(), kWpc, cold_config);
-    adopted.adopt_table(captured.fleets[k], std::move(captured.tables.exports[k]));
-    cold.admit_all(captured.fleets[k]);
-
-    const auto agree = [&](const char* where) {
-      EXPECT_EQ(adopted.solution().accepted, cold.solution().accepted) << where;
-      EXPECT_EQ(adopted.solution().energy, cold.solution().energy) << where;
-      EXPECT_EQ(adopted.solution().penalty, cold.solution().penalty) << where;
-      expect_matches_cold(adopted, where);
-    };
-    // Checkpointed replay: removal past the first stride.
-    adopted.remove(5);
-    cold.remove(5);
-    agree("remove mid");
-    // Reprice a survivor (suffix replay through adopted choice rows).
-    adopted.reprice(6, 40.0);
-    cold.reprice(6, 40.0);
-    agree("reprice");
-    // First-stride change: the cold fall discards every adopted checkpoint.
-    adopted.remove(captured.fleets[k].front().id);
-    cold.remove(captured.fleets[k].front().id);
-    agree("cold fall");
-    // Growth past the adopted prefix lays down fresh checkpoints.
-    adopted.admit({90, 55, 1.1});
-    cold.admit({90, 55, 1.1});
-    agree("admit after adopt");
-  }
-}
-
-TEST(DeltaSolver, AdoptTableValidatesItsContract) {
-  CapturedFleet captured = capture_fleet();
-  ASSERT_FALSE(captured.tables.exports[0].value.empty());
-  // Adopting into a non-empty solver throws; the failed request leaves the
-  // resident set untouched.
-  DeltaSolver busy(xscale_curve(), kWpc);
-  busy.admit({1, 50, 1.0});
-  DpTableExport table = std::move(captured.tables.exports[0]);
-  EXPECT_THROW(busy.adopt_table(captured.fleets[0], std::move(table)), Error);
-  EXPECT_EQ(busy.size(), 1u);
-  expect_matches_cold(busy, "after rejected adopt");
-  // An empty export (no capture) is not adoptable.
-  DeltaSolver empty(xscale_curve(), kWpc);
-  EXPECT_THROW(empty.adopt_table(captured.fleets[0], DpTableExport{}), Error);
-  // A sparse checkpoint set (density violated) is rejected: replay indexing
-  // would corrupt silently otherwise.
-  DpTableExport sparse = std::move(captured.tables.exports[1]);
-  ASSERT_FALSE(sparse.cp_values.empty());
-  sparse.cp_values.pop_back();
-  sparse.cp_reach.pop_back();
-  EXPECT_THROW(empty.adopt_table(captured.fleets[1], std::move(sparse)), Error);
 }
 
 TEST(DeltaSolver, ValueRowOverTheBudgetThrowsBeforeAllocating) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -13,12 +14,14 @@
 #include <string>
 #include <vector>
 
+#include "retask/cache/sweep.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/rng.hpp"
 #include "retask/core/dp_table.hpp"
 #include "retask/core/exhaustive.hpp"
 #include "retask/power/polynomial_power.hpp"
 #include "retask/power/table_power.hpp"
+#include "retask/simd/backend.hpp"
 #include "test_util.hpp"
 
 namespace retask {
@@ -118,6 +121,81 @@ TEST(ExactDp, GuardsMultiprocessorInstances) {
   const PolynomialPowerModel model = PolynomialPowerModel::xscale();
   const RejectionProblem p = make_scenario(config, model);
   EXPECT_THROW(ExactDpSolver().solve(p), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Word-edge instances: tables that straddle the 64-cell choice words and
+// also take the prune path, on every backend.
+
+/// The scalar backend plus every vector backend the host can execute.
+std::vector<simd::Backend> available_backends() {
+  std::vector<simd::Backend> out = {simd::Backend::kScalar};
+  for (const simd::Backend b : simd::available_vector_backends()) out.push_back(b);
+  return out;
+}
+
+/// Four instances at each capacity 62, 63, 64, 130 and 1000: table widths
+/// 63/64/65/131/1001 straddle the 64-cell choice words. Twelve tasks of up
+/// to cap / 3 cycles populate most of the table, and one task per instance
+/// cannot fit (cycles > cap), so the prune path runs too.
+std::vector<RejectionProblem> word_edge_instances() {
+  std::vector<RejectionProblem> out;
+  for (const Cycles cap : {Cycles{62}, Cycles{63}, Cycles{64}, Cycles{130}, Cycles{1000}}) {
+    for (std::uint64_t v = 0; v < 4; ++v) {
+      Rng rng(7000 + static_cast<std::uint64_t>(cap) + 97 * v);
+      std::vector<FrameTask> tasks;
+      for (int i = 0; i < 12; ++i) {
+        tasks.push_back({i, rng.uniform_int(1, std::max<Cycles>(1, cap / 3)),
+                         rng.uniform(0.1, 5.0)});
+      }
+      tasks.push_back({12, cap + 5, 1.0});
+      EnergyCurve curve(PolynomialPowerModel::xscale(), 1.0, IdleDiscipline::kDormantEnable);
+      const double work_per_cycle = curve.max_workload() / static_cast<double>(cap);
+      out.emplace_back(FrameTaskSet(std::move(tasks)), std::move(curve), work_per_cycle, 1);
+      EXPECT_EQ(out.back().cycle_capacity(), cap);
+    }
+  }
+  return out;
+}
+
+TEST(ExactDp, WordEdgeTablesMatchExhaustiveEveryBackend) {
+  const ExactDpSolver dp;
+  const ExhaustiveSolver exhaustive;
+  for (const RejectionProblem& p : word_edge_instances()) {
+    const double want = exhaustive.solve(p).objective();
+    for (const simd::Backend backend : available_backends()) {
+      simd::ScopedBackend forced(backend);
+      SCOPED_TRACE(std::string(simd::to_string(backend)) + " / capacity " +
+                   std::to_string(p.cycle_capacity()));
+      EXPECT_NEAR(dp.solve(p).objective(), want, 1e-6 * std::max(1.0, want));
+    }
+  }
+}
+
+TEST(ExactDp, WordEdgeSweepsMatchPerPointSolvesBitwiseEveryBackend) {
+  const ExactDpSolver dp;
+  for (const RejectionProblem& p : word_edge_instances()) {
+    const std::vector<RejectionProblem> points = make_capacity_sweep(p, {0.5, 0.8, 1.0});
+    std::vector<const RejectionProblem*> group;
+    for (const RejectionProblem& point : points) group.push_back(&point);
+    for (const simd::Backend backend : available_backends()) {
+      simd::ScopedBackend forced(backend);
+      SCOPED_TRACE(std::string(simd::to_string(backend)) + " / capacity " +
+                   std::to_string(p.cycle_capacity()));
+      const std::vector<RejectionSolution> warm = dp.solve_sweep(group);
+      ASSERT_EQ(warm.size(), points.size());
+      for (std::size_t k = 0; k < points.size(); ++k) {
+        const RejectionSolution cold = dp.solve(points[k]);
+        EXPECT_EQ(warm[k].accepted, cold.accepted) << "point " << k;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(warm[k].energy),
+                  std::bit_cast<std::uint64_t>(cold.energy))
+            << "point " << k;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(warm[k].penalty),
+                  std::bit_cast<std::uint64_t>(cold.penalty))
+            << "point " << k;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

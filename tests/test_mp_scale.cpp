@@ -1,6 +1,6 @@
 // Tests for the many-core scale solver: validity, the bound/baseline
 // sandwich, the rounds=0 composition identity with MP-LTF-DP, bitwise
-// invariance across jobs / lockstep lanes / SIMD backends, and the FFD
+// invariance across jobs / SIMD backends, and the FFD
 // placement policy under overload.
 #include "retask/core/mp_scale.hpp"
 
@@ -91,19 +91,16 @@ TEST(MpScale, MoreLocalSearchRoundsNeverHurt) {
   }
 }
 
-TEST(MpScale, BitwiseInvariantAcrossJobsLanesAndBackends) {
+TEST(MpScale, BitwiseInvariantAcrossJobsAndBackends) {
   const MultiProcScaleSolver base_solver;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const RejectionProblem p = test::small_instance(seed, 16, 3.0, 1.0, 5);
     const RejectionSolution base = base_solver.solve(p);
     for (const int jobs : {1, 2, 4}) {
-      for (const int lanes : {0, 2, 8}) {
-        MpScaleConfig config;
-        config.jobs = jobs;
-        config.lanes = lanes;
-        EXPECT_TRUE(same_solution(MultiProcScaleSolver(config).solve(p), base))
-            << "seed " << seed << " jobs " << jobs << " lanes " << lanes;
-      }
+      MpScaleConfig config;
+      config.jobs = jobs;
+      EXPECT_TRUE(same_solution(MultiProcScaleSolver(config).solve(p), base))
+          << "seed " << seed << " jobs " << jobs;
     }
     for (const simd::Backend backend : {simd::Backend::kScalar, simd::Backend::kSse2,
                                         simd::Backend::kAvx2, simd::Backend::kNeon}) {
@@ -133,8 +130,8 @@ TEST(MpScale, FfdPolicyRejectsOverflowAndStaysValid) {
 }
 
 TEST(MpScale, ManyProcessorsWithEmptyPes) {
-  // m far beyond n: surplus PEs stay empty, the lockstep phase sees lanes of
-  // empty/1-task subproblems, and everything still verifies.
+  // m far beyond n: surplus PEs stay empty, phase 2 sees empty and 1-task
+  // subproblems, and everything still verifies.
   const RejectionProblem p = test::small_instance(4, 6, 0.9, 4.0, 32);
   const RejectionSolution s = MultiProcScaleSolver().solve(p);
   check_solution(p, s);

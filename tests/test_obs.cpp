@@ -6,12 +6,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "retask/batch/lockstep.hpp"
-#include "retask/cache/sweep.hpp"
 #include "retask/common/error.hpp"
 #include "retask/core/exact_dp.hpp"
 #include "retask/core/fptas.hpp"
@@ -21,7 +20,6 @@
 #include "retask/obs/json.hpp"
 #include "retask/obs/metrics.hpp"
 #include "retask/obs/trace.hpp"
-#include "retask/serve/delta_solver.hpp"
 #include "test_util.hpp"
 
 namespace retask {
@@ -199,100 +197,32 @@ TEST(Metrics, SolverRunPopulatesScopedRegistry) {
   EXPECT_GT(metrics.counter(touched), 0u);
 }
 
-// Fused-sweep counter parity: the fused cross-instance path must report the
-// same fill/warm-start work as the per-instance warm sweeps it replaces
-// (exact_dp.solves, dp.warm_starts) and the same select work
-// (batch.select_energy_evals equals the warm sweeps' exact_dp.energy_evals,
-// since every lane walks its own staircase), adding only its own batch.*
-// counters; below 2 lanes the fused counters stay at zero and every instance
-// is a counted fallback.
-TEST(Metrics, FusedSweepCountersMirrorWarmSweepsAndVanishBelowTwoLanes) {
-  const std::vector<double> factors{0.5, 0.8, 1.0};
-  std::vector<RejectionProblem> fleet;
-  std::vector<std::vector<RejectionProblem>> sweeps;
-  std::vector<std::vector<const RejectionProblem*>> grids;
-  for (std::uint64_t seed = 41; seed < 45; ++seed) {
-    fleet.push_back(test::small_instance(seed, 10, 1.5));
+// Seeds are untimed: the marginal greedy and the FPTAS seed through the
+// density pass without its solve timer, so each solve records only its own
+// top-level timer, and a sum of top-level timers never counts a seed twice.
+TEST(Metrics, SeededSolversRecordOnlyTheirOwnTimer) {
+  const RejectionProblem problem = test::small_instance(5, 10, 1.5);
+  const obs::MetricId density_timer =
+      obs::intern_metric(MetricKind::kTimer, "greedy.density_solve_ns");
+  const obs::MetricId density_solves =
+      obs::intern_metric(MetricKind::kCounter, "greedy.density_solves");
+  const MarginalGreedySolver marginal;
+  const FptasSolver fptas(0.1);
+  const std::pair<const RejectionSolver*, const char*> cases[] = {
+      {&marginal, "greedy.marginal_solve_ns"}, {&fptas, "fptas.solve_ns"}};
+  for (const auto& [solver, own_timer] : cases) {
+    SCOPED_TRACE(solver->name());
+    Registry metrics;
+    {
+      obs::ActiveScope scope(metrics);
+      solver->solve(problem);
+    }
+    const obs::Histogram* own = metrics.timer(obs::intern_metric(MetricKind::kTimer, own_timer));
+    ASSERT_NE(own, nullptr);
+    EXPECT_EQ(own->count, 1u);
+    EXPECT_EQ(metrics.timer(density_timer), nullptr);
+    EXPECT_EQ(metrics.counter(density_solves), 1u);
   }
-  for (const RejectionProblem& instance : fleet) {
-    sweeps.push_back(make_capacity_sweep(instance, factors));
-    grids.emplace_back();
-    for (const RejectionProblem& point : sweeps.back()) grids.back().push_back(&point);
-  }
-  const obs::MetricId solves = obs::intern_metric(MetricKind::kCounter, "exact_dp.solves");
-  const obs::MetricId warm_starts = obs::intern_metric(MetricKind::kCounter, "dp.warm_starts");
-  const obs::MetricId fused_points =
-      obs::intern_metric(MetricKind::kCounter, "batch.fused_sweep_points");
-  const obs::MetricId select_evals =
-      obs::intern_metric(MetricKind::kCounter, "batch.select_energy_evals");
-  const obs::MetricId solo_evals = obs::intern_metric(MetricKind::kCounter, "exact_dp.energy_evals");
-  const obs::MetricId fallbacks = obs::intern_metric(MetricKind::kCounter, "batch.sweep_fallbacks");
-
-  const ExactDpSolver exact;
-  Registry solo;
-  {
-    obs::ActiveScope scope(solo);
-    for (const auto& grid : grids) exact.solve_sweep(grid);
-  }
-  EXPECT_EQ(solo.counter(solves), fleet.size());
-  EXPECT_EQ(solo.counter(warm_starts), fleet.size() * (factors.size() - 1));
-  EXPECT_EQ(solo.counter(fused_points), 0u);
-
-  Registry fused;
-  {
-    obs::ActiveScope scope(fused);
-    BatchRejectionSolver(exact, BatchConfig{4}).solve_sweep_batch(grids);
-  }
-  // Same fill work as the warm sweeps, plus the fused-path accounting.
-  EXPECT_EQ(fused.counter(solves), solo.counter(solves));
-  EXPECT_EQ(fused.counter(warm_starts), solo.counter(warm_starts));
-  EXPECT_EQ(fused.counter(fused_points), fleet.size() * factors.size());
-  EXPECT_GT(fused.counter(select_evals), 0u);
-  EXPECT_EQ(fused.counter(select_evals), solo.counter(solo_evals));
-  EXPECT_EQ(fused.counter(solo_evals), 0u);
-  EXPECT_EQ(fused.counter(fallbacks), 0u);
-
-  Registry off;
-  {
-    obs::ActiveScope scope(off);
-    BatchRejectionSolver(exact, BatchConfig{1}).solve_sweep_batch(grids);
-  }
-  EXPECT_EQ(off.counter(fused_points), 0u);
-  EXPECT_EQ(off.counter(select_evals), 0u);
-  EXPECT_EQ(off.counter(solo_evals), solo.counter(solo_evals));
-  EXPECT_EQ(off.counter(fallbacks), fleet.size());
-  // The fallback is exactly the warm per-instance path.
-  EXPECT_EQ(off.counter(solves), solo.counter(solves));
-  EXPECT_EQ(off.counter(warm_starts), solo.counter(warm_starts));
-}
-
-// Table handoff: a lockstep capture adopted into a DeltaSolver counts one
-// delta.table_adoptions (and a delta hit), not a cold fall.
-TEST(Metrics, TableAdoptionIsCounted) {
-  std::vector<RejectionProblem> fleet;
-  for (std::uint64_t seed = 61; seed < 65; ++seed) {
-    fleet.push_back(test::small_instance(seed, 10, 1.5));
-  }
-  std::vector<const RejectionProblem*> ptrs;
-  for (const RejectionProblem& p : fleet) ptrs.push_back(&p);
-  const ExactDpSolver exact;
-  LockstepTables tables;
-  BatchRejectionSolver(exact, BatchConfig{4}).solve_batch(ptrs, &tables);
-  ASSERT_FALSE(tables.exports[0].value.empty());
-  std::vector<FrameTask> tasks;
-  for (std::size_t i = 0; i < fleet[0].size(); ++i) tasks.push_back(fleet[0].tasks()[i]);
-
-  const obs::MetricId adoptions =
-      obs::intern_metric(MetricKind::kCounter, "delta.table_adoptions");
-  const obs::MetricId cold_falls = obs::intern_metric(MetricKind::kCounter, "serve.cold_falls");
-  Registry metrics;
-  {
-    obs::ActiveScope scope(metrics);
-    DeltaSolver delta(fleet[0].curve(), fleet[0].work_per_cycle());
-    delta.adopt_table(tasks, std::move(tables.exports[0]));
-  }
-  EXPECT_EQ(metrics.counter(adoptions), 1u);
-  EXPECT_EQ(metrics.counter(cold_falls), 0u);
 }
 
 #else  // !RETASK_OBS_ENABLED

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "retask/batch/lockstep.hpp"
 #include "retask/cache/sweep.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/parallel.hpp"
@@ -231,8 +230,8 @@ std::vector<Workload> build_workloads(int jobs) {
     // 0.75) solved by the toy-scale global greedy and by the partitioned
     // scale solver. The greedy probes all 64 processors per task across its
     // placement and improvement passes; mp-scale places in O(n log m) and
-    // runs the per-PE exact DPs in lockstep lanes. The _greedy/_scale
-    // speedup line is the headline number of the many-core story.
+    // runs one exact DP per PE. The _greedy/_scale speedup line is the
+    // headline number of the many-core story.
     const std::unique_ptr<PowerModel> model = make_model_by_name("xscale");
     ScenarioConfig config;
     config.task_count = 10000;
@@ -331,9 +330,9 @@ std::vector<Workload> build_workloads(int jobs) {
                          }});
   }
   {
-    // Harness-level capacity sweep: every instance group carries one task
-    // set across 8 capacity points, so the warm run routes through
-    // solve_sweep and per-cell energy memos; the cold run disables both.
+    // Harness-level capacity sweep: every instance carries one task set
+    // across 8 capacity points, so the warm run routes each instance through
+    // one solve_sweep; the cold run solves every cell on its own.
     const auto harness_sweep = [jobs](const BatchOptions& batch, obs::Registry& metrics) {
       std::vector<ProblemFactory> factories;
       for (int f = 0; f < 8; ++f) {
@@ -362,109 +361,6 @@ std::vector<Workload> build_workloads(int jobs) {
                          }});
     workloads.push_back({"harness_cap_sweep_warm", [harness_sweep](obs::Registry& metrics) {
                            harness_sweep(BatchOptions{}, metrics);
-                         }});
-  }
-
-  {
-    // Lockstep batch solving: one same-shape fleet of 8 instances through
-    // the exact DP, per instance vs. 8 lanes at once. n=24 makes the subset
-    // sums dense, so each lane's select sweep evaluates energies on most
-    // rows — exactly the work the lockstep chunk shares across lanes (one
-    // fused batch eval over the union of needed rows instead of 8 solo
-    // sweeps over largely the same rows).
-    const auto fleet = std::make_shared<std::vector<RejectionProblem>>();
-    const std::unique_ptr<PowerModel> model = make_model_by_name("table5");
-    for (std::uint64_t seed = 41; seed <= 48; ++seed) {
-      ScenarioConfig config;
-      config.task_count = 24;
-      config.load = 1.3;
-      config.resolution = 4000.0;
-      config.penalty_scale = 2.0;
-      config.seed = seed;
-      fleet->push_back(make_scenario(config, *model));
-    }
-    workloads.push_back({"batch_lockstep_single", [fleet](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           const ExactDpSolver solver;
-                           for (const RejectionProblem& problem : *fleet) solver.solve(problem);
-                         }});
-    workloads.push_back({"batch_lockstep_lanes", [fleet](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           const ExactDpSolver base;
-                           const BatchRejectionSolver batched(base, BatchConfig{8});
-                           std::vector<const RejectionProblem*> group;
-                           group.reserve(fleet->size());
-                           for (const RejectionProblem& problem : *fleet) group.push_back(&problem);
-                           batched.solve_batch(group);
-                         }});
-  }
-  {
-    // Fused cross-instance sweep: the same table5 fleet shape as the
-    // batch_lockstep pair (dense selects, so the shared energy batching
-    // matters), but every instance now carries 8 capacity points. Four
-    // variants of the identical (instance x point) grid isolate each layer:
-    //   _cold      per-point solves, nothing shared
-    //   _lockstep  per-point solve_batch — cross-instance sharing only
-    //   _warm      per-instance solve_sweep — warm-started fills only
-    //   _fused     solve_sweep_batch — both at once (the tentpole path)
-    // _warm/_fused is the headline speedup; _cold/_warm and
-    // _lockstep/_fused show what each axis contributes on its own.
-    const auto grid = std::make_shared<std::vector<std::vector<RejectionProblem>>>();
-    {
-      const std::unique_ptr<PowerModel> model = make_model_by_name("table5");
-      std::vector<double> factors;
-      for (int p = 0; p < 8; ++p) factors.push_back(0.6 + 0.05 * p);
-      for (std::uint64_t seed = 41; seed <= 48; ++seed) {
-        ScenarioConfig config;
-        config.task_count = 24;
-        config.load = 1.3;
-        config.resolution = 4000.0;
-        config.penalty_scale = 2.0;
-        config.seed = seed;
-        grid->push_back(make_capacity_sweep(make_scenario(config, *model), factors));
-      }
-    }
-    workloads.push_back({"fused_sweep_cold", [grid](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           const ExactDpSolver solver;
-                           for (const std::vector<RejectionProblem>& row : *grid) {
-                             for (const RejectionProblem& point : row) solver.solve(point);
-                           }
-                         }});
-    workloads.push_back({"fused_sweep_lockstep", [grid](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           const ExactDpSolver base;
-                           const BatchRejectionSolver batched(base, BatchConfig{8});
-                           for (std::size_t p = 0; p < grid->front().size(); ++p) {
-                             std::vector<const RejectionProblem*> point;
-                             point.reserve(grid->size());
-                             for (const auto& row : *grid) point.push_back(&row[p]);
-                             batched.solve_batch(point);
-                           }
-                         }});
-    workloads.push_back({"fused_sweep_warm", [grid](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           const ExactDpSolver solver;
-                           for (const std::vector<RejectionProblem>& row : *grid) {
-                             std::vector<const RejectionProblem*> group;
-                             group.reserve(row.size());
-                             for (const RejectionProblem& point : row) group.push_back(&point);
-                             solver.solve_sweep(group);
-                           }
-                         }});
-    workloads.push_back({"fused_sweep_fused", [grid](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           const ExactDpSolver base;
-                           const BatchRejectionSolver batched(base, BatchConfig{8});
-                           std::vector<std::vector<const RejectionProblem*>> grids;
-                           grids.reserve(grid->size());
-                           for (const auto& row : *grid) {
-                             std::vector<const RejectionProblem*> group;
-                             group.reserve(row.size());
-                             for (const RejectionProblem& point : row) group.push_back(&point);
-                             grids.push_back(std::move(group));
-                           }
-                           batched.solve_sweep_batch(grids);
                          }});
   }
 
@@ -749,24 +645,6 @@ obs::BenchWorkloadResult run_workload(const Workload& workload, int repeats) {
     result.metrics.emplace_back(row.name, row.numeric);
   }
 
-  // Select attribution, stdout only (timers never enter the gated report):
-  // the share of the lockstep / fused-sweep batch time the staircase selects
-  // account for.
-  {
-    double select_ns = 0.0;
-    double batch_ns = 0.0;
-    for (const obs::MetricRow& row : obs::report_rows(metrics, /*include_timers=*/true)) {
-      if (row.name == "batch.select_scan_ns.sum") select_ns = row.numeric;
-      if (row.name == "batch.lockstep_ns.sum" || row.name == "batch.fused_sweep_ns.sum") {
-        batch_ns += row.numeric;
-      }
-    }
-    if (select_ns > 0.0 && batch_ns > 0.0) {
-      std::cout << workload.name << ": select scans " << 100.0 * select_ns / batch_ns
-                << "% of batch solve time\n";
-    }
-  }
-
   obs::Registry scratch;
   for (int r = 0; r < repeats; ++r) {
     scratch.clear();
@@ -810,8 +688,8 @@ int run(const BenchCliOptions& options) {
   }
 
   // Before/after pairs: _cold/_warm measures the sweep-caching layer,
-  // _scalar/_simd the vector kernels, _warm/_fused the cross-instance
-  // fused sweep. Report the speedup of each pair.
+  // _scalar/_simd the vector kernels, _greedy/_scale the many-core solver.
+  // Report the speedup of each pair.
   const auto print_speedups = [&report](const std::string& before, const std::string& after) {
     for (const obs::BenchWorkloadResult& slow : report.workloads) {
       if (slow.name.size() <= before.size() ||
@@ -829,11 +707,7 @@ int run(const BenchCliOptions& options) {
   };
   print_speedups("_cold", "_warm");
   print_speedups("_scalar", "_simd");
-  print_speedups("_single", "_lanes");
-  print_speedups("_serial", "_tiled");
   print_speedups("_greedy", "_scale");
-  print_speedups("_warm", "_fused");
-  print_speedups("_lockstep", "_fused");
 
   if (!options.trace_out.empty()) {
     obs::write_chrome_trace_file(options.trace_out);

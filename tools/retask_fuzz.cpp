@@ -54,13 +54,6 @@ usage: retask_fuzz [options]
   --simd-diff        also solve every instance under the forced-scalar
                      kernels and under every vector backend the host can
                      execute, requiring bit-identical solutions
-  --lockstep-diff    also expand a same-shape fleet around every instance
-                     into capacity sweeps and solve it through the lockstep
-                     batch solver — solve_batch per point and the fused
-                     solve_sweep_batch over the grid (lanes 4 and 8, every
-                     backend, including ragged lane tails) — requiring
-                     bit-identity with cold per-point solves and with each
-                     instance's warm solve_sweep
   --delta-diff       also replay every instance as a serve-mode admit /
                      remove / reprice walk through the incremental
                      DeltaSolver, requiring bit-identical solutions to a
@@ -74,8 +67,8 @@ usage: retask_fuzz [options]
                      distribution for exact replay
   --mp-diff          also check the multiprocessor scale path: the O(n log m)
                      heap/tournament partitioners against the linear-scan
-                     reference, mp-scale bit-invariance across jobs /
-                     lockstep lanes / SIMD backends, the rounds=0 composition
+                     reference, mp-scale bit-invariance across jobs and
+                     SIMD backends, the rounds=0 composition
                      identity with mp-ltf-dp, and Lagrangian lower-bound
                      soundness
   --replay FILE      re-run one dumped counterexample and report
@@ -129,8 +122,6 @@ FuzzCliOptions parse(const std::vector<std::string>& args) {
       options.fuzz.sweep_cache = true;
     } else if (arg == "--simd-diff") {
       options.fuzz.simd_diff = true;
-    } else if (arg == "--lockstep-diff") {
-      options.fuzz.lockstep_diff = true;
     } else if (arg == "--delta-diff") {
       options.fuzz.delta_diff = true;
     } else if (arg == "--stochastic-diff") {
