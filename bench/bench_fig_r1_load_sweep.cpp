@@ -38,12 +38,7 @@ int main() {
 
   std::cout << "Fig. R1: average objective ratio vs. optimal (n=12, XScale ideal DVS,\n"
                "dormant-enable, uniform penalties, 20 instances per point)\n\n";
-  // The sweep varies only the task sets — the power model, frame and
-  // resolution are fixed — so every cell shares one (curve, work_per_cycle)
-  // pair and a grid-wide energy memo is sound.
-  bench::SweepOptions options;
-  options.share_energy_memo = true;
   bench::run_sweep("Fig R1 - normalized objective vs system load", "load", sweep, lineup,
-                   reference, 20, /*seed0=*/1, options);
+                   reference, 20);
   return 0;
 }

@@ -48,12 +48,8 @@ int main() {
                          return make_scenario(config, model);
                        }});
     }
-    // Model, frame and resolution are fixed across the lambda sweep (only
-    // penalties move), so a grid-wide energy memo is sound.
-    bench::SweepOptions options;
-    options.share_energy_memo = true;
     bench::run_sweep(std::string("Fig R2 - ratio vs penalty scale (") + pm.label + ")",
-                     "lambda", sweep, lineup, reference, 20, /*seed0=*/1, options);
+                     "lambda", sweep, lineup, reference, 20);
     std::cout << '\n';
   }
   return 0;

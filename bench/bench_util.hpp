@@ -58,17 +58,6 @@ inline void print_sweep_metrics(const std::string& title, const std::string& axi
   }
 }
 
-/// Sweep-level knobs forwarded to the harness.
-struct SweepOptions {
-  /// Attach ONE energy memo to every cell of the grid (otherwise no cell
-  /// gets a memo). Only set this when the sweep holds the power model,
-  /// frame and resolution fixed across points (so every problem shares one
-  /// (EnergyCurve, work_per_cycle) pair — the memo's correctness contract);
-  /// the figure drivers that vary only the task sets (load/penalty sweeps)
-  /// qualify.
-  bool share_energy_memo = false;
-};
-
 /// Runs `lineup` over every sweep point (instances per point) and prints a
 /// table: value | mean ratio per algorithm. Returns the table for callers
 /// that also want CSV. The whole point x instance grid is solved in one
@@ -79,17 +68,14 @@ inline Table run_sweep(const std::string& title, const std::string& axis,
                        const std::vector<SweepPoint>& sweep,
                        const std::vector<std::unique_ptr<RejectionSolver>>& lineup,
                        const ReferenceObjective& reference, int instances,
-                       std::uint64_t seed0 = 1, const SweepOptions& options = {}) {
+                       std::uint64_t seed0 = 1) {
   std::vector<std::string> columns{axis};
   for (const auto& solver : lineup) columns.push_back(solver->name());
   Table table(title, columns);
   std::vector<ProblemFactory> factories;
   factories.reserve(sweep.size());
   for (const SweepPoint& point : sweep) factories.push_back(point.factory);
-  BatchOptions batch;
-  if (options.share_energy_memo) batch.shared_energy_memo = std::make_shared<EnergyMemo>();
-  const auto stats =
-      run_comparison_batch(factories, lineup, reference, instances, seed0, /*jobs=*/0, batch);
+  const auto stats = run_comparison_batch(factories, lineup, reference, instances, seed0);
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     std::vector<double> row{sweep[i].value};
     for (const AlgoStats& s : stats[i]) row.push_back(s.ratio.mean());

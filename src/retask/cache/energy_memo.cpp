@@ -1,6 +1,7 @@
 #include "retask/cache/energy_memo.hpp"
 
 #include <mutex>
+#include <vector>
 
 #include "retask/obs/metrics.hpp"
 
@@ -77,39 +78,10 @@ EnergyMemo::Shard* EnergyMemo::local_shard() {
   return shard;
 }
 
-void EnergyMemo::reserve_dense(Cycles max_cycles) {
-  if (max_cycles < 0) return;
-  const auto want = static_cast<std::size_t>(max_cycles) + 1;
-  if (want > kDenseLimit) return;
-  // Monotonic max; shards grow their arrays lazily on next access.
-  std::size_t current = dense_width_.load(std::memory_order_relaxed);
-  while (current < want &&
-         !dense_width_.compare_exchange_weak(current, want, std::memory_order_relaxed)) {
-  }
-}
-
-void EnergyMemo::ensure_dense(Shard& shard, std::size_t width) {
-  if (shard.dense.size() >= width) return;
-  shard.dense.resize(width, 0.0);
-  shard.dense_set.resize((width + 63) / 64, 0);
-}
-
 bool EnergyMemo::lookup(Cycles cycles, double& energy) {
   Shard* shard = local_shard();
   if (shard == nullptr) {
     count_shards_exhausted();
-    return false;
-  }
-  const std::size_t width = dense_width_.load(std::memory_order_relaxed);
-  if (width != 0 && cycles >= 0 && static_cast<std::size_t>(cycles) < width) {
-    ensure_dense(*shard, width);
-    const auto w = static_cast<std::size_t>(cycles);
-    if ((shard->dense_set[w >> 6] >> (w & 63)) & 1u) {
-      count_hit();
-      energy = shard->dense[w];
-      return true;
-    }
-    count_miss();
     return false;
   }
   const auto it = shard->values.find(cycles);
@@ -125,25 +97,13 @@ bool EnergyMemo::lookup(Cycles cycles, double& energy) {
 void EnergyMemo::record(Cycles cycles, double energy) {
   Shard* shard = local_shard();
   if (shard == nullptr) return;
-  const std::size_t width = dense_width_.load(std::memory_order_relaxed);
-  if (width != 0 && cycles >= 0 && static_cast<std::size_t>(cycles) < width) {
-    ensure_dense(*shard, width);
-    const auto w = static_cast<std::size_t>(cycles);
-    shard->dense[w] = energy;
-    shard->dense_set[w >> 6] |= std::uint64_t{1} << (w & 63);
-    return;
-  }
   shard->values.emplace(cycles, energy);
 }
 
 std::size_t EnergyMemo::local_size() {
   Shard* shard = local_shard();
   if (shard == nullptr) return 0;
-  std::size_t entries = shard->values.size();
-  for (const std::uint64_t word : shard->dense_set) {
-    entries += static_cast<std::size_t>(__builtin_popcountll(word));
-  }
-  return entries;
+  return shard->values.size();
 }
 
 std::size_t EnergyMemo::shard_count() const {

@@ -1,24 +1,11 @@
 // Shared energy memo: a per-problem cache of E(cycles) evaluations.
 //
-// A memo pays only where most lookups hit. One E(W) evaluation on a
-// continuous curve is a closed form that costs less than a hash miss plus
-// its record, and a discrete hull evaluation is a short scan, so a memo on
-// a problem whose loads are mostly new is a net cost; the experiment
-// harness therefore attaches none of its own. The callers that still attach
-// one revisit the same loads many times over one platform:
-//
-//  * caller-shared grids (BatchOptions::shared_energy_memo): the Fig. R1
-//    load and R2 penalty sweeps keep one platform across the grid and share
-//    one memo, whose lineup (exact DP reference, FPTAS guess rounds, greedy
-//    flip loops) re-evaluates the same loads at every point and instance;
-//  * DeltaSolver (serve/delta_solver.hpp): every admit, remove and reprice
-//    re-scans the rows of one resident table, request after request;
-//  * mp-scale's dense memo (core/mp_scale.cpp): the local search replays
-//    millions of rows of one platform, and a dense hit is one indexed load;
-//  * MP-GREEDY (core/multiproc.cpp): its placement and improvement passes
-//    probe the same per-processor loads until they change;
-//  * the budgeted sweep (core/budgeted.cpp): every budget's binary search
-//    probes the same loads.
+// A memo pays only where a hit costs much less than an evaluation, and one
+// E(W) evaluation is a closed form for every power model (continuous or
+// discrete, power/energy_curve.hpp) that costs about as much as a hash hit.
+// So the library attaches no memo of its own: a memo is only ever one a
+// caller attaches through RejectionProblem::attach_energy_memo, directly or
+// as BatchOptions::shared_energy_memo for a whole harness grid.
 //
 // The memo keeps two hard guarantees:
 //
@@ -37,17 +24,15 @@
 //    the slot together with the dead thread's shard.
 //
 // Sharing contract: attach one memo only to problems with identical
-// (EnergyCurve, work_per_cycle). The memo cannot verify this; the attach
-// sites in exp/harness and the benches are the audited callers.
+// (EnergyCurve, work_per_cycle). The memo cannot verify this; the caller
+// that attaches it vouches for it.
 #ifndef RETASK_CACHE_ENERGY_MEMO_HPP
 #define RETASK_CACHE_ENERGY_MEMO_HPP
 
 #include <array>
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "retask/task/task.hpp"
 
@@ -62,18 +47,6 @@ class EnergyMemo {
   EnergyMemo(const EnergyMemo&) = delete;
   EnergyMemo& operator=(const EnergyMemo&) = delete;
 
-  /// Switches lookups for cycles in [0, max_cycles] to a dense per-shard
-  /// array (indexed load + validity bit) instead of the hash map. The exact
-  /// select sweeps evaluate E over nearly every load in that range, often
-  /// millions of times per solve — the mp-scale local search alone replays
-  /// tens of millions of rows — and at that density the hash probe IS the
-  /// cost. Pure speedup: the stored values are the same bits either way.
-  /// Call before heavy use (entries already in the hash map are not
-  /// migrated — a later dense lookup recomputes them, bit-identically).
-  /// Requests beyond kDenseLimit entries are ignored and the memo stays on
-  /// the hash path; the bound may grow monotonically across calls.
-  void reserve_dense(Cycles max_cycles);
-
   /// Returns the memoized energy for `cycles`, calling `compute(cycles)` on
   /// a miss and recording the result in the calling thread's shard. Safe to
   /// call concurrently from any number of threads; obs counters
@@ -84,20 +57,6 @@ class EnergyMemo {
     if (shard == nullptr) {  // more live threads than shard slots
       count_shards_exhausted();
       return compute(cycles);
-    }
-    const std::size_t width = dense_width_.load(std::memory_order_relaxed);
-    if (width != 0 && cycles >= 0 && static_cast<std::size_t>(cycles) < width) {
-      ensure_dense(*shard, width);
-      const auto w = static_cast<std::size_t>(cycles);
-      if ((shard->dense_set[w >> 6] >> (w & 63)) & 1u) {
-        count_hit();
-        return shard->dense[w];
-      }
-      count_miss();
-      const double energy = compute(cycles);
-      shard->dense[w] = energy;
-      shard->dense_set[w >> 6] |= std::uint64_t{1} << (w & 63);
-      return energy;
     }
     const auto it = shard->values.find(cycles);
     if (it != shard->values.end()) {
@@ -133,8 +92,6 @@ class EnergyMemo {
  private:
   struct Shard {
     std::unordered_map<Cycles, double> values;
-    std::vector<double> dense;              ///< energies for cycles < dense_width_
-    std::vector<std::uint64_t> dense_set;   ///< validity bitmap for `dense`
   };
 
   /// Live threads beyond this count fall back to the cold path, counted as
@@ -142,22 +99,12 @@ class EnergyMemo {
   /// harness uses. Exited threads return their slots (SlotPool in the .cpp).
   static constexpr std::size_t kMaxShards = 256;
 
-  /// Densest range reserve_dense accepts: 2^22 entries = 32 MiB of doubles
-  /// per shard. Larger requests keep the hash path.
-  static constexpr std::size_t kDenseLimit = std::size_t{1} << 22;
-
   Shard* local_shard();
-  /// Grows the calling thread's shard-local dense arrays to `width` (the
-  /// shard is thread-private, so the resize cannot race; existing entries
-  /// and bits are preserved).
-  static void ensure_dense(Shard& shard, std::size_t width);
   static void count_hit();
   static void count_miss();
   static void count_shards_exhausted();
 
   std::array<std::atomic<Shard*>, kMaxShards> shards_{};
-  /// Dense-range width (max_cycles + 1); 0 = hash-only. Monotonic.
-  std::atomic<std::size_t> dense_width_{0};
 };
 
 }  // namespace retask

@@ -13,7 +13,6 @@
 #define RETASK_CACHE_SCRATCH_HPP
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "retask/common/bit_matrix.hpp"
@@ -43,15 +42,11 @@ struct FptasScratch {
   std::vector<Cycles> rej;
   std::vector<double> true_pen;
   BitMatrix take;
-  // Candidate rows surviving the sweep prefilter, batched through the fused
-  // cycles->energy kernel (structure-of-arrays: same index, three facets).
+  // Candidate rows surviving the sweep prefilter, batched through one
+  // energy call (structure-of-arrays: same index, three facets).
   std::vector<std::size_t> cand_row;
   std::vector<Cycles> cand_cycles;
   std::vector<double> cand_energy;
-  /// Fallback energy memo for problems without an attached EnergyMemo;
-  /// cleared at the start of every solve (entries are only valid within one
-  /// problem's curve).
-  std::unordered_map<Cycles, double> energy_memo;
 };
 
 /// Buffers of one marginal-greedy solve: per-task probe loads and flip

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "retask/cache/energy_memo.hpp"
 #include "retask/cache/scratch.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/math.hpp"
@@ -25,27 +24,19 @@ double energy_of(const BudgetedProblem& problem, Cycles cycles) {
 }
 
 /// Largest cycle count whose energy fits the budget (E is increasing).
-/// `energy` must return energy_of(problem, cycles) bits; the sweep entry
-/// point passes a memoized wrapper, which preserves the search because the
-/// memo replays exact values.
-template <typename EnergyFn>
-Cycles budget_cycle_cap_impl(const BudgetedProblem& problem, const EnergyFn& energy) {
+Cycles budget_cycle_cap(const BudgetedProblem& problem) {
   Cycles lo = 0;
   Cycles hi = std::min(cycle_capacity(problem), problem.tasks.total_cycles());
-  if (!leq_tol(energy(Cycles{0}), problem.energy_budget)) return -1;
+  if (!leq_tol(energy_of(problem, 0), problem.energy_budget)) return -1;
   while (lo < hi) {
     const Cycles mid = lo + (hi - lo + 1) / 2;
-    if (leq_tol(energy(mid), problem.energy_budget)) {
+    if (leq_tol(energy_of(problem, mid), problem.energy_budget)) {
       lo = mid;
     } else {
       hi = mid - 1;
     }
   }
   return lo;
-}
-
-Cycles budget_cycle_cap(const BudgetedProblem& problem) {
-  return budget_cycle_cap_impl(problem, [&](Cycles c) { return energy_of(problem, c); });
 }
 
 /// Knapsack-over-cycles fill into the scratch arena: the exact DP's table
@@ -128,21 +119,13 @@ std::vector<BudgetedSolution> solve_budgeted_dp_sweep(const BudgetedProblem& pro
                                                       const std::vector<double>& budgets) {
   if (budgets.empty()) return {};
 
-  // One memo serves every budget's binary search: the curve and
-  // work_per_cycle are fixed across the sweep, only the budget threshold
-  // moves, so the searches probe overlapping cycle counts.
-  EnergyMemo memo;
-  const auto memo_energy = [&](Cycles c) {
-    return memo.get_or_compute(c, [&](Cycles cc) { return energy_of(problem, cc); });
-  };
-
   BudgetedProblem local = problem;
   std::vector<Cycles> caps(budgets.size());
   Cycles max_cap = 0;
   for (std::size_t b = 0; b < budgets.size(); ++b) {
     local.energy_budget = budgets[b];
     validate(local);
-    caps[b] = budget_cycle_cap_impl(local, memo_energy);
+    caps[b] = budget_cycle_cap(local);
     require(caps[b] >= 0,
             "solve_budgeted_dp_sweep: even an empty accept set exceeds a budget");
     max_cap = std::max(max_cap, caps[b]);

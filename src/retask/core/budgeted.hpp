@@ -51,11 +51,9 @@ BudgetedSolution solve_budgeted_dp(const BudgetedProblem& problem);
 
 /// Exact DP at every budget of a sweep over one instance. The knapsack table
 /// is filled once at the largest budget's cycle cap and each budget's answer
-/// is read off the shared prefix; the per-budget binary searches share one
-/// energy memo (the curve and work_per_cycle are fixed across the sweep).
-/// Bit-identical to calling solve_budgeted_dp with energy_budget = b for
-/// each b, in order. `problem.energy_budget` is ignored; every entry of
-/// `budgets` must be positive.
+/// is read off the shared prefix. Bit-identical to calling solve_budgeted_dp
+/// with energy_budget = b for each b, in order. `problem.energy_budget` is
+/// ignored; every entry of `budgets` must be positive.
 std::vector<BudgetedSolution> solve_budgeted_dp_sweep(const BudgetedProblem& problem,
                                                       const std::vector<double>& budgets);
 

@@ -12,17 +12,6 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// Throws Error naming the size when one value row plus `n` choice rows of
-/// `width` cells overflows size_t or exceeds kDpTableByteBudget.
-void check_table_size(std::size_t n, std::size_t width) {
-  const std::optional<std::size_t> bytes = dp_table_bytes(width, 1, n);
-  if (bytes && *bytes <= kDpTableByteBudget) return;
-  const std::string shape = std::to_string(width) + " cells x " + std::to_string(n) + " tasks";
-  if (!bytes) throw Error("DP table of " + shape + " overflows size_t bytes");
-  throw Error("DP table of " + shape + " needs " + std::to_string(*bytes) + " bytes, over the " +
-              std::to_string(kDpTableByteBudget) + "-byte table budget");
-}
-
 std::size_t relax(const simd::KernelTable& kernels, double* value, std::uint64_t* take_row,
                   std::size_t cap, std::size_t& reach, const FrameTask& task) {
   const auto c = static_cast<std::size_t>(task.cycles);
@@ -53,6 +42,19 @@ std::optional<std::size_t> dp_table_bytes(std::size_t width, std::size_t value_r
   return bytes;
 }
 
+void require_dp_table_budget(std::string_view owner, std::size_t width, std::size_t value_rows,
+                             std::size_t take_rows) {
+  const std::optional<std::size_t> bytes = dp_table_bytes(width, value_rows, take_rows);
+  if (bytes && *bytes <= kDpTableByteBudget) return;
+  std::string message(owner);
+  if (!message.empty()) message += ": ";
+  message += "DP table of " + std::to_string(value_rows) + " value row(s) and " +
+             std::to_string(take_rows) + " choice row(s) of " + std::to_string(width) + " cells";
+  if (!bytes) throw Error(message + " overflows size_t bytes");
+  throw Error(message + " needs " + std::to_string(*bytes) + " bytes, over the " +
+              std::to_string(kDpTableByteBudget) + "-byte table budget");
+}
+
 Cycles dp_fill_capacity(const RejectionProblem& problem) {
   require(problem.processor_count() == 1, "ExactDpSolver: single-processor algorithm");
   const Cycles cap = std::min(problem.cycle_capacity(), problem.tasks().total_cycles());
@@ -80,7 +82,7 @@ void dp_staircase(const double* kept, std::size_t cap, DpStaircase& out) {
 
 DpFillCounts dp_fill(DpScratch& table, const FrameTask* tasks, std::size_t n, std::size_t cap) {
   const std::size_t width = (cap + 1 + 63) / 64 * 64;
-  check_table_size(n, width);
+  require_dp_table_budget("", width, 1, n);
   table.value.resize(width);
   table.take.reset(n, width);
 

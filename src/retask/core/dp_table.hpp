@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "retask/cache/scratch.hpp"
@@ -60,10 +61,11 @@
 
 namespace retask {
 
-/// Largest table an exact-DP solver may hold: one dp_fill's value row and
-/// choice bits, or a DeltaSolver's retained rows. A fill or a
-/// request that would need more throws Error naming the size before it
-/// allocates anything. The widest tables the benches build stay under 1 MiB,
+/// Largest table a DP solver may hold: one dp_fill's value row and choice
+/// bits, a DeltaSolver's retained rows, or one FPTAS round's two value rows
+/// and choice bits. A fill, request or round that would need more throws
+/// Error naming the size (require_dp_table_budget) before it allocates
+/// anything. The widest tables the benches build stay under 1 MiB,
 /// so the ceiling only stops capacities the exact DP could not fill in
 /// memory anyway.
 inline constexpr std::size_t kDpTableByteBudget = std::size_t{1} << 30;
@@ -73,6 +75,13 @@ inline constexpr std::size_t kDpTableByteBudget = std::size_t{1} << 30;
 /// the count overflows size_t.
 std::optional<std::size_t> dp_table_bytes(std::size_t width, std::size_t value_rows,
                                           std::size_t take_rows);
+
+/// Throws Error when `value_rows` value rows plus `take_rows` choice rows of
+/// `width` cells would overflow size_t bytes or exceed kDpTableByteBudget.
+/// The message names the shape and, when it fits size_t, the byte count
+/// ("DP table of ... needs N bytes"), prefixed by `owner` when non-empty.
+void require_dp_table_budget(std::string_view owner, std::size_t width, std::size_t value_rows,
+                             std::size_t take_rows);
 
 /// The exact DP's fill capacity for `problem`: min(cycle capacity, total
 /// cycles). Throws Error for multiprocessor problems.
@@ -106,9 +115,8 @@ void dp_staircase(const double* kept, std::size_t cap, DpStaircase& out);
 /// Fills the knapsack table of the `n` tasks at `tasks` at capacity `cap`
 /// into `table`: the value row and one row of choice bits per task, each
 /// cap + 1 cells rounded up to 64, then the staircase over [0, cap] into
-/// table.stairs. The table's size is checked against kDpTableByteBudget
-/// first; Error names the size when it overflows size_t or exceeds the
-/// budget, before anything is allocated.
+/// table.stairs. The table's size goes through require_dp_table_budget
+/// before anything is allocated.
 DpFillCounts dp_fill(DpScratch& table, const FrameTask* tasks, std::size_t n, std::size_t cap);
 
 /// The row a select picked and the energy evaluations it spent.

@@ -4,12 +4,13 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "retask/cache/scratch.hpp"
 #include "retask/common/bit_matrix.hpp"
 #include "retask/common/error.hpp"
+#include "retask/core/dp_table.hpp"
 #include "retask/core/greedy.hpp"
 #include "retask/obs/metrics.hpp"
 #include "retask/obs/trace.hpp"
@@ -43,8 +44,17 @@ RejectionSolution scaled_round(const RejectionProblem& problem, double guess, do
     }
   }
 
-  const auto r_max = static_cast<std::size_t>(std::ceil(guess / delta)) + movable.size();
-  const auto width = r_max + 1;
+  // Rows 0 ..= ceil(guess / delta) + movable. The width is formed in double
+  // first: casting one past size_t's range would be undefined, and below
+  // 2^53 every integer-valued double casts exactly. The two value rows and
+  // the choice bits then go through the table budget before any allocation.
+  const double cells = std::ceil(guess / delta) + static_cast<double>(movable.size()) + 1.0;
+  if (!(cells < 0x1p53)) {
+    throw Error("FptasSolver: DP table of " + std::to_string(cells) +
+                " cells overflows size_t bytes");
+  }
+  const auto width = static_cast<std::size_t>(cells);
+  require_dp_table_budget("FptasSolver", width, 2, movable.size());
 
   constexpr Cycles kNone = -1;
   // rej[r]: max cycles rejectable at scaled penalty exactly r; true_pen[r]
@@ -82,7 +92,7 @@ RejectionSolution scaled_round(const RejectionProblem& problem, double guess, do
 
   // Sweep rows: accepted cycles = total - rejected; keep the best feasible
   // candidate by its TRUE objective, evaluated in three passes so the
-  // energies go through the fused batch kernel.
+  // energies go through one batch call.
   //
   // Pass 1 prefilters with the round-start guess: a row with true_pen >=
   // guess has objective >= guess (energy >= 0) and can never be selected,
@@ -108,37 +118,8 @@ RejectionSolution scaled_round(const RejectionProblem& problem, double guess, do
 
   // Pass 2: energies for every surviving row.
   cand_energy.resize(cand_cycles.size());
-  if (problem.energy_memo() != nullptr) {
-    // The attached per-problem memo subsumes the round-local one (and
-    // additionally shares energies with the other solvers run on this
-    // problem); its own cache.energy_* counters track hits.
-    problem.energy_of_cycles_batch(cand_cycles.data(), cand_energy.data(), cand_cycles.size());
-  } else {
-    // Round-local memo: successive guesses revisit mostly the same cycle
-    // totals, and the speed-schedule optimization behind each energy
-    // evaluation dwarfs a hash lookup. Misses are compacted and batched.
-    std::vector<Cycles> misses;
-    std::vector<std::size_t> miss_at;
-    for (std::size_t c = 0; c < cand_cycles.size(); ++c) {
-      const auto memo = scratch.energy_memo.find(cand_cycles[c]);
-      if (memo != scratch.energy_memo.end()) {
-        RETASK_COUNT("fptas.energy_memo_hits", 1);
-        cand_energy[c] = memo->second;
-      } else {
-        RETASK_COUNT("fptas.energy_evals", 1);
-        misses.push_back(cand_cycles[c]);
-        miss_at.push_back(c);
-      }
-    }
-    if (!misses.empty()) {
-      std::vector<double> miss_energy(misses.size());
-      problem.energy_of_cycles_batch(misses.data(), miss_energy.data(), misses.size());
-      for (std::size_t m = 0; m < misses.size(); ++m) {
-        cand_energy[miss_at[m]] = miss_energy[m];
-        scratch.energy_memo.emplace(misses[m], miss_energy[m]);
-      }
-    }
-  }
+  problem.energy_of_cycles_batch(cand_cycles.data(), cand_energy.data(), cand_cycles.size());
+  RETASK_COUNT("fptas.energy_evals", cand_cycles.size());
 
   // Pass 3: strict ascending selection — identical tie-breaks to the old
   // fused loop. best_objective starts at the incumbent's value (the guess):
@@ -199,7 +180,6 @@ RejectionSolution FptasSolver::solve(const RejectionProblem& problem) const {
   if (best.objective() <= 0.0) return best;
 
   FptasScratch& scratch = fptas_scratch();
-  scratch.energy_memo.clear();
   constexpr int kMaxRounds = 40;
   RETASK_OBS_ONLY(std::uint64_t rounds = 0;)
   for (int round = 0; round < kMaxRounds; ++round) {

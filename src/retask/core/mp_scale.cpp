@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "retask/cache/energy_memo.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/parallel.hpp"
 #include "retask/core/exact_dp.hpp"
@@ -91,11 +90,6 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
   // The m subproblems are independent: one ExactDpSolver::solve per PE,
   // sharded across the pool. Each solution is a pure function of its
   // subproblem, so the job count cannot change a bit.
-  const auto memo = std::make_shared<EnergyMemo>();
-  // Every select sweep and probe evaluates E over loads in [0, capacity];
-  // the dense mode turns those tens of millions of replays into indexed
-  // loads instead of hash probes.
-  memo->reserve_dense(std::min(capacity, problem.tasks().total_cycles()));
   std::vector<std::unique_ptr<RejectionProblem>> sub(m);
   for (std::size_t p = 0; p < m; ++p) {
     if (pe[p].member.empty()) continue;
@@ -104,7 +98,6 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
     for (const std::size_t i : pe[p].member) local.push_back(problem.tasks()[i]);
     sub[p] = std::make_unique<RejectionProblem>(FrameTaskSet(std::move(local)), problem.curve(),
                                                 problem.work_per_cycle(), 1);
-    sub[p]->attach_energy_memo(memo);
   }
 
   std::vector<RejectionSolution> pe_solution(m);
@@ -163,8 +156,14 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
     const auto ensure_delta = [&](std::size_t p) -> DeltaSolver& {
       PeState& state = pe[p];
       if (state.delta == nullptr) {
+        // A checkpoint every quarter of the residents, at most every 16: a
+        // probe's undo removes the task it appended, and with a stride at or
+        // above the resident count no checkpoint precedes that task, so
+        // every undo would replay the whole PE.
         DeltaSolver::Config delta_config;
-        delta_config.shared_memo = memo;
+        const std::size_t quarter = (state.member.size() + 3) / 4;
+        delta_config.checkpoint_stride =
+            static_cast<int>(std::clamp<std::size_t>(quarter, 1, 16));
         state.delta = std::make_unique<DeltaSolver>(problem.curve(), problem.work_per_cycle(),
                                                     delta_config);
         std::vector<FrameTask> resident;
@@ -184,13 +183,10 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
       return *state.delta;
     };
 
-    // Marginal-energy screen through the shared (dense) memo: the same
-    // E(cycles) evaluation the delta solvers perform, so screen loads feed
-    // the same cache the probes hit.
+    // Marginal-energy screen: the same E(cycles) evaluation the delta
+    // solvers perform.
     const auto screen_energy = [&](Cycles cycles) {
-      return memo->get_or_compute(cycles, [&](Cycles c) {
-        return problem.curve().energy(problem.work_per_cycle() * static_cast<double>(c));
-      });
+      return problem.curve().energy(problem.work_per_cycle() * static_cast<double>(cycles));
     };
     // Marginal cost of adding `extra` cycles to PE `target_pe` at its
     // current accepted load, +inf when it cannot fit. An exact delta probe

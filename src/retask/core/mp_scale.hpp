@@ -22,8 +22,8 @@
 //     (serve/delta_solver.hpp): one O(W) admit-relaxation per probe and a
 //     checkpointed-replay undo, instead of a cold O(n_p * W) re-solve. The
 //     solvers are built lazily (only PEs the search touches pay the table
-//     fill) and share one EnergyMemo — all PEs of one instance are the same
-//     platform, so their probe loads hit one cache.
+//     fill), each with a checkpoint every quarter of its residents (at most
+//     every 16), so undoing a probe replays from a checkpoint.
 //
 // The search is serial and deterministic; all parallelism lives in phase 2,
 // whose per-PE solves are bit-exact. Counters: the mp.* family (probes,

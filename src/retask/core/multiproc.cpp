@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <numeric>
 #include <vector>
 
-#include "retask/cache/energy_memo.hpp"
 #include "retask/common/error.hpp"
 #include "retask/core/exact_dp.hpp"
 #include "retask/obs/metrics.hpp"
@@ -74,19 +72,13 @@ RejectionSolution MultiProcGreedySolver::solve(const RejectionProblem& problem) 
   std::vector<bool> accepted(problem.size(), false);
   std::vector<int> processor_of(problem.size(), -1);
 
-  // All probe energies go through one solver-local memo: the placement and
-  // improvement passes re-evaluate the same per-processor loads over and
-  // over (E(load_p) is probed for every task until load_p changes), and the
-  // memo replays the recorded bits, so caching cannot change a solution bit.
-  EnergyMemo memo;
+  // The placement and improvement passes probe E(load_p) for every task
+  // until load_p changes; one closed-form evaluation costs about as much as
+  // a memo hit, so every probe evaluates.
   std::uint64_t probe_evals = 0;
-  std::uint64_t probe_misses = 0;
   const auto energy_at = [&](Cycles cycles) {
     ++probe_evals;
-    return memo.get_or_compute(cycles, [&](Cycles c) {
-      ++probe_misses;
-      return problem.curve().energy(problem.work_per_cycle() * static_cast<double>(c));
-    });
+    return problem.curve().energy(problem.work_per_cycle() * static_cast<double>(cycles));
   };
 
   // Greedy placement in descending size: cheapest of {reject, best proc}.
@@ -143,7 +135,6 @@ RejectionSolution MultiProcGreedySolver::solve(const RejectionProblem& problem) 
     if (!changed) break;
   }
   RETASK_COUNT("mp.probe_evals", probe_evals);
-  RETASK_COUNT("mp.probe_misses", probe_misses);
   RETASK_COUNT("mp.moves_applied", moves_applied);
   return make_solution(problem, std::move(accepted), std::move(processor_of));
 }

@@ -71,7 +71,7 @@ struct BatchOptions {
   /// asserts all factories produce problems with one identical
   /// (EnergyCurve, work_per_cycle) pair — see
   /// RejectionProblem::attach_energy_memo. Null (the default) attaches no
-  /// memo: one closed-form continuous evaluation costs less than a memo
+  /// memo: one closed-form evaluation of E costs less than a memo
   /// miss, so only a grid whose lineup revisits the same loads across
   /// points and instances gains from one.
   std::shared_ptr<EnergyMemo> shared_energy_memo;

@@ -1,7 +1,9 @@
 #include "retask/power/energy_curve.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "retask/common/error.hpp"
@@ -12,6 +14,20 @@ namespace retask {
 namespace {
 
 constexpr const char* kInfeasible = "EnergyCurve::energy: workload exceeds smax * window";
+
+/// The largest double s with leq_tol(s, v), for a positive finite v. As s
+/// grows, leq_tol(s, v) turns false once and stays false, and the bit
+/// patterns of positive doubles ascend with their values, so a bisection
+/// over the bits finds the last s that passes.
+double leq_tol_limit(double v) {
+  auto pass = std::bit_cast<std::uint64_t>(v);
+  auto fail = std::bit_cast<std::uint64_t>(2.0 * v + 1.0);
+  while (fail - pass > 1) {
+    const std::uint64_t mid = pass + (fail - pass) / 2;
+    (leq_tol(std::bit_cast<double>(mid), v) ? pass : fail) = mid;
+  }
+  return std::bit_cast<double>(pass);
+}
 
 }  // namespace
 
@@ -33,22 +49,24 @@ EnergyCurve::EnergyCurve(const PowerModel& model, double window, IdleDiscipline 
   require(window > 0.0, "EnergyCurve: window must be positive");
   validate(sleep_);
   max_workload_ = model_->max_speed() * window_;
-  continuous_ = model_->is_continuous();
-  if (!continuous_) {
+  branches_.s_max = model_->max_speed();
+  branches_.window = window_;
+  branches_.pind = model_->static_power();
+  branches_.switch_time = sleep_.switch_time;
+  branches_.switch_energy = sleep_.switch_energy;
+  branches_.enable = idle_ == IdleDiscipline::kDormantEnable;
+  if (!model_->is_continuous()) {
+    power_kind_ = PowerKind::kHull;
     build_hull();
     return;
   }
   const auto* poly = dynamic_cast<const PolynomialPowerModel*>(model_.get());
-  if (poly != nullptr) cont_.poly = poly->polynomial();
-  else cont_.other = model_.get();
-  cont_.s_max = model_->max_speed();
-  cont_.s_lo = std::max({model_->min_speed(), cont_.s_max * 1e-12, 1e-300});
-  cont_.s_crit = critical_speed(*model_);
-  cont_.window = window_;
-  cont_.pind = model_->static_power();
-  cont_.switch_time = sleep_.switch_time;
-  cont_.switch_energy = sleep_.switch_energy;
-  cont_.enable = idle_ == IdleDiscipline::kDormantEnable;
+  if (poly != nullptr) {
+    power_kind_ = PowerKind::kPolynomial;
+    poly_ = poly->polynomial();
+  }
+  branches_.s_lo = std::max({model_->min_speed(), branches_.s_max * 1e-12, 1e-300});
+  branches_.s_crit = critical_speed(*model_);
 }
 
 double EnergyCurve::static_power() const { return model_->static_power(); }
@@ -65,7 +83,7 @@ void EnergyCurve::build_hull() {
   // mixing two adjacent hull speeds realizes any average execution speed.
   hull_.clear();
   for (const double s : model_->available_speeds()) {
-    const HullPoint p{s, model_->power(s)};
+    const HullPoint p{s, model_->power(s), leq_tol_limit(s)};
     while (hull_.size() >= 2) {
       const HullPoint& a = hull_[hull_.size() - 2];
       const HullPoint& b = hull_[hull_.size() - 1];
@@ -80,161 +98,109 @@ void EnergyCurve::build_hull() {
     hull_.push_back(p);
   }
   RETASK_ASSERT(!hull_.empty());
-  // Structure-of-arrays mirror for the vector energy kernels.
-  hull_speeds_.clear();
-  hull_powers_.clear();
-  for (const HullPoint& point : hull_) {
-    hull_speeds_.push_back(point.speed);
-    hull_powers_.push_back(point.power);
-  }
-}
-
-simd::HullEnergyParams EnergyCurve::hull_params(double work_per_cycle) const {
-  RETASK_ASSERT(!hull_.empty());
-  simd::HullEnergyParams params;
-  params.window = window_;
-  params.work_per_cycle = work_per_cycle;
-  params.static_power = static_power();
-  params.smax = model_->max_speed();
-  params.switch_energy = sleep_.switch_energy;
-  params.switch_time = sleep_.switch_time;
-  params.dormant_enable = idle_ == IdleDiscipline::kDormantEnable;
-  params.e_zero = params.dormant_enable ? 0.0 : static_power() * window_;
-  params.hull_speed = hull_speeds_.data();
-  params.hull_power = hull_powers_.data();
-  params.hull_size = hull_speeds_.size();
-  return params;
-}
-
-double EnergyCurve::hull_power(double s) const {
-  RETASK_ASSERT(!hull_.empty());
-  if (s <= hull_.front().speed) return hull_.front().power;
-  for (std::size_t i = 0; i + 1 < hull_.size(); ++i) {
-    const HullPoint& a = hull_[i];
-    const HullPoint& b = hull_[i + 1];
-    if (leq_tol(s, b.speed)) {
-      const double theta = (b.speed - s) / (b.speed - a.speed);
-      return theta * a.power + (1.0 - theta) * b.power;
+  // On a hull segment P(s) = a + k s, the awake cost W (P(s) - Pind) / s +
+  // Pind D falls in s while a > Pind and rises after, and the sleep cost
+  // W P(s) / s + Esw falls while a > 0 and rises after. The intercepts a
+  // fall from segment to segment along a lower convex hull, so each branch
+  // is least at the left end of the first segment whose intercept is at
+  // most Pind (awake) or 0 (sleep), or at the top vertex when none is. The
+  // closed-form body then reads the first as its speed floor and the second
+  // as its critical speed; Pind >= 0 puts the critical vertex at or above
+  // the floor.
+  const auto first_vertex_with_intercept_at_most = [this](double level) {
+    for (std::size_t i = 0; i + 1 < hull_.size(); ++i) {
+      const HullPoint& a = hull_[i];
+      const HullPoint& b = hull_[i + 1];
+      const double intercept = a.power - a.speed * (b.power - a.power) / (b.speed - a.speed);
+      if (intercept <= level) return a.speed;
     }
-  }
-  return hull_.back().power;
+    return hull_.back().speed;
+  };
+  branches_.s_lo = first_vertex_with_intercept_at_most(branches_.pind);
+  branches_.s_crit = first_vertex_with_intercept_at_most(0.0);
 }
 
-// Awake branch: its cost never decreases in s, so run as slowly as allowed.
-// Sleep branch: the tail must cover the switch, and W * P(s) / s is least at
-// s*, so run at s* clamped into the speeds that leave that tail. The two
-// monotonicity arguments are in docs/ALGORITHMS.md §1.
-inline EnergyCurve::Choice EnergyCurve::continuous_choice(const Continuous& c, double cycles) {
-  const double lo = c.speed_bound(cycles);
-  const double busy = cycles / lo;
-  Choice best{lo, busy, false, busy * c.power(lo) + c.pind * std::max(0.0, c.window - busy)};
-  if (!c.enable) return best;
-  double sleep_lo = lo;
-  if (c.switch_time > 0.0) {
-    if (c.window - c.switch_time <= 0.0) return best;
-    sleep_lo = std::max(sleep_lo, cycles / (c.window - c.switch_time));
+// The time-shared power of the hull at average speed `s`: the interpolation
+// on the first segment whose right end v passes leq_tol(s, v), the lowest
+// vertex's power at or below it, the top vertex's beyond the last. That test
+// fails exactly when s > v's leq_limit, and fails for a prefix of the
+// segments, so the segment index is the count of right ends whose limit s
+// exceeds, taken without a branch per segment: which segment a load falls on
+// is data, and a mispredicted scan costs more than the rest of the body.
+inline double EnergyCurve::HullPower::operator()(double s) const {
+  std::size_t k = 0;
+  for (std::size_t i = 1; i < size; ++i) k += static_cast<std::size_t>(s > points[i].leq_limit);
+  if (k + 1 >= size) return points[size - 1].power;
+  const HullPoint& a = points[k];
+  const HullPoint& b = points[k + 1];
+  const double theta = (b.speed - s) / (b.speed - a.speed);
+  const double shared = theta * a.power + (1.0 - theta) * b.power;
+  return s <= points[0].speed ? points[0].power : shared;
+}
+
+template <typename Fn>
+auto EnergyCurve::with_power(Fn&& fn) const {
+  switch (power_kind_) {
+    case PowerKind::kPolynomial:
+      return fn(PolynomialPower{poly_});
+    case PowerKind::kHull:
+      return fn(HullPower{hull_.data(), hull_.size()});
+    case PowerKind::kModel:
+      break;
   }
-  if (sleep_lo > c.s_max) return best;
-  const double s = std::min(std::max(c.s_crit, sleep_lo), c.s_max);
+  return fn(ModelPower{model_.get()});
+}
+
+// Awake branch: its cost falls until the speed floor and rises after, so run
+// at the floor or as slowly as the window allows. Sleep branch: the tail must
+// cover the switch, and W * P(s) / s is least at s*, so run at s* clamped
+// into the speeds that leave that tail. The monotonicity arguments are in
+// docs/ALGORITHMS.md §1.
+template <typename Power>
+inline EnergyCurve::Choice EnergyCurve::choose(const Branches& b, const Power& power,
+                                               double cycles) {
+  const double lo = b.speed_bound(cycles);
+  const double busy = cycles / lo;
+  Choice best{lo, busy, false, busy * power(lo) + b.pind * std::max(0.0, b.window - busy)};
+  if (!b.enable) return best;
+  double sleep_lo = lo;
+  if (b.switch_time > 0.0) {
+    if (b.window - b.switch_time <= 0.0) return best;
+    sleep_lo = std::max(sleep_lo, cycles / (b.window - b.switch_time));
+  }
+  if (sleep_lo > b.s_max) return best;
+  const double s = std::min(std::max(b.s_crit, sleep_lo), b.s_max);
   const double sleep_busy = cycles / s;
-  const double idle = std::max(0.0, c.window - sleep_busy);
-  if (idle < c.switch_time) return best;
-  const double cost = sleep_busy * c.power(s) + c.switch_energy;
+  const double idle = std::max(0.0, b.window - sleep_busy);
+  if (idle < b.switch_time) return best;
+  const double cost = sleep_busy * power(s) + b.switch_energy;
   if (cost < best.cost) best = Choice{s, sleep_busy, idle > 0.0, cost};
   return best;
 }
 
-inline double EnergyCurve::continuous_energy(const Continuous& c, double cycles) {
+template <typename Power>
+inline double EnergyCurve::closed_energy(const Branches& b, const Power& power, double cycles) {
   // Dormant-enable processors stay dormant through an empty window.
-  if (cycles <= 0.0) return c.enable ? 0.0 : c.pind * c.window;
-  return continuous_choice(c, cycles).cost;
-}
-
-EnergyCurve::Choice EnergyCurve::best_choice(double cycles) const {
-  RETASK_ASSERT(cycles > 0.0);
-  if (continuous_) return continuous_choice(cont_, cycles);
-  const double smax = model_->max_speed();
-  const double s_req = std::min(cycles / window_, smax);
-  const bool enable = idle_ == IdleDiscipline::kDormantEnable;
-  const double pind = static_power();
-
-  Choice best;
-  best.cost = std::numeric_limits<double>::infinity();
-  const auto consider = [&](double exec_speed, double busy_power, bool sleeps) {
-    const double busy = cycles / exec_speed;
-    const double idle = std::max(0.0, window_ - busy);
-    if (sleeps && (!enable || idle < sleep_.switch_time)) return;
-    const double cost =
-        busy * busy_power + (sleeps ? sleep_.switch_energy : pind * idle);
-    if (cost < best.cost) best = Choice{exec_speed, busy, sleeps && idle > 0.0, cost};
-  };
-
-  // Candidate average speeds: the lower feasibility boundary, the sleep
-  // boundary, and every hull vertex at or above the boundary. Both branch
-  // costs are fractional-linear per hull segment, so their optima lie at
-  // these candidates.
-  const double lower = clamp(std::max(s_req, hull_.front().speed), hull_.front().speed, smax);
-  std::vector<double> candidates{lower, smax};
-  for (const HullPoint& p : hull_) {
-    if (p.speed > lower && p.speed < smax) candidates.push_back(p.speed);
-  }
-  if (enable && sleep_.switch_time > 0.0 && window_ - sleep_.switch_time > 0.0) {
-    const double s_boundary = cycles / (window_ - sleep_.switch_time);
-    if (s_boundary > lower && s_boundary < smax) candidates.push_back(s_boundary);
-  }
-  for (const double s : candidates) {
-    const double p = hull_power(s);
-    consider(s, p, false);
-    if (enable) consider(s, p, true);
-  }
-  RETASK_ASSERT(best.cost < std::numeric_limits<double>::infinity());
-  return best;
+  if (cycles <= 0.0) return b.enable ? 0.0 : b.pind * b.window;
+  return choose(b, power, cycles).cost;
 }
 
 double EnergyCurve::energy(double cycles) const {
   require(feasible(cycles), kInfeasible);
-  if (continuous_) return continuous_energy(cont_, cycles);
-  if (cycles <= 0.0) {
-    // Dormant-enable processors stay dormant through an empty window.
-    return idle_ == IdleDiscipline::kDormantEnable ? 0.0 : static_power() * window_;
-  }
-  // Discrete models route through the shared scalar hull kernel — the same
-  // reference body the batched SIMD kernels reduce to — so one-at-a-time and
-  // batched evaluation can never diverge by a bit (the energy memo's replay
-  // guarantee depends on this). best_choice stays the implementation for
-  // plan(), which needs the speed, not the cost.
-  return simd::energy_hull_one(hull_params(1.0), cycles);
+  return with_power([&](const auto& power) { return closed_energy(branches_, power, cycles); });
 }
 
 void EnergyCurve::energy_cycles_batch(double work_per_cycle, const std::int64_t* cycles,
                                       double* out, std::size_t n) const {
   require(work_per_cycle > 0.0, "EnergyCurve::energy_cycles_batch: work_per_cycle must be positive");
-  if (continuous_) {
-    const Continuous c = cont_;  // hoisted: stores to `out` could alias the members
+  with_power([&](const auto power) {
+    const Branches b = branches_;  // hoisted: stores to `out` could alias the members
     for (std::size_t i = 0; i < n; ++i) {
       const double w = work_per_cycle * static_cast<double>(cycles[i]);
       require(feasible(w), kInfeasible);
-      out[i] = continuous_energy(c, w);
+      out[i] = closed_energy(b, power, w);
     }
-    return;
-  }
-  constexpr std::int64_t kMaxExact = std::int64_t{1} << 52;  // exact int64->double range
-  bool kernel_ok = true;
-  for (std::size_t i = 0; i < n && kernel_ok; ++i) {
-    kernel_ok = cycles[i] >= 0 && cycles[i] < kMaxExact;
-  }
-  if (!kernel_ok) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = energy(work_per_cycle * static_cast<double>(cycles[i]));
-    }
-    return;
-  }
-  // Same feasibility contract as energy(), checked up front so the kernel
-  // only ever sees workloads the scalar path would accept.
-  for (std::size_t i = 0; i < n; ++i) {
-    require(feasible(work_per_cycle * static_cast<double>(cycles[i])), kInfeasible);
-  }
-  simd::kernels().energy_hull_cycles(hull_params(work_per_cycle), cycles, out, n);
+  });
 }
 
 bool EnergyCurve::convex() const {
@@ -251,17 +217,20 @@ double EnergyCurve::convex_floor(double cycles) const {
   // average speed cycles / window across the full window.
   require(feasible(cycles), "EnergyCurve::convex_floor: workload exceeds smax * window");
   if (cycles <= 0.0) return 0.0;  // stays dormant, like energy(0)
-  if (continuous_) {
+  if (power_kind_ != PowerKind::kHull) {
     // P(s) / s is least at s*.
-    const double s = std::min(std::max(cont_.s_crit, cont_.speed_bound(cycles)), cont_.s_max);
-    return cycles * (cont_.power(s) / s);
+    const Branches& b = branches_;
+    const double s = std::min(std::max(b.s_crit, b.speed_bound(cycles)), b.s_max);
+    return with_power([&](const auto& power) { return cycles * (power(s) / s); });
   }
   const double s_avg = cycles / window_;
   double best = std::numeric_limits<double>::infinity();
   for (const HullPoint& p : hull_) {
     if (p.speed >= s_avg) best = std::min(best, cycles * p.power / p.speed);
   }
-  if (s_avg >= hull_.front().speed) best = std::min(best, window_ * hull_power(s_avg));
+  if (s_avg >= hull_.front().speed) {
+    best = std::min(best, window_ * HullPower{hull_.data(), hull_.size()}(s_avg));
+  }
   RETASK_ASSERT(best < std::numeric_limits<double>::infinity());
   return best;
 }
@@ -282,9 +251,10 @@ ExecutionPlan EnergyCurve::plan(double cycles) const {
     out.segments.push_back({0.0, window_});
     return out;
   }
-  const Choice choice = best_choice(cycles);
+  const Choice choice =
+      with_power([&](const auto& power) { return choose(branches_, power, cycles); });
 
-  if (continuous_) {
+  if (power_kind_ != PowerKind::kHull) {
     out.segments.push_back({choice.exec_speed, choice.busy});
   } else {
     // Decompose the average execution speed into the two adjacent hull

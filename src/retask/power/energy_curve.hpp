@@ -22,7 +22,9 @@
 // reproduces the classic critical-speed rule (never execute below
 // s* = argmin P(s)/s on a dormant-enable processor) automatically.
 // Continuous models must have P(s) - Pind convex and zero at s = 0, as
-// PolynomialPowerModel does: both branch optima are then closed-form.
+// PolynomialPowerModel does, and discrete models time-share their lower
+// hull: both branch optima are then closed-form, and one body evaluates E
+// for every model (docs/ALGORITHMS.md §1).
 //
 // With free sleep E is convex and increasing; positive switch overheads add
 // a jump at W = 0+ (the first cycle forces the processor to wake at all),
@@ -35,6 +37,7 @@
 #define RETASK_POWER_ENERGY_CURVE_HPP
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -43,7 +46,6 @@
 #include "retask/power/polynomial_power.hpp"
 #include "retask/power/power_model.hpp"
 #include "retask/power/sleep.hpp"
-#include "retask/simd/kernels.hpp"
 
 namespace retask {
 
@@ -110,12 +112,9 @@ class EnergyCurve {
   double energy(double cycles) const;
 
   /// Batched energy over integer cycle counts: out[i] equals
-  /// energy(work_per_cycle * cycles[i]) bit for bit. Continuous models run
-  /// energy()'s closed-form body in a loop; discrete (hull) models dispatch
-  /// to the active SIMD backend's fused cycles->energy kernel, falling back
-  /// to per-element evaluation outside its exact-conversion range
-  /// [0, 2^52). Requires work_per_cycle > 0 and every workload feasible,
-  /// like energy(), and throws the same Error when one is not.
+  /// energy(work_per_cycle * cycles[i]) bit for bit, because both run the
+  /// same closed-form body. Requires work_per_cycle > 0 and every workload
+  /// feasible, like energy(), and throws the same Error when one is not.
   void energy_cycles_batch(double work_per_cycle, const std::int64_t* cycles, double* out,
                            std::size_t n) const;
 
@@ -164,6 +163,7 @@ class EnergyCurve {
   struct HullPoint {
     double speed = 0.0;
     double power = 0.0;
+    double leq_limit = 0.0;  // the largest s with leq_tol(s, speed)
   };
   struct Choice {
     double exec_speed = 0.0;  // average execution speed (0 when no work)
@@ -171,53 +171,62 @@ class EnergyCurve {
     bool sleeps = false;      // idle tail spent dormant
     double cost = 0.0;
   };
-  /// What the closed-form continuous body reads, cached at construction so
-  /// that one evaluation makes no virtual call (unless the model is not
-  /// polynomial) and the batch loop can keep it in registers.
-  struct Continuous {
-    PowerPolynomial poly;              // P(s) of a polynomial model
-    const PowerModel* other = nullptr;  // any other continuous model (the shared model_)
-    double s_lo = 0.0;     // lowest execution speed: min_speed, kept off 0
+  /// The scalars the closed-form body reads besides P(s), cached at
+  /// construction so that the batch loop can keep them in registers.
+  struct Branches {
+    double s_lo = 0.0;     // awake speed floor: min_speed kept off 0, or a hull's v_a
     double s_max = 0.0;
-    double s_crit = 0.0;   // argmin P(s)/s in the speed range
+    double s_crit = 0.0;   // argmin P(s)/s in the speed range (a hull's v_c)
     double window = 0.0;
     double pind = 0.0;
     double switch_time = 0.0;
     double switch_energy = 0.0;
     bool enable = false;   // dormant-enable
 
-    double power(double s) const { return other == nullptr ? poly(s) : other->power(s); }
-    /// Slowest feasible execution speed for `cycles` > 0.
+    /// Slowest feasible awake execution speed for `cycles` > 0.
     double speed_bound(double cycles) const {
       return std::max(std::min(cycles / window, s_max), s_lo);
     }
   };
+  /// P(s) for the closed-form body, one type per kind of model so that the
+  /// body is compiled once per kind and a polynomial evaluation makes no
+  /// call and takes no branch on the kind.
+  struct PolynomialPower {
+    PowerPolynomial poly;
+    double operator()(double s) const { return poly(s); }
+  };
+  struct ModelPower {  // any other continuous model, through power()
+    const PowerModel* model = nullptr;
+    double operator()(double s) const { return model->power(s); }
+  };
+  struct HullPower {  // discrete models: time-sharing the lower hull
+    const HullPoint* points = nullptr;
+    std::size_t size = 0;
+    double operator()(double s) const;
+  };
+  enum class PowerKind { kPolynomial, kModel, kHull };
 
   double static_power() const;
   void build_hull();
-  /// Time-shared power at average execution speed `s` on the exec hull.
-  double hull_power(double s) const;
-  /// Best (speed, branch) decision for a positive workload.
-  Choice best_choice(double cycles) const;
-  /// The closed-form continuous body: best_choice for a positive workload,
-  /// and energy for any feasible one.
-  static Choice continuous_choice(const Continuous& c, double cycles);
-  static double continuous_energy(const Continuous& c, double cycles);
-  /// Flattened hull + model scalars for the SIMD energy kernels. Only valid
-  /// for discrete models; pointers alias hull_speeds_/hull_powers_.
-  simd::HullEnergyParams hull_params(double work_per_cycle) const;
+  /// Calls fn(power) with this curve's P(s) functor and returns its result.
+  template <typename Fn>
+  auto with_power(Fn&& fn) const;
+  /// The closed-form body: the best (speed, branch) decision for a positive
+  /// workload, and the energy of any feasible one.
+  template <typename Power>
+  static Choice choose(const Branches& b, const Power& power, double cycles);
+  template <typename Power>
+  static double closed_energy(const Branches& b, const Power& power, double cycles);
 
   std::shared_ptr<const PowerModel> model_;
   double window_ = 0.0;
   IdleDiscipline idle_ = IdleDiscipline::kDormantEnable;
   SleepParams sleep_;
   double max_workload_ = 0.0;
-  bool continuous_ = false;
-  Continuous cont_;              // continuous models only
+  PowerKind power_kind_ = PowerKind::kModel;
+  Branches branches_;
+  PowerPolynomial poly_;         // polynomial models only
   std::vector<HullPoint> hull_;  // discrete models: lower hull of operating points
-  // Structure-of-arrays view of hull_ for the vector kernels (same order).
-  std::vector<double> hull_speeds_;
-  std::vector<double> hull_powers_;
 };
 
 }  // namespace retask

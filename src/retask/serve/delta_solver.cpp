@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
-#include <string>
 
 #include "retask/common/error.hpp"
 #include "retask/core/dp_table.hpp"
@@ -36,11 +34,10 @@ DeltaSolver::DeltaSolver(EnergyCurve curve, double work_per_cycle, Config config
   require(config_.checkpoint_stride >= 1, "DeltaSolver: checkpoint_stride must be >= 1");
   cycle_capacity_ = cycle_capacity_for(curve_, work_per_cycle_);
   width_ = static_cast<std::size_t>(cycle_capacity_) + 1;
-  require_within_budget(1, 0);
+  require_dp_table_budget("DeltaSolver", width_, 1, 0);
   table_.value.assign(width_, kNegInf);
   table_.value[0] = 0.0;
   table_.take.reset(0, width_);
-  memo_ = config_.shared_memo != nullptr ? config_.shared_memo : std::make_shared<EnergyMemo>();
   select();
 }
 
@@ -59,17 +56,6 @@ void DeltaSolver::ensure_rows(std::size_t rows) {
   if (rows <= rows_) return;
   rows_ = grown_rows(rows);
   table_.take.resize_rows(rows_);
-}
-
-void DeltaSolver::require_within_budget(std::size_t value_rows, std::size_t take_rows) const {
-  const std::optional<std::size_t> bytes = dp_table_bytes(width_, value_rows, take_rows);
-  if (bytes && *bytes <= kDpTableByteBudget) return;
-  const std::string shape = std::to_string(value_rows) + " value row(s) and " +
-                            std::to_string(take_rows) + " choice row(s) of " +
-                            std::to_string(width_) + " cells";
-  if (!bytes) throw Error("DeltaSolver: a table of " + shape + " overflows size_t bytes");
-  throw Error("DeltaSolver: a table of " + shape + " needs " + std::to_string(*bytes) +
-              " bytes, over the " + std::to_string(kDpTableByteBudget) + "-byte table budget");
 }
 
 std::size_t DeltaSolver::checkpoint_rows_after(std::size_t tasks) const {
@@ -138,7 +124,7 @@ const RejectionSolution& DeltaSolver::admit(const FrameTask& task) {
   validate(task);
   require(index_of(task.id) == kNone, "DeltaSolver::admit: task id already resident");
   const std::size_t n = tasks_.size() + 1;
-  require_within_budget(1 + checkpoint_rows_after(n), grown_rows(n));
+  require_dp_table_budget("DeltaSolver", width_, 1 + checkpoint_rows_after(n), grown_rows(n));
   tasks_.push_back(task);
   total_cycles_ += task.cycles;
   const std::size_t i = tasks_.size() - 1;
@@ -153,7 +139,7 @@ const RejectionSolution& DeltaSolver::admit(const FrameTask& task) {
 
 const RejectionSolution& DeltaSolver::admit_all(const std::vector<FrameTask>& tasks) {
   const std::size_t n = tasks_.size() + tasks.size();
-  require_within_budget(1 + checkpoint_rows_after(n), grown_rows(n));
+  require_dp_table_budget("DeltaSolver", width_, 1 + checkpoint_rows_after(n), grown_rows(n));
   ensure_rows(n);
   for (const FrameTask& task : tasks) {
     validate(task);
@@ -192,10 +178,8 @@ const RejectionSolution& DeltaSolver::reprice(int id, double penalty) {
   return solution_;
 }
 
-double DeltaSolver::energy_of(Cycles cycles) {
-  return memo_->get_or_compute(cycles, [this](Cycles c) {
-    return curve_.energy(work_per_cycle_ * static_cast<double>(c));
-  });
+double DeltaSolver::energy_of(Cycles cycles) const {
+  return curve_.energy(work_per_cycle_ * static_cast<double>(cycles));
 }
 
 void DeltaSolver::select() {

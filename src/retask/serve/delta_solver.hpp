@@ -45,11 +45,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "retask/cache/energy_memo.hpp"
 #include "retask/cache/scratch.hpp"
 #include "retask/core/problem.hpp"
 #include "retask/core/solution.hpp"
@@ -72,12 +70,6 @@ class DeltaSolver {
     /// the replay cost of a removal near the end of the set at the price of
     /// more retained rows; must be >= 1.
     int checkpoint_stride = 16;
-    /// Energy memo to share with other solvers of the SAME platform (curve +
-    /// work_per_cycle) — e.g. the per-PE solvers of one multiprocessor
-    /// instance, whose loads heavily overlap. Null: the solver creates its
-    /// own. Sharing is safe (the memoized value is a pure function of the
-    /// cycles) and cannot change a solution bit.
-    std::shared_ptr<EnergyMemo> shared_memo;
   };
 
   DeltaSolver(EnergyCurve curve, double work_per_cycle) : DeltaSolver(std::move(curve), work_per_cycle, Config()) {}
@@ -137,10 +129,6 @@ class DeltaSolver {
   /// Choice rows allocated once `rows` are needed (geometric growth).
   std::size_t grown_rows(std::size_t rows) const;
   void ensure_rows(std::size_t rows);
-  /// Throws Error when retaining `value_rows` value rows (the working row
-  /// plus checkpoint rows) and `take_rows` choice rows would exceed
-  /// kDpTableByteBudget.
-  void require_within_budget(std::size_t value_rows, std::size_t take_rows) const;
   /// Checkpoint rows retained once the resident set grows to `tasks` tasks:
   /// the live and pooled rows, plus new rows for the stride boundaries the
   /// pool cannot cover.
@@ -155,9 +143,9 @@ class DeltaSolver {
   void drop_checkpoints_to(std::size_t count);
   /// Reads the optimal solution off the retained table into solution_.
   void select();
-  /// energy(work_per_cycle * cycles) through the retained memo — the same
-  /// computation RejectionProblem::energy_of_cycles performs.
-  double energy_of(Cycles cycles);
+  /// energy(work_per_cycle * cycles) — the same computation
+  /// RejectionProblem::energy_of_cycles performs.
+  double energy_of(Cycles cycles) const;
 
   EnergyCurve curve_;
   double work_per_cycle_ = 1.0;
@@ -181,8 +169,6 @@ class DeltaSolver {
   std::vector<std::vector<double>> cp_values_;
   std::vector<std::size_t> cp_reach_;
   std::vector<std::vector<double>> cp_pool_;
-
-  std::shared_ptr<EnergyMemo> memo_;
 
   RejectionSolution solution_;
   Cycles accepted_load_ = 0;

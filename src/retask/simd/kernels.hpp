@@ -22,25 +22,6 @@ namespace retask::simd {
 
 inline constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
-/// Flattened description of a discrete (lower-hull) power model, the hot
-/// case behind `EnergyCurve::energy`. Speeds/powers are the hull vertices in
-/// ascending speed order; `hull_size >= 1` and `hull_speed[hull_size-1]`
-/// equals `smax`. `e_zero` is the energy of an empty window (returned for
-/// `cycles <= 0`).
-struct HullEnergyParams {
-  double window = 0.0;          ///< frame length (seconds)
-  double work_per_cycle = 0.0;  ///< cycles -> normalized work factor
-  double static_power = 0.0;    ///< idle power while awake (P_ind)
-  double smax = 0.0;            ///< maximum speed
-  double switch_energy = 0.0;   ///< dormant transition energy (E_sw)
-  double switch_time = 0.0;     ///< dormant transition time (t_sw)
-  double e_zero = 0.0;          ///< energy of a window with no work
-  bool dormant_enable = false;  ///< sleep state usable at all
-  const double* hull_speed = nullptr;
-  const double* hull_power = nullptr;
-  std::size_t hull_size = 0;
-};
-
 /// One backend's kernel implementations. All pointers are non-null in every
 /// table (narrow backends fall back to the scalar body for kernels their ISA
 /// cannot express, e.g. 64-bit integer compares on SSE2).
@@ -76,18 +57,7 @@ struct KernelTable {
   /// the scalar left-to-right strict-improvement argmin. Returns kNpos when
   /// no element beats init.
   std::size_t (*argmin_f64)(const double* values, std::size_t n, double init);
-
-  /// Fused cycles -> energy evaluation for a discrete (hull) power model:
-  /// out[i] = energy of `cycles[i]` demand, bit-identical to
-  /// `EnergyCurve::energy`. Requires 0 <= cycles[i] < 2^52.
-  void (*energy_hull_cycles)(const HullEnergyParams& params, const std::int64_t* cycles,
-                             double* out, std::size_t n);
 };
-
-/// Scalar reference evaluation of one positive-work hull energy; the single
-/// source of truth shared by `EnergyCurve::energy` (discrete models) and the
-/// batch kernels. `work > 0`.
-double energy_hull_one(const HullEnergyParams& params, double work);
 
 /// Kernel table for the calling thread's active backend.
 const KernelTable& kernels();

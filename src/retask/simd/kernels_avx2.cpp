@@ -6,11 +6,6 @@
 //  * every kernel is elementwise — no reassociated FP reductions, and the
 //    build disables FMA contraction (-ffp-contract=off), so per-lane
 //    arithmetic matches the scalar reference operation for operation;
-//  * min/max tie cases (which operand's bits survive an equal compare) only
-//    differ between std::min/max and vminpd/vmaxpd on +-0.0 ties, and every
-//    such site below is either sign-insensitive downstream (idle cost adds
-//    +-0.0 to a nonnegative product) or operates on strictly positive
-//    speeds;
 //  * the argmax/argmin reductions return the first index attaining the
 //    optimum, which equals the scalar strict-improvement scan's answer, so
 //    the reduced *value* never leaves the kernel — only the index does.
@@ -23,8 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-
-#include "retask/common/math.hpp"
 
 namespace retask::simd {
 
@@ -41,16 +34,6 @@ inline void or_take_bits(std::uint64_t* take_row, std::size_t base, unsigned bit
   const std::size_t off = base & 63;
   take_row[word] |= static_cast<std::uint64_t>(bits) << off;
   if (off > 64 - kLanes) take_row[word + 1] |= static_cast<std::uint64_t>(bits) >> (64 - off);
-}
-
-inline __m256d abs_pd(__m256d x) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), x); }
-
-// Exact int64 -> double conversion for 0 <= x < 2^52 (the kernel contract):
-// OR the payload into the mantissa of 2^52 and subtract the bias.
-inline __m256d i64_to_f64(__m256i x) {
-  const __m256i magic = _mm256_set1_epi64x(0x4330000000000000LL);
-  return _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(x, magic)),
-                       _mm256_castsi256_pd(magic));
 }
 
 void avx2_relax_desc_f64(double* row, std::uint64_t* take_row, std::size_t shift, std::size_t lo,
@@ -183,115 +166,14 @@ std::size_t avx2_argmin_f64(const double* values, std::size_t n, double init) {
   return kNpos;  // unreachable
 }
 
-void avx2_energy_hull_cycles(const HullEnergyParams& params, const std::int64_t* cycles,
-                             double* out, std::size_t n) {
-  const __m256d window = _mm256_set1_pd(params.window);
-  const __m256d smax = _mm256_set1_pd(params.smax);
-  const __m256d front_speed = _mm256_set1_pd(params.hull_speed[0]);
-  const __m256d pind = _mm256_set1_pd(params.static_power);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d rel_tol = _mm256_set1_pd(kRelTol);
-  const __m256d infinity = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  const bool enable = params.dormant_enable;
-
-  // leq_tol/almost_equal transliterated for finite inputs (all speeds and
-  // candidate averages here are finite, so the isfinite prefilter is moot).
-  const auto leq_tol_v = [&](__m256d a, __m256d b) {
-    const __m256d le = _mm256_cmp_pd(a, b, _CMP_LE_OQ);
-    const __m256d scale = _mm256_max_pd(_mm256_max_pd(abs_pd(a), abs_pd(b)), one);
-    const __m256d near_eq = _mm256_cmp_pd(abs_pd(_mm256_sub_pd(a, b)),
-                                          _mm256_mul_pd(rel_tol, scale), _CMP_LE_OQ);
-    return _mm256_or_pd(le, near_eq);
-  };
-
-  // EnergyCurve::hull_power per lane; the `done` mask reproduces the scalar
-  // first-matching-segment early return.
-  const auto hull_power_v = [&](__m256d s) {
-    __m256d done = _mm256_cmp_pd(s, front_speed, _CMP_LE_OQ);
-    __m256d power = _mm256_and_pd(done, _mm256_set1_pd(params.hull_power[0]));
-    for (std::size_t seg = 0; seg + 1 < params.hull_size; ++seg) {
-      const double a_speed = params.hull_speed[seg];
-      const double b_speed = params.hull_speed[seg + 1];
-      const __m256d b_speed_v = _mm256_set1_pd(b_speed);
-      const __m256d hit = _mm256_andnot_pd(done, leq_tol_v(s, b_speed_v));
-      const __m256d theta =
-          _mm256_div_pd(_mm256_sub_pd(b_speed_v, s), _mm256_set1_pd(b_speed - a_speed));
-      const __m256d interp =
-          _mm256_add_pd(_mm256_mul_pd(theta, _mm256_set1_pd(params.hull_power[seg])),
-                        _mm256_mul_pd(_mm256_sub_pd(one, theta),
-                                      _mm256_set1_pd(params.hull_power[seg + 1])));
-      power = _mm256_blendv_pd(power, interp, hit);
-      done = _mm256_or_pd(done, hit);
-    }
-    return _mm256_blendv_pd(_mm256_set1_pd(params.hull_power[params.hull_size - 1]), power,
-                            done);
-  };
-
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256i cyc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cycles + i));
-    const __m256d work = _mm256_mul_pd(_mm256_set1_pd(params.work_per_cycle), i64_to_f64(cyc));
-    const __m256d s_req = _mm256_min_pd(_mm256_div_pd(work, window), smax);
-    const __m256d lower =
-        _mm256_min_pd(_mm256_max_pd(_mm256_max_pd(s_req, front_speed), front_speed), smax);
-
-    __m256d best = infinity;
-    const auto consider = [&](__m256d s, __m256d p, bool sleeps, __m256d valid) {
-      const __m256d busy = _mm256_div_pd(work, s);
-      const __m256d idle = _mm256_max_pd(zero, _mm256_sub_pd(window, busy));
-      __m256d ok = valid;
-      __m256d cost;
-      if (sleeps) {
-        // scalar: return when idle < switch_time, i.e. keep idle >= tsw
-        ok = _mm256_and_pd(
-            ok, _mm256_cmp_pd(idle, _mm256_set1_pd(params.switch_time), _CMP_GE_OQ));
-        cost = _mm256_add_pd(_mm256_mul_pd(busy, p), _mm256_set1_pd(params.switch_energy));
-      } else {
-        cost = _mm256_add_pd(_mm256_mul_pd(busy, p), _mm256_mul_pd(pind, idle));
-      }
-      const __m256d better = _mm256_and_pd(ok, _mm256_cmp_pd(cost, best, _CMP_LT_OQ));
-      best = _mm256_blendv_pd(best, cost, better);
-    };
-    const auto consider_both = [&](__m256d s, __m256d valid) {
-      const __m256d p = hull_power_v(s);
-      consider(s, p, false, valid);
-      if (enable) consider(s, p, true, valid);
-    };
-
-    // Same candidate order as the scalar reference: lower, smax, hull
-    // vertices, sleep boundary; strict < keeps the earliest winner on ties.
-    const __m256d all = _mm256_cmp_pd(zero, zero, _CMP_EQ_OQ);
-    consider_both(lower, all);
-    consider_both(smax, all);
-    for (std::size_t v = 0; v < params.hull_size; ++v) {
-      const double vertex = params.hull_speed[v];
-      if (!(vertex < params.smax)) continue;  // lane-uniform half of the filter
-      const __m256d vertex_v = _mm256_set1_pd(vertex);
-      const __m256d valid = _mm256_cmp_pd(vertex_v, lower, _CMP_GT_OQ);
-      if (_mm256_movemask_pd(valid) == 0) continue;
-      consider_both(vertex_v, valid);
-    }
-    if (enable && params.switch_time > 0.0 && params.window - params.switch_time > 0.0) {
-      const __m256d boundary =
-          _mm256_div_pd(work, _mm256_set1_pd(params.window - params.switch_time));
-      const __m256d valid = _mm256_and_pd(_mm256_cmp_pd(boundary, lower, _CMP_GT_OQ),
-                                          _mm256_cmp_pd(boundary, smax, _CMP_LT_OQ));
-      if (_mm256_movemask_pd(valid) != 0) consider_both(boundary, valid);
-    }
-
-    const __m256d positive = _mm256_cmp_pd(work, zero, _CMP_GT_OQ);
-    _mm256_storeu_pd(out + i, _mm256_blendv_pd(_mm256_set1_pd(params.e_zero), best, positive));
-  }
-  if (i < n) scalar_energy_hull_cycles(params, cycles + i, out + i, n - i);
-}
-
 }  // namespace
 
 const KernelTable* avx2_table() noexcept {
   static const KernelTable table{
-      &avx2_relax_desc_f64, &avx2_relax_desc_i64, &avx2_argmax_f64,
-      &avx2_argmin_f64,     &avx2_energy_hull_cycles,
+      &avx2_relax_desc_f64,
+      &avx2_relax_desc_i64,
+      &avx2_argmax_f64,
+      &avx2_argmin_f64,
   };
   return &table;
 }

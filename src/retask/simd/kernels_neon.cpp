@@ -1,6 +1,5 @@
 // NEON (aarch64) kernel backend: 2-lane double / 2-lane int64 kernels for
-// the relaxations and scans. The hull energy batch keeps the scalar body
-// (the heavy masking does not pay at 2 lanes). Untested in x86 CI; the
+// the relaxations; the scans keep the scalar bodies. Untested in x86 CI; the
 // structure mirrors the SSE2/AVX2 backends and the same equivalence tests
 // gate it on ARM hosts.
 #include "retask/simd/kernels.hpp"
@@ -86,8 +85,10 @@ void neon_relax_desc_i64(std::int64_t* rej, double* payload, std::uint64_t* take
 
 const KernelTable* neon_table() noexcept {
   static const KernelTable table{
-      &neon_relax_desc_f64, &neon_relax_desc_i64, &scalar_argmax_f64,
-      &scalar_argmin_f64,   &scalar_energy_hull_cycles,
+      &neon_relax_desc_f64,
+      &neon_relax_desc_i64,
+      &scalar_argmax_f64,
+      &scalar_argmin_f64,
   };
   return &table;
 }

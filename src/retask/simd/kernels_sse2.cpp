@@ -1,7 +1,7 @@
 // SSE2 kernel backend: 2-lane double implementations of the kernels SSE2
-// can express. SSE2 has no 64-bit integer compare and no blendv, so the
-// FPTAS int64 relaxation and the hull energy batch keep the scalar bodies
-// (bit-identity is then trivial); the win is the f64 knapsack relaxation —
+// can express. SSE2 has no 64-bit integer compare, so the FPTAS int64
+// relaxation keeps the scalar body (bit-identity is then trivial); the win
+// is the f64 knapsack relaxation —
 // the hottest kernel — plus the argmax/argmin scans. Compiled with -msse2
 // (a no-op on x86-64, where SSE2 is baseline).
 #include "retask/simd/kernels.hpp"
@@ -126,8 +126,10 @@ std::size_t sse2_argmin_f64(const double* values, std::size_t n, double init) {
 
 const KernelTable* sse2_table() noexcept {
   static const KernelTable table{
-      &sse2_relax_desc_f64, &scalar_relax_desc_i64, &sse2_argmax_f64,
-      &sse2_argmin_f64,     &scalar_energy_hull_cycles,
+      &sse2_relax_desc_f64,
+      &scalar_relax_desc_i64,
+      &sse2_argmax_f64,
+      &sse2_argmin_f64,
   };
   return &table;
 }

@@ -188,31 +188,6 @@ TEST(DeltaSolver, ValueRowOverTheBudgetThrowsBeforeAllocating) {
   }
 }
 
-TEST(DeltaSolver, SharedMemoCannotChangeSolutions) {
-  // Two solvers of the same platform sharing one memo (the per-PE setup of
-  // the multiprocessor local search) must produce exactly the solutions of
-  // two independent solvers.
-  const auto memo = std::make_shared<EnergyMemo>();
-  DeltaSolver::Config shared_config;
-  shared_config.shared_memo = memo;
-  DeltaSolver a_shared(xscale_curve(), kWpc, shared_config);
-  DeltaSolver b_shared(xscale_curve(), kWpc, shared_config);
-  DeltaSolver a_solo(xscale_curve(), kWpc);
-  DeltaSolver b_solo(xscale_curve(), kWpc);
-  const std::vector<FrameTask> tasks = mixed_tasks();
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    // Interleave so the second solver's loads mostly hit the first's memo.
-    const RejectionSolution& shared =
-        i % 2 == 0 ? a_shared.admit(tasks[i]) : b_shared.admit(tasks[i]);
-    const RejectionSolution& solo = i % 2 == 0 ? a_solo.admit(tasks[i]) : b_solo.admit(tasks[i]);
-    EXPECT_EQ(shared.accepted, solo.accepted) << "step " << i;
-    EXPECT_EQ(shared.energy, solo.energy) << "step " << i;
-    EXPECT_EQ(shared.penalty, solo.penalty) << "step " << i;
-  }
-  expect_matches_cold(a_shared, "shared memo a");
-  expect_matches_cold(b_shared, "shared memo b");
-}
-
 TEST(DeltaSolver, AssignedSpeedMatchesPlanAndLoad) {
   DeltaSolver delta(xscale_curve(), kWpc);
   delta.admit({1, 100, 5.0});

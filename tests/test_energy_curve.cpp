@@ -1,7 +1,8 @@
 // Tests for the energy curve E(W): closed forms, both idle disciplines,
 // discrete-speed hull behaviour, execution-plan consistency, parameterized
 // property sweeps (convexity, monotonicity) across models, and the
-// bit-identity of the continuous body's scalar and batched forms.
+// bit-identity of the closed-form body's scalar, batched and planned forms
+// on continuous and discrete curves.
 #include "retask/power/energy_curve.hpp"
 
 #include <bit>
@@ -12,11 +13,13 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "retask/common/error.hpp"
+#include "retask/common/rng.hpp"
 #include "retask/power/critical_speed.hpp"
 #include "retask/power/polynomial_power.hpp"
 #include "retask/power/table_power.hpp"
@@ -323,8 +326,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Continuous curves: energy(), the batch loop and plan() run one closed-form
-// body, so they agree bit for bit in every configuration of it.
+// energy(), the batch loop and plan() run one closed-form body for every
+// model, continuous or discrete, so they agree bit for bit in every
+// configuration of it.
 
 struct ContinuousCase {
   const char* label;
@@ -350,19 +354,72 @@ std::vector<ContinuousCase> continuous_cases() {
   };
 }
 
-TEST(ContinuousCurve, BatchMatchesScalarEnergyBitwise) {
-  constexpr std::int64_t kCapacity = 1000;
-  std::vector<std::int64_t> cycles(kCapacity + 1);
-  std::iota(cycles.begin(), cycles.end(), std::int64_t{0});
+struct DiscreteCase {
+  const char* label;
+  TablePowerModel model;
+  IdleDiscipline idle;
+  SleepParams sleep;  // {switch_time, switch_energy}
+  double window;
+};
+
+std::vector<DiscreteCase> discrete_cases() {
+  const TablePowerModel xscale5 = TablePowerModel::xscale5();
+  // The first segment's intercept at s = 0 (0.26) is above Pind (0.05): the
+  // awake branch is least at the second vertex.
+  const TablePowerModel steep({{0.2, 0.30}, {0.5, 0.36}, {1.0, 1.2}}, 0.05);
+  const TablePowerModel one_point({{0.7, 0.5}}, 0.1);
+  const IdleDiscipline enable = IdleDiscipline::kDormantEnable;
+  const IdleDiscipline disable = IdleDiscipline::kDormantDisable;
+  return {
+      {"xscale5-free", xscale5, enable, SleepParams{}, 1.0},
+      {"xscale5-disable", xscale5, disable, SleepParams{}, 2.5},
+      {"xscale5-tsw0.2-Esw0.05", xscale5, enable, SleepParams{0.2, 0.05}, 1.0},
+      {"xscale5-tsw0.3-Esw0.01", xscale5, enable, SleepParams{0.3, 0.01}, 1.0},
+      {"steep-enable", steep, enable, SleepParams{}, 1.0},
+      {"steep-disable", steep, disable, SleepParams{}, 1.0},
+      {"one-point-enable", one_point, enable, SleepParams{}, 1.0},
+      {"one-point-tsw0.2-Esw0.05", one_point, enable, SleepParams{0.2, 0.05}, 1.0},
+  };
+}
+
+/// Every curve of continuous_cases() and discrete_cases().
+std::vector<std::pair<std::string, EnergyCurve>> closed_form_curves() {
+  std::vector<std::pair<std::string, EnergyCurve>> curves;
   for (const ContinuousCase& c : continuous_cases()) {
-    const EnergyCurve curve(c.model, 1.0, c.idle, c.sleep);
-    const double wpc = curve.max_workload() / static_cast<double>(kCapacity);
+    curves.emplace_back(c.label, EnergyCurve(c.model, 1.0, c.idle, c.sleep));
+  }
+  for (const DiscreteCase& c : discrete_cases()) {
+    curves.emplace_back(c.label, EnergyCurve(c.model, c.window, c.idle, c.sleep));
+  }
+  return curves;
+}
+
+TEST(ClosedFormBody, BatchMatchesScalarEnergyBitwise) {
+  // Every load of a 1000-cycle capacity, then random loads at the vector
+  // widths and in bulk, with the empty and the full load in every batch.
+  const auto expect_batch_matches = [](const std::string& label, const EnergyCurve& curve,
+                                       double wpc, const std::vector<std::int64_t>& cycles) {
     std::vector<double> batch(cycles.size());
     curve.energy_cycles_batch(wpc, cycles.data(), batch.data(), cycles.size());
     for (std::size_t i = 0; i < cycles.size(); ++i) {
       const double one = curve.energy(wpc * static_cast<double>(cycles[i]));
       ASSERT_EQ(std::bit_cast<std::uint64_t>(batch[i]), std::bit_cast<std::uint64_t>(one))
-          << c.label << " at " << cycles[i] << " cycles";
+          << label << " at " << cycles[i] << " cycles of " << cycles.size();
+    }
+  };
+  for (const auto& [label, curve] : closed_form_curves()) {
+    std::vector<std::int64_t> every(1001);
+    std::iota(every.begin(), every.end(), std::int64_t{0});
+    expect_batch_matches(label, curve, curve.max_workload() / 1000.0, every);
+    const double wpc = 1.0 / 1000.0;
+    const auto cap = static_cast<std::int64_t>(curve.max_workload() / wpc * (1.0 - 1e-9));
+    for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 63u, 64u, 65u, 130u, 4096u}) {
+      Rng rng(0xE6E ^ (n * 4u));
+      std::vector<std::int64_t> cycles(n);
+      for (auto& cycle : cycles) cycle = rng.uniform_int(0, cap);
+      cycles[0] = 0;
+      if (n >= 2) cycles[1] = cap;
+      expect_batch_matches(label, curve, wpc, cycles);
     }
   }
 }

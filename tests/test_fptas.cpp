@@ -3,6 +3,7 @@
 #include "retask/core/fptas.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,24 @@ TEST(Fptas, ExactOnTrivialInstances) {
   const RejectionProblem p(tasks, std::move(curve), 0.01, 1);
   const RejectionSolution s = FptasSolver(0.5).solve(p);
   EXPECT_NEAR(s.objective(), 0.0, 1e-9);
+}
+
+TEST(Fptas, OversizedRoundTableThrowsErrorBeforeAllocating) {
+  // A round's table has about n / epsilon rows: at epsilon 1e-9 on five
+  // tasks that is billions of cells, past the DP table budget, and at 1e-20
+  // more rows than a size_t cast can hold. Both must end as an Error naming
+  // the table before anything is allocated, never as bad_alloc.
+  const RejectionProblem p = test::small_instance(3, 5, 1.4);
+  const auto message = [&](double epsilon) -> std::string {
+    try {
+      (void)FptasSolver(epsilon).solve(p);
+    } catch (const Error& error) {
+      return error.what();
+    }
+    return "(nothing thrown)";
+  };
+  EXPECT_NE(message(1e-9).find("needs "), std::string::npos) << message(1e-9);
+  EXPECT_NE(message(1e-20).find("overflows size_t bytes"), std::string::npos) << message(1e-20);
 }
 
 TEST(Fptas, GuardsMultiprocessorInstances) {

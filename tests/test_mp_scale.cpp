@@ -12,6 +12,7 @@
 #include "retask/core/exhaustive.hpp"
 #include "retask/core/lower_bound.hpp"
 #include "retask/core/multiproc.hpp"
+#include "retask/obs/metrics.hpp"
 #include "retask/simd/backend.hpp"
 #include "test_util.hpp"
 
@@ -111,6 +112,29 @@ TEST(MpScale, BitwiseInvariantAcrossJobsAndBackends) {
     }
   }
 }
+
+#if defined(RETASK_OBS_ENABLED) && RETASK_OBS_ENABLED
+TEST(MpScale, ProbeUndoOnASmallPeReplaysFromACheckpoint) {
+  // Two PEs of about eight residents each. A move probe that does not pay
+  // removes the task it appended, the PE's last resident; with a checkpoint
+  // stride under the PE's size that replays from the last checkpoint (a
+  // delta hit) instead of the whole PE (a cold fall).
+  const RejectionProblem p = test::small_instance(2, 16, 1.6, 1.0, 2);
+  MpScaleConfig config;
+  config.max_swap_probes = 0;  // move probes only: every undo removes the last resident
+  obs::Registry metrics;
+  {
+    obs::ActiveScope scope(metrics);
+    check_solution(p, MultiProcScaleSolver(config).solve(p));
+  }
+  const auto counter = [&](const char* name) {
+    return metrics.counter(obs::intern_metric(obs::MetricKind::kCounter, name));
+  };
+  ASSERT_GT(counter("mp.move_probes"), counter("mp.moves_applied"));  // some probe undone
+  EXPECT_EQ(counter("serve.cold_falls"), 0u);
+  EXPECT_GT(counter("serve.delta_hits"), 0u);
+}
+#endif
 
 TEST(MpScale, FfdPolicyRejectsOverflowAndStaysValid) {
   // Overloaded system under feasibility-driven FFD: whatever fits nowhere is

@@ -1,7 +1,6 @@
 // Tests for the SIMD kernel layer: every available backend must reproduce
 // the scalar reference kernels bit for bit at every width (including the
-// vector-width edges), the fused hull-energy kernel must match
-// EnergyCurve::energy exactly, and whole solvers must be backend- and
+// vector-width edges), and whole solvers must be backend- and
 // thread-count-invariant down to the last bit.
 #include "retask/simd/kernels.hpp"
 
@@ -244,45 +243,7 @@ TEST(SimdKernels, ArgminMatchesScalarIncludingInfSentinels) {
   }
 }
 
-/// Curves covering both idle disciplines and a costly sleep transition on a
-/// discrete (hull) model — the kernel's entire domain.
-std::vector<EnergyCurve> hull_curves() {
-  const TablePowerModel model = TablePowerModel::xscale5();
-  std::vector<EnergyCurve> curves;
-  curves.emplace_back(model, 1.0, IdleDiscipline::kDormantEnable);
-  curves.emplace_back(model, 2.5, IdleDiscipline::kDormantDisable);
-  SleepParams sleep;
-  sleep.switch_time = 0.2;
-  sleep.switch_energy = 0.05;
-  curves.emplace_back(model, 1.0, IdleDiscipline::kDormantEnable, sleep);
-  return curves;
-}
-
-TEST(SimdKernels, EnergyBatchMatchesPerElementEnergyBitwise) {
-  for (const EnergyCurve& curve : hull_curves()) {
-    const double wpc = 1.0 / 1000.0;
-    const auto cap = static_cast<std::int64_t>(curve.max_workload() / wpc * (1.0 - 1e-9));
-    for (const simd::Backend backend : available_backends()) {
-      simd::ScopedBackend forced(backend);
-      for (const std::size_t n : kWidths) {
-        Rng rng(0xE6E ^ (n * 4u + static_cast<std::size_t>(backend)));
-        std::vector<std::int64_t> cycles(n);
-        for (auto& c : cycles) c = rng.uniform_int(0, cap);
-        cycles[0] = 0;  // the e_zero blend lane
-        if (n >= 2) cycles[1] = cap;
-        std::vector<double> batch(n);
-        curve.energy_cycles_batch(wpc, cycles.data(), batch.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-          const double one = curve.energy(wpc * static_cast<double>(cycles[i]));
-          ASSERT_TRUE(bits_equal(batch[i], one))
-              << simd::to_string(backend) << " n=" << n << " cycles=" << cycles[i];
-        }
-      }
-    }
-  }
-}
-
-/// A discrete-model rejection instance (hull energy kernel engaged).
+/// A discrete-model rejection instance.
 RejectionProblem hull_instance(std::uint64_t seed, int task_count = 12, double load = 1.6) {
   ScenarioConfig config;
   config.task_count = task_count;
@@ -299,8 +260,7 @@ TEST(SimdSolvers, EveryBackendReproducesForcedScalarBitwise) {
   solvers.push_back(std::make_unique<DensityGreedySolver>());
   solvers.push_back(std::make_unique<MarginalGreedySolver>());
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    // Both model families: continuous (relax/argmin kernels only) and
-    // discrete (adds the fused hull-energy kernel).
+    // Both model families: continuous and discrete.
     const std::vector<RejectionProblem> problems = {test::small_instance(seed, 12, 1.6),
                                                     hull_instance(seed)};
     for (std::size_t p = 0; p < problems.size(); ++p) {

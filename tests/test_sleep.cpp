@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -186,49 +190,107 @@ TEST(SleepCurve, DiscreteSleepBoundaryCandidate) {
   EXPECT_NEAR(curve.energy(w), brute, 1e-5);
 }
 
-TEST(SleepCurve, ContinuousCurvesMatchDenseGridBruteForce) {
-  // Brute force over a dense grid of execution speeds for continuous
-  // curves: every grid speed s >= W / D gives an awake plan and, when its
-  // tail covers tsw, a sleeping plan. The curve's closed-form branch optima
-  // must be no worse than any grid plan, and its plan must reproduce it.
+/// Time-shared power at average speed `s` on the lower convex hull of a
+/// table's operating points, built here independently of EnergyCurve.
+std::function<double(double)> hull_power_of(const TablePowerModel& table) {
+  std::vector<OperatingPoint> hull;
+  for (const OperatingPoint& p : table.points()) {
+    while (hull.size() >= 2) {
+      const OperatingPoint& a = hull[hull.size() - 2];
+      const OperatingPoint& b = hull.back();
+      if ((b.speed - a.speed) * (p.power - a.power) > (b.power - a.power) * (p.speed - a.speed)) {
+        break;
+      }
+      hull.pop_back();
+    }
+    hull.push_back(p);
+  }
+  return [hull](double s) {
+    for (std::size_t i = 0; i + 1 < hull.size(); ++i) {
+      if (s <= hull[i + 1].speed) {
+        const double theta = (hull[i + 1].speed - s) / (hull[i + 1].speed - hull[i].speed);
+        return theta * hull[i].power + (1.0 - theta) * hull[i + 1].power;
+      }
+    }
+    return hull.back().power;
+  };
+}
+
+TEST(SleepCurve, CurvesMatchDenseGridBruteForce) {
+  // Brute force over a dense grid of execution speeds: every grid speed
+  // s >= W / D gives an awake plan and, when its tail covers tsw, a sleeping
+  // plan, at P(s) for continuous models and at the hull's time-shared power
+  // for tables. The curve's closed-form branch optima must be no worse than
+  // any grid plan and no better than the best one by more than the grid's
+  // resolution, and its plan must reproduce them.
   struct Case {
     const char* label;
-    PolynomialPowerModel model;
+    std::shared_ptr<const PowerModel> model;
+    std::function<double(double)> power;
     IdleDiscipline idle;
     SleepParams sleep;
   };
-  const PolynomialPowerModel xscale = PolynomialPowerModel::xscale();
-  const Case cases[] = {
-      {"xscale-enable-free", xscale, IdleDiscipline::kDormantEnable, SleepParams{}},
-      {"xscale-Esw0.1-tsw0.05", xscale, IdleDiscipline::kDormantEnable, SleepParams{0.05, 0.1}},
-      {"xscale-Esw0-tsw0.5", xscale, IdleDiscipline::kDormantEnable, SleepParams{0.5, 0.0}},
-      {"xscale-disable", xscale, IdleDiscipline::kDormantDisable, SleepParams{}},
-      {"cubic-enable", PolynomialPowerModel::cubic(), IdleDiscipline::kDormantEnable,
-       SleepParams{}},
-      // min_speed above the critical speed (~0.2975): s* clamps to 0.4.
-      {"xscale-smin0.4", PolynomialPowerModel(0.08, 1.52, 3.0, 0.4, 1.0),
-       IdleDiscipline::kDormantEnable, SleepParams{}},
+  const auto continuous = [](const PolynomialPowerModel& model) {
+    return std::pair{std::make_shared<const PolynomialPowerModel>(model),
+                     std::function<double(double)>([model](double s) { return model.power(s); })};
   };
+  const auto discrete = [](const TablePowerModel& table) {
+    return std::pair{std::make_shared<const TablePowerModel>(table), hull_power_of(table)};
+  };
+  const IdleDiscipline enable = IdleDiscipline::kDormantEnable;
+  const IdleDiscipline disable = IdleDiscipline::kDormantDisable;
+  const auto xscale = continuous(PolynomialPowerModel::xscale());
+  const auto xscale5 = discrete(TablePowerModel::xscale5());
+  // The first segment's intercept at s = 0 (0.26) is above Pind (0.05), so
+  // the awake branch is least at the second vertex, not the first.
+  const auto steep = discrete(TablePowerModel({{0.2, 0.30}, {0.5, 0.36}, {1.0, 1.2}}, 0.05));
+  const auto one_point = discrete(TablePowerModel({{0.7, 0.5}}, 0.1));
+  std::vector<Case> cases;
+  const auto add = [&cases](const char* label, const auto& model, IdleDiscipline idle,
+                            SleepParams sleep) {
+    cases.push_back({label, model.first, model.second, idle, sleep});
+  };
+  add("xscale-enable-free", xscale, enable, SleepParams{});
+  add("xscale-Esw0.1-tsw0.05", xscale, enable, SleepParams{0.05, 0.1});
+  add("xscale-Esw0-tsw0.5", xscale, enable, SleepParams{0.5, 0.0});
+  add("xscale-disable", xscale, disable, SleepParams{});
+  add("cubic-enable", continuous(PolynomialPowerModel::cubic()), enable, SleepParams{});
+  // min_speed above the critical speed (~0.2975): s* clamps to 0.4.
+  add("xscale-smin0.4", continuous(PolynomialPowerModel(0.08, 1.52, 3.0, 0.4, 1.0)), enable,
+      SleepParams{});
+  add("xscale5-enable-free", xscale5, enable, SleepParams{});
+  add("xscale5-Esw0.01-tsw0.3", xscale5, enable, SleepParams{0.3, 0.01});
+  add("xscale5-Esw0.1-tsw0.05", xscale5, enable, SleepParams{0.05, 0.1});
+  add("xscale5-disable", xscale5, disable, SleepParams{});
+  add("steep-enable", steep, enable, SleepParams{});
+  add("steep-disable", steep, disable, SleepParams{});
+  add("one-point-enable", one_point, enable, SleepParams{});
+  add("one-point-Esw0.05-tsw0.2", one_point, enable, SleepParams{0.2, 0.05});
+
   constexpr int kGrid = 20000;
   for (const Case& c : cases) {
-    const EnergyCurve curve(c.model, 1.0, c.idle, c.sleep);
-    const double pind = c.model.static_power();
-    const double smax = c.model.max_speed();
+    const EnergyCurve curve(*c.model, 1.0, c.idle, c.sleep);
+    const double pind = c.model->static_power();
+    const double smax = c.model->max_speed();
     for (int k = 1; k <= 20; ++k) {
       const double w = curve.max_workload() * static_cast<double>(k) / 20.0;
       const double energy = curve.energy(w);
-      const double lo = std::max(c.model.min_speed(), w);  // window D = 1
+      const double lo = std::max(c.model->min_speed(), w);  // window D = 1
+      double grid_best = std::numeric_limits<double>::infinity();
       for (int i = 0; i <= kGrid; ++i) {
         const double s = i == kGrid ? smax : lo + (smax - lo) * i / kGrid;
         const double busy = w / s;
         const double idle = std::max(0.0, 1.0 - busy);
-        double cost = busy * c.model.power(s) + pind * idle;
+        const double p = c.power(s);
+        double cost = busy * p + pind * idle;
         if (c.idle == IdleDiscipline::kDormantEnable && idle >= c.sleep.switch_time) {
-          cost = std::min(cost, busy * c.model.power(s) + c.sleep.switch_energy);
+          cost = std::min(cost, busy * p + c.sleep.switch_energy);
         }
         ASSERT_LE(energy, cost * (1.0 + 1e-12))
             << c.label << " at W = " << w << ", grid speed " << s;
+        grid_best = std::min(grid_best, cost);
       }
+      EXPECT_NEAR(energy, grid_best, 1e-3 * grid_best) << c.label << " at W = " << w;
       EXPECT_NEAR(curve.plan_energy(curve.plan(w)), energy, 1e-12 * energy)
           << c.label << " at W = " << w;
     }

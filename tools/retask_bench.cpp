@@ -94,8 +94,12 @@ usage: retask_bench [options]
                      the comparison (baseline refresh). Refuses to replace
                      a baseline recorded under a different SIMD backend or
                      --jobs count — such wall times are not comparable and
-                     the swap would poison every later comparison.
-  --force            override the --write-baseline backend/jobs guard
+                     the swap would poison every later comparison; to
+                     re-record under another backend or job count, delete
+                     the baseline file first. Also refuses a refresh that
+                     lacks a workload the baseline holds.
+  --force            let --write-baseline drop the baseline workloads this
+                     run lacks (a retired or renamed workload)
   --trace-out FILE   enable tracing and dump a chrome://tracing JSON
   --list             print workload names and exit
   --help             this text
@@ -495,7 +499,8 @@ std::vector<Workload> build_workloads(int jobs) {
     }
   });
   {
-    // Fused cycles->energy over a discrete (hull) model.
+    // Batched E over a discrete (table5) curve: the closed-form body reading
+    // the lower hull, which uses no SIMD kernel.
     const std::unique_ptr<PowerModel> model = make_model_by_name("table5");
     const auto curve = std::make_shared<EnergyCurve>(*model, 1.0,
                                                      IdleDiscipline::kDormantEnable);
@@ -504,10 +509,11 @@ std::vector<Workload> build_workloads(int jobs) {
     const auto cycles = std::make_shared<std::vector<Cycles>>();
     Rng rng(23);
     for (int i = 0; i < 16384; ++i) cycles->push_back(rng.uniform_int(0, cap));
-    simd_pair("kernel_energy_hull", [curve, cycles, wpc](obs::Registry&) {
-      std::vector<double> out(cycles->size());
-      curve->energy_cycles_batch(wpc, cycles->data(), out.data(), cycles->size());
-    });
+    workloads.push_back({"energy_table5_batch", [curve, cycles, wpc](obs::Registry&) {
+                           std::vector<double> out(cycles->size());
+                           curve->energy_cycles_batch(wpc, cycles->data(), out.data(),
+                                                      cycles->size());
+                         }});
   }
 
   // End-to-end scalar-vs-dispatched sweeps mirroring the R1 (load), R2
@@ -555,8 +561,8 @@ std::vector<Workload> build_workloads(int jobs) {
     });
   }
   {
-    // R14 on the discrete model so the budget sweep also drives the fused
-    // hull-energy kernel end to end.
+    // R14 on the discrete model, so the budget sweep's binary searches also
+    // evaluate the discrete curve end to end.
     const std::unique_ptr<PowerModel> model = make_model_by_name("table5");
     ScenarioConfig config;
     config.task_count = 96;
@@ -719,20 +725,19 @@ int run(const BenchCliOptions& options) {
     require(!options.baseline.empty(), "--write-baseline: no baseline path configured");
     if (std::filesystem::exists(options.baseline)) {
       const obs::BenchReport previous = obs::read_bench_report_file(options.baseline);
-      if (!options.force) {
-        // Refuse to swap the recorded config out from under future
-        // comparisons: wall times measured under a different kernel backend
-        // or thread count are not comparable, so silently replacing the
-        // baseline would make every later regression check meaningless.
-        require(previous.backend == report.backend,
-                "--write-baseline: existing baseline was recorded with backend '" +
-                    previous.backend + "' but this run used '" + report.backend +
-                    "'; pass --force to replace it anyway");
-        require(previous.jobs == report.jobs,
-                "--write-baseline: existing baseline was recorded with --jobs " +
-                    std::to_string(previous.jobs) + " but this run used --jobs " +
-                    std::to_string(report.jobs) + "; pass --force to replace it anyway");
-      }
+      // Refuse to swap the recorded config out from under future
+      // comparisons: wall times measured under a different kernel backend or
+      // thread count are not comparable, so silently replacing the baseline
+      // would make every later regression check meaningless.
+      require(previous.backend == report.backend,
+              "--write-baseline: existing baseline was recorded with backend '" +
+                  previous.backend + "' but this run used '" + report.backend +
+                  "'; delete the baseline file to re-record it under this backend");
+      require(previous.jobs == report.jobs,
+              "--write-baseline: existing baseline was recorded with --jobs " +
+                  std::to_string(previous.jobs) + " but this run used --jobs " +
+                  std::to_string(report.jobs) +
+                  "; delete the baseline file to re-record it at this job count");
       // A refresh must not silently shrink coverage: a workload present in
       // the old baseline but absent from this run (a --filter run, or a
       // renamed workload) would vanish from every later regression check.
