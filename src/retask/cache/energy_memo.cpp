@@ -78,28 +78,6 @@ EnergyMemo::Shard* EnergyMemo::local_shard() {
   return shard;
 }
 
-bool EnergyMemo::lookup(Cycles cycles, double& energy) {
-  Shard* shard = local_shard();
-  if (shard == nullptr) {
-    count_shards_exhausted();
-    return false;
-  }
-  const auto it = shard->values.find(cycles);
-  if (it == shard->values.end()) {
-    count_miss();
-    return false;
-  }
-  count_hit();
-  energy = it->second;
-  return true;
-}
-
-void EnergyMemo::record(Cycles cycles, double energy) {
-  Shard* shard = local_shard();
-  if (shard == nullptr) return;
-  shard->values.emplace(cycles, energy);
-}
-
 std::size_t EnergyMemo::local_size() {
   Shard* shard = local_shard();
   if (shard == nullptr) return 0;

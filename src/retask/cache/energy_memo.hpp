@@ -69,19 +69,6 @@ class EnergyMemo {
     return energy;
   }
 
-  /// Non-computing lookup in the calling thread's shard for the batched
-  /// paths: on a hit stores the memoized value in `energy` and returns true
-  /// (counting a hit); on a miss returns false (counting a miss). When the
-  /// shard slots are exhausted, returns false and counts
-  /// cache.fallback.shards_exhausted — matching get_or_compute's cold
-  /// fallback.
-  bool lookup(Cycles cycles, double& energy);
-
-  /// Records a cold-path result in the calling thread's shard (no-op when
-  /// slots are exhausted or the entry already exists — E is pure, so a
-  /// duplicate is bit-identical by construction).
-  void record(Cycles cycles, double energy);
-
   /// Entries in the calling thread's shard (tests; other shards are not
   /// safely readable from here).
   std::size_t local_size();

@@ -6,23 +6,13 @@ namespace retask {
 // thread happened to run which solve, and harness metrics must stay
 // bit-identical across --jobs counts (tests/test_obs.cpp pins that).
 
-DpScratch& exact_dp_scratch() {
-  thread_local DpScratch scratch;
-  return scratch;
-}
-
-DpScratch& budgeted_scratch() {
+DpScratch& dp_scratch() {
   thread_local DpScratch scratch;
   return scratch;
 }
 
 FptasScratch& fptas_scratch() {
   thread_local FptasScratch scratch;
-  return scratch;
-}
-
-GreedyScratch& greedy_scratch() {
-  thread_local GreedyScratch scratch;
   return scratch;
 }
 

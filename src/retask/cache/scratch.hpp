@@ -2,13 +2,14 @@
 //
 // A sweep grid runs thousands of solves per thread; before this module each
 // solve allocated its value row and bit-packed choice table from scratch.
-// The arenas keep one buffer set per (thread, solver family) at its
-// high-water mark — BitMatrix::reset already reuses capacity, and the value
-// rows and staircases are resized in place, so repeated solves at similar
-// sizes stop touching the allocator entirely. Each accessor returns storage private to the
-// calling thread, so the solvers stay safe to run concurrently; solvers
+// The arenas keep one buffer set per thread at its high-water mark, one for
+// the exact-DP tables (the exact and the budgeted DP) and one for the FPTAS
+// rounds. BitMatrix::reset already reuses capacity, and the value rows and
+// staircases are resized in place, so repeated solves at similar sizes stop
+// touching the allocator entirely. Each accessor returns storage private to
+// the calling thread, so the solvers stay safe to run concurrently; solvers
 // must finish with the arena before returning (none of them calls another
-// arena user of the same family while mid-solve).
+// user of the same arena while mid-solve).
 #ifndef RETASK_CACHE_SCRATCH_HPP
 #define RETASK_CACHE_SCRATCH_HPP
 
@@ -42,33 +43,15 @@ struct FptasScratch {
   std::vector<Cycles> rej;
   std::vector<double> true_pen;
   BitMatrix take;
-  // Candidate rows surviving the sweep prefilter, batched through one
-  // energy call (structure-of-arrays: same index, three facets).
-  std::vector<std::size_t> cand_row;
-  std::vector<Cycles> cand_cycles;
-  std::vector<double> cand_energy;
 };
 
-/// Buffers of one marginal-greedy solve: per-task probe loads and flip
-/// deltas (structure-of-arrays over the task index so the argmin kernel
-/// scans one contiguous double row per round).
-struct GreedyScratch {
-  std::vector<double> delta;        ///< objective change of flipping task i (+inf: infeasible)
-  std::vector<Cycles> eval_cycles;  ///< compacted batch input (feasible flips)
-  std::vector<double> eval_energy;  ///< batch output aligned with eval_cycles
-};
-
-/// The calling thread's arena for the exact DP (core/exact_dp.cpp).
-DpScratch& exact_dp_scratch();
-
-/// The calling thread's arena for the budgeted DP (core/budgeted.cpp).
-DpScratch& budgeted_scratch();
+/// The calling thread's arena for the exact DP (core/exact_dp.cpp) and the
+/// budgeted DP (core/budgeted.cpp). Each fills and reads its table within
+/// one call and calls no other DP solver meanwhile, so the two share it.
+DpScratch& dp_scratch();
 
 /// The calling thread's arena for the FPTAS rounds (core/fptas.cpp).
 FptasScratch& fptas_scratch();
-
-/// The calling thread's arena for the marginal greedy (core/greedy.cpp).
-GreedyScratch& greedy_scratch();
 
 }  // namespace retask
 

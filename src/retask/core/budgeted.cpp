@@ -9,7 +9,6 @@
 #include "retask/common/math.hpp"
 #include "retask/core/dp_table.hpp"
 #include "retask/obs/metrics.hpp"
-#include "retask/simd/kernels.hpp"
 
 namespace retask {
 namespace {
@@ -48,15 +47,11 @@ void fill_budgeted_table(const BudgetedProblem& problem, Cycles cap, DpScratch& 
 }
 
 /// Reads the best accept set for cycle cap `cap` off a table filled at
-/// capacity >= cap. Only rows <= cap are touched, so a table filled at a
+/// capacity >= cap. Only rows <= cap are read, so a table filled at a
 /// larger capacity yields bit-identical results.
 BudgetedSolution select_budgeted(const BudgetedProblem& problem, Cycles cap,
                                  const DpScratch& scratch) {
-  // First row attaining the maximum kept value (strict-improvement scan);
-  // kNpos means nothing beats the empty accept set.
-  const std::size_t hit =
-      simd::kernels().argmax_f64(scratch.value.data(), static_cast<std::size_t>(cap) + 1, 0.0);
-  const std::size_t best_w = hit == simd::kNpos ? 0 : hit;
+  const std::size_t best_w = dp_best_kept_row(scratch.stairs, static_cast<std::size_t>(cap));
 
   std::vector<bool> accepted;
   dp_backtrack(scratch.take, problem.tasks.tasks().data(), problem.tasks.size(), best_w, accepted);
@@ -110,7 +105,7 @@ BudgetedSolution solve_budgeted_dp(const BudgetedProblem& problem) {
   validate(problem);
   const Cycles cap = budget_cycle_cap(problem);
   require(cap >= 0, "solve_budgeted_dp: even an empty accept set exceeds the budget");
-  DpScratch& scratch = budgeted_scratch();
+  DpScratch& scratch = dp_scratch();
   fill_budgeted_table(problem, cap, scratch);
   return select_budgeted(problem, cap, scratch);
 }
@@ -133,7 +128,7 @@ std::vector<BudgetedSolution> solve_budgeted_dp_sweep(const BudgetedProblem& pro
 
   // One fill at the largest budget's cycle cap; each budget's answer is the
   // value sweep over its own prefix of the shared table.
-  DpScratch& scratch = budgeted_scratch();
+  DpScratch& scratch = dp_scratch();
   fill_budgeted_table(problem, max_cap, scratch);
   RETASK_COUNT("dp.warm_starts", budgets.size() - 1);
 

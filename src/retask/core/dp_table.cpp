@@ -1,6 +1,7 @@
 #include "retask/core/dp_table.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <string>
 
@@ -103,6 +104,11 @@ DpFillCounts dp_fill(DpScratch& table, const FrameTask* tasks, std::size_t n, st
   // Rows above the reach are unreachable (-inf) and never records.
   dp_staircase(value, std::min(cap, reach), table.stairs);
   return counts;
+}
+
+std::size_t dp_best_kept_row(const DpStaircase& stairs, std::size_t cap) {
+  RETASK_ASSERT(!stairs.rows.empty() && stairs.rows.front() == 0);
+  return *std::prev(std::upper_bound(stairs.rows.begin(), stairs.rows.end(), cap));
 }
 
 void dp_backtrack(const BitMatrix& take, const FrameTask* tasks, std::size_t n, std::size_t w,

@@ -11,8 +11,8 @@
 //  * the per-task relaxation with reachability pruning (dp_relax), and the
 //    fill built on it (dp_fill), which sizes the table against
 //    kDpTableByteBudget before allocating anything;
-//  * the staircase of a filled value row (dp_staircase) and the select that
-//    walks it (dp_select);
+//  * the staircase of a filled value row (dp_staircase), the select that
+//    walks it (dp_select) and the budgeted DP's read-off (dp_best_kept_row);
 //  * the accept-set backtrack through the choice bits (dp_backtrack).
 //
 // Prefix property: rows w <= c of a fill at any capacity >= c are
@@ -151,6 +151,12 @@ DpPick dp_select(const DpStaircase& stairs, std::size_t cap, double total_penalt
   RETASK_ASSERT(pick.best_objective < std::numeric_limits<double>::infinity());
   return pick;
 }
+
+/// The first row attaining the largest kept value over [0, cap], or row 0 when
+/// no row beats the empty accept set: the last record of `stairs` at or below
+/// `cap` (the budgeted DP's answer). `stairs` must hold a filled row's
+/// staircase, which row 0 opens.
+std::size_t dp_best_kept_row(const DpStaircase& stairs, std::size_t cap);
 
 /// Reconstructs the accept set from row `w`: for tasks n-1 down to 0, a set
 /// choice bit (i, w) accepts task i and steps w back by its cycles.

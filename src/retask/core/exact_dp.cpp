@@ -47,7 +47,7 @@ RejectionSolution ExactDpSolver::solve(const RejectionProblem& problem) const {
   RETASK_SCOPED_TIMER("exact_dp.solve_ns");
   RETASK_TRACE_SCOPE("exact_dp.solve");
   const Cycles cap = dp_fill_capacity(problem);
-  DpScratch& scratch = exact_dp_scratch();
+  DpScratch& scratch = dp_scratch();
   fill_table(problem, cap, scratch);
   RETASK_COUNT("exact_dp.solves", 1);
   return select_best(problem, cap, scratch);
@@ -80,7 +80,7 @@ std::vector<RejectionSolution> ExactDpSolver::solve_sweep(
 
   // One fill and one staircase at the largest capacity; every point reads its
   // answer off the shared prefix (the prefix property in core/dp_table.hpp).
-  DpScratch& scratch = exact_dp_scratch();
+  DpScratch& scratch = dp_scratch();
   fill_table(*points[0], max_cap, scratch);
   RETASK_COUNT("exact_dp.solves", 1);
   RETASK_COUNT("dp.warm_starts", points.size() - 1);

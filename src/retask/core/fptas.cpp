@@ -90,50 +90,30 @@ RejectionSolution scaled_round(const RejectionProblem& problem, double guess, do
   RETASK_COUNT("fptas.movable_tasks", movable.size());
   RETASK_RECORD("fptas.table_width", width);
 
-  // Sweep rows: accepted cycles = total - rejected; keep the best feasible
-  // candidate by its TRUE objective, evaluated in three passes so the
-  // energies go through one batch call.
-  //
-  // Pass 1 prefilters with the round-start guess: a row with true_pen >=
-  // guess has objective >= guess (energy >= 0) and can never be selected,
-  // exactly like the old evolving-threshold skip — the evolving prune only
-  // dropped rows whose objective already lost to the running best, so
-  // keeping them until pass 3's strict ascending scan selects the identical
-  // row. The only difference is how many energies are (batch-)evaluated,
-  // which the fptas.energy_evals counter makes visible.
+  // Sweep rows in ascending order and keep the first row of least TRUE
+  // objective, starting from the incumbent's value (the guess): rows that
+  // cannot strictly beat it would be discarded by solve() anyway, so `found`
+  // means "found an improving row". A row with true_pen >= guess has
+  // objective >= guess (energy >= 0) and is skipped before its energy is
+  // evaluated. The skip tests the round-start guess, not the running best,
+  // so fptas.energy_evals counts every row that could beat the incumbent.
   const Cycles total = problem.tasks().total_cycles();
-  std::vector<std::size_t>& cand_row = scratch.cand_row;
-  std::vector<Cycles>& cand_cycles = scratch.cand_cycles;
-  std::vector<double>& cand_energy = scratch.cand_energy;
-  cand_row.clear();
-  cand_cycles.clear();
+  double best_objective = guess;
+  std::size_t best_r = width;
+  RETASK_OBS_ONLY(std::uint64_t energy_evals = 0;)
   for (std::size_t r = 0; r < width; ++r) {
     if (rej[r] == kNone) continue;
     const Cycles accepted_cycles = total - rej[r];
     if (accepted_cycles > problem.cycle_capacity()) continue;
     if (true_pen[r] >= guess) continue;
-    cand_row.push_back(r);
-    cand_cycles.push_back(accepted_cycles);
-  }
-
-  // Pass 2: energies for every surviving row.
-  cand_energy.resize(cand_cycles.size());
-  problem.energy_of_cycles_batch(cand_cycles.data(), cand_energy.data(), cand_cycles.size());
-  RETASK_COUNT("fptas.energy_evals", cand_cycles.size());
-
-  // Pass 3: strict ascending selection — identical tie-breaks to the old
-  // fused loop. best_objective starts at the incumbent's value (the guess):
-  // rows that cannot strictly beat it would be discarded by solve() anyway,
-  // so `found` means "found an improving row".
-  double best_objective = guess;
-  std::size_t best_r = width;
-  for (std::size_t c = 0; c < cand_row.size(); ++c) {
-    const double objective = cand_energy[c] + true_pen[cand_row[c]];
+    RETASK_OBS_ONLY(++energy_evals;)
+    const double objective = problem.energy_of_cycles(accepted_cycles) + true_pen[r];
     if (objective < best_objective) {
       best_objective = objective;
-      best_r = cand_row[c];
+      best_r = r;
     }
   }
+  RETASK_COUNT("fptas.energy_evals", energy_evals);
   if (best_r == width) {
     found = false;
     return RejectionSolution{};

@@ -1,15 +1,12 @@
 #include "retask/core/greedy.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <vector>
 
-#include "retask/cache/scratch.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/rng.hpp"
 #include "retask/obs/metrics.hpp"
-#include "retask/simd/kernels.hpp"
 
 namespace retask {
 
@@ -96,8 +93,6 @@ RejectionSolution MarginalGreedySolver::solve(const RejectionProblem& problem) c
 
   const std::size_t n = problem.size();
   const std::size_t max_moves = 4 * n * n + 16;
-  GreedyScratch& scratch = greedy_scratch();
-  const simd::KernelTable& kernels = simd::kernels();
   RETASK_OBS_ONLY(std::uint64_t moves_made = 0;)
   for (std::size_t move = 0; move < max_moves; ++move) {
     // Recompute the objective from the current state each round: an
@@ -106,42 +101,29 @@ RejectionSolution MarginalGreedySolver::solve(const RejectionProblem& problem) c
     const double energy_at_load = problem.energy_of_cycles(load);
     const double objective = energy_at_load + problem.rejected_penalty(accepted);
 
-    // Probe loads of every feasible flip (structure-of-arrays), batched
-    // through the fused energy kernel; infeasible re-accepts keep an +inf
-    // delta so the argmin scan never picks them — the exact effect of the
-    // old `continue`. E is pure, so hoisting E(load) out of the flip loop
-    // and batching the probes changes which call sites evaluate energies,
-    // never a produced bit.
-    std::vector<Cycles>& eval_cycles = scratch.eval_cycles;
-    std::vector<double>& eval_energy = scratch.eval_energy;
-    std::vector<double>& delta = scratch.delta;
-    eval_cycles.clear();
-    delta.assign(n, std::numeric_limits<double>::infinity());
+    // Steepest descent: the first flip whose objective change is below the
+    // threshold and every earlier flip's (strict <, so ties go to the lower
+    // index). A re-accept that does not fit is no flip at all.
+    double best_delta = -1e-12 * std::max(objective, 1.0);  // strict improvement only
+    std::size_t best_index = n;
     for (std::size_t i = 0; i < n; ++i) {
       const FrameTask& task = problem.tasks()[i];
-      if (accepted[i]) {
-        eval_cycles.push_back(load - task.cycles);
-      } else if (load + task.cycles <= problem.cycle_capacity()) {
-        eval_cycles.push_back(load + task.cycles);
-      }
-    }
-    eval_energy.resize(eval_cycles.size());
-    problem.energy_of_cycles_batch(eval_cycles.data(), eval_energy.data(), eval_cycles.size());
-    std::size_t probe = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const FrameTask& task = problem.tasks()[i];
+      double delta = 0.0;
       if (accepted[i]) {
         // Reject i: pay penalty, save energy.
-        delta[i] = task.penalty - (energy_at_load - eval_energy[probe++]);
+        delta = task.penalty - (energy_at_load - problem.energy_of_cycles(load - task.cycles));
       } else if (load + task.cycles <= problem.cycle_capacity()) {
-        // Re-accept i when it fits: save penalty, pay energy.
-        delta[i] = (eval_energy[probe++] - energy_at_load) - task.penalty;
+        // Re-accept i: save penalty, pay energy.
+        delta = (problem.energy_of_cycles(load + task.cycles) - energy_at_load) - task.penalty;
+      } else {
+        continue;
+      }
+      if (delta < best_delta) {
+        best_delta = delta;
+        best_index = i;
       }
     }
-
-    const double threshold = -1e-12 * std::max(objective, 1.0);  // strict improvement only
-    const std::size_t best_index = kernels.argmin_f64(delta.data(), n, threshold);
-    if (best_index == simd::kNpos) break;
+    if (best_index == n) break;
     RETASK_OBS_ONLY(++moves_made;)
     if (accepted[best_index]) {
       accepted[best_index] = false;

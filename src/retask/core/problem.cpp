@@ -45,35 +45,6 @@ double RejectionProblem::energy_of_cycles(Cycles cycles) const {
   return curve_.energy(work_per_cycle_ * static_cast<double>(cycles));
 }
 
-void RejectionProblem::energy_of_cycles_batch(const Cycles* cycles, double* out,
-                                              std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    require(cycles[i] >= 0, "RejectionProblem::energy_of_cycles: negative cycles");
-  }
-  if (energy_memo_ == nullptr) {
-    curve_.energy_cycles_batch(work_per_cycle_, cycles, out, n);
-    return;
-  }
-  // Partition into memo hits and misses; misses go through the batch kernel
-  // and are recorded so later evaluations replay the same bits.
-  std::vector<std::size_t> miss_index;
-  std::vector<Cycles> miss_cycles;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!energy_memo_->lookup(cycles[i], out[i])) {
-      miss_index.push_back(i);
-      miss_cycles.push_back(cycles[i]);
-    }
-  }
-  if (miss_index.empty()) return;
-  std::vector<double> miss_out(miss_index.size());
-  curve_.energy_cycles_batch(work_per_cycle_, miss_cycles.data(), miss_out.data(),
-                             miss_index.size());
-  for (std::size_t j = 0; j < miss_index.size(); ++j) {
-    energy_memo_->record(miss_cycles[j], miss_out[j]);
-    out[miss_index[j]] = miss_out[j];
-  }
-}
-
 double RejectionProblem::rejected_penalty(const std::vector<bool>& accepted) const {
   require(accepted.size() == tasks_.size(), "RejectionProblem: accept mask size mismatch");
   double penalty = 0.0;

@@ -58,18 +58,13 @@ class RejectionProblem {
   /// Total work units if every task were accepted.
   double total_work() const;
 
-  /// Energy of a processor loaded with `cycles` accepted cycles. When a
-  /// memo is attached, evaluations are served from / recorded into it; the
-  /// memo only replays values this exact computation produced, so cached
-  /// and cold calls return identical bits.
+  /// Energy of a processor loaded with `cycles` accepted cycles:
+  /// curve().energy(work_per_cycle() * cycles), one load per call. Every
+  /// solver evaluates E through here. When a memo is attached, evaluations
+  /// are served from / recorded into it; the memo only replays values this
+  /// exact computation produced, so cached and cold calls return identical
+  /// bits.
   double energy_of_cycles(Cycles cycles) const;
-
-  /// Batched energy_of_cycles: out[i] == energy_of_cycles(cycles[i]) bit for
-  /// bit. Attached-memo hits are replayed; misses run through the curve's
-  /// fused SIMD batch kernel and are recorded. Duplicate misses inside one
-  /// batch are recomputed identically (E is pure), so only the hit/miss
-  /// counters — never a value — can differ from the one-at-a-time path.
-  void energy_of_cycles_batch(const Cycles* cycles, double* out, std::size_t n) const;
 
   /// Shares `memo` for energy_of_cycles lookups. The caller asserts that
   /// every problem attached to one memo has an identical (EnergyCurve,

@@ -13,8 +13,6 @@
 namespace retask {
 namespace {
 
-constexpr const char* kInfeasible = "EnergyCurve::energy: workload exceeds smax * window";
-
 /// The largest double s with leq_tol(s, v), for a positive finite v. As s
 /// grows, leq_tol(s, v) turns false once and stays false, and the bit
 /// patterns of positive doubles ascend with their values, so a bisection
@@ -161,7 +159,7 @@ inline EnergyCurve::Choice EnergyCurve::choose(const Branches& b, const Power& p
                                                double cycles) {
   const double lo = b.speed_bound(cycles);
   const double busy = cycles / lo;
-  Choice best{lo, busy, false, busy * power(lo) + b.pind * std::max(0.0, b.window - busy)};
+  Choice best{lo, busy, busy * power(lo) + b.pind * std::max(0.0, b.window - busy)};
   if (!b.enable) return best;
   double sleep_lo = lo;
   if (b.switch_time > 0.0) {
@@ -174,33 +172,15 @@ inline EnergyCurve::Choice EnergyCurve::choose(const Branches& b, const Power& p
   const double idle = std::max(0.0, b.window - sleep_busy);
   if (idle < b.switch_time) return best;
   const double cost = sleep_busy * power(s) + b.switch_energy;
-  if (cost < best.cost) best = Choice{s, sleep_busy, idle > 0.0, cost};
+  if (cost < best.cost) best = Choice{s, sleep_busy, cost};
   return best;
 }
 
-template <typename Power>
-inline double EnergyCurve::closed_energy(const Branches& b, const Power& power, double cycles) {
-  // Dormant-enable processors stay dormant through an empty window.
-  if (cycles <= 0.0) return b.enable ? 0.0 : b.pind * b.window;
-  return choose(b, power, cycles).cost;
-}
-
 double EnergyCurve::energy(double cycles) const {
-  require(feasible(cycles), kInfeasible);
-  return with_power([&](const auto& power) { return closed_energy(branches_, power, cycles); });
-}
-
-void EnergyCurve::energy_cycles_batch(double work_per_cycle, const std::int64_t* cycles,
-                                      double* out, std::size_t n) const {
-  require(work_per_cycle > 0.0, "EnergyCurve::energy_cycles_batch: work_per_cycle must be positive");
-  with_power([&](const auto power) {
-    const Branches b = branches_;  // hoisted: stores to `out` could alias the members
-    for (std::size_t i = 0; i < n; ++i) {
-      const double w = work_per_cycle * static_cast<double>(cycles[i]);
-      require(feasible(w), kInfeasible);
-      out[i] = closed_energy(b, power, w);
-    }
-  });
+  require(feasible(cycles), "EnergyCurve::energy: workload exceeds smax * window");
+  // Dormant-enable processors stay dormant through an empty window.
+  if (cycles <= 0.0) return branches_.enable ? 0.0 : branches_.pind * branches_.window;
+  return with_power([&](const auto& power) { return choose(branches_, power, cycles).cost; });
 }
 
 bool EnergyCurve::convex() const {
@@ -233,15 +213,6 @@ double EnergyCurve::convex_floor(double cycles) const {
   }
   RETASK_ASSERT(best < std::numeric_limits<double>::infinity());
   return best;
-}
-
-double EnergyCurve::marginal(double cycles) const {
-  require(feasible(cycles), "EnergyCurve::marginal: workload exceeds smax * window");
-  const double h = std::max(max_workload_ * 1e-7, 1e-12);
-  const double lo = std::max(0.0, cycles - h);
-  const double hi = std::min(max_workload_, cycles + h);
-  RETASK_ASSERT(hi > lo);
-  return (energy(hi) - energy(lo)) / (hi - lo);
 }
 
 ExecutionPlan EnergyCurve::plan(double cycles) const {

@@ -38,7 +38,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -111,21 +110,9 @@ class EnergyCurve {
   /// processor stays dormant) and Pind * D for dormant-disable.
   double energy(double cycles) const;
 
-  /// Batched energy over integer cycle counts: out[i] equals
-  /// energy(work_per_cycle * cycles[i]) bit for bit, because both run the
-  /// same closed-form body. Requires work_per_cycle > 0 and every workload
-  /// feasible, like energy(), and throws the same Error when one is not.
-  void energy_cycles_batch(double work_per_cycle, const std::int64_t* cycles, double* out,
-                           std::size_t n) const;
-
   /// Cost of an idle interval of length `t` under this curve's discipline
   /// and sleep parameters.
   double idle_cost(double t) const;
-
-  /// Numeric marginal energy dE/dW at `cycles` (one-sided difference at the
-  /// domain boundary). Used by greedy thresholds and the fractional lower
-  /// bound; with free sleep E is convex so the marginal is non-decreasing.
-  double marginal(double cycles) const;
 
   /// True when E is convex on [0, max_workload()]: dormant-disable (the
   /// awake branch alone, linear busy cost per hull segment plus linear idle
@@ -168,11 +155,10 @@ class EnergyCurve {
   struct Choice {
     double exec_speed = 0.0;  // average execution speed (0 when no work)
     double busy = 0.0;        // execution time
-    bool sleeps = false;      // idle tail spent dormant
     double cost = 0.0;
   };
   /// The scalars the closed-form body reads besides P(s), cached at
-  /// construction so that the batch loop can keep them in registers.
+  /// construction.
   struct Branches {
     double s_lo = 0.0;     // awake speed floor: min_speed kept off 0, or a hull's v_a
     double s_max = 0.0;
@@ -212,11 +198,9 @@ class EnergyCurve {
   template <typename Fn>
   auto with_power(Fn&& fn) const;
   /// The closed-form body: the best (speed, branch) decision for a positive
-  /// workload, and the energy of any feasible one.
+  /// feasible workload, which energy() prices and plan() lays out.
   template <typename Power>
   static Choice choose(const Branches& b, const Power& power, double cycles);
-  template <typename Power>
-  static double closed_energy(const Branches& b, const Power& power, double cycles);
 
   std::shared_ptr<const PowerModel> model_;
   double window_ = 0.0;

@@ -54,14 +54,11 @@ bool cpu_supports(Backend backend) noexcept {
   return false;
 }
 
-/// Process-wide default: RETASK_SIMD env, then the compiled-in default
-/// (CMake -DRETASK_SIMD=...), then the widest backend the CPU supports.
+/// Process-wide default: the RETASK_SIMD environment variable, else the
+/// widest backend the CPU supports.
 int resolve_default() {
   const char* env = std::getenv("RETASK_SIMD");
-  std::string name = env != nullptr ? std::string(env) : std::string();
-#if defined(RETASK_SIMD_DEFAULT)
-  if (name.empty()) name = RETASK_SIMD_DEFAULT;
-#endif
+  const std::string name = env != nullptr ? std::string(env) : std::string();
   Backend chosen = Backend::kScalar;
   if (!name.empty() && parse_backend(name, chosen)) {
     require(backend_available(chosen), "RETASK_SIMD: backend '" + name +

@@ -3,10 +3,10 @@
 // The library ships one scalar reference implementation of every kernel plus
 // optional SSE2 / AVX2 / NEON translation units compiled with the matching
 // target flags. At first use the dispatcher picks the widest backend the host
-// CPU supports; `RETASK_SIMD=off|scalar|sse2|avx2|neon|auto` (environment) or
-// the `RETASK_SIMD` CMake cache entry overrides that choice process-wide, and
-// `ScopedBackend` overrides it per thread (used by the differential fuzzer to
-// pit backends against each other on worker threads without racing).
+// CPU supports; the `RETASK_SIMD=off|scalar|sse2|avx2|neon|auto` environment
+// variable overrides that choice process-wide, and `ScopedBackend` overrides
+// it per thread (used by the differential fuzzer to pit backends against
+// each other on worker threads without racing).
 //
 // Every backend is bit-identical to the scalar path by construction: all
 // kernels are elementwise (no reassociated floating-point reductions), so
@@ -56,7 +56,7 @@ std::vector<Backend> available_vector_backends();
 
 /// The backend the calling thread will dispatch to: the thread-local
 /// override if one is active, else the process-wide selection (resolved on
-/// first use from `RETASK_SIMD`, the compiled-in default, then detection).
+/// first use from the `RETASK_SIMD` environment variable, else detection).
 Backend active_backend();
 
 /// Forces the process-wide backend. Throws `retask::Error` when `backend`

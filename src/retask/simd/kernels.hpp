@@ -1,4 +1,6 @@
-// Vector kernels behind the DP/FPTAS/greedy hot loops.
+// Vector kernels behind the knapsack table fills: the descending relaxation
+// of the exact-DP value row (core/dp_table: the exact DP, the budgeted DP and
+// the serve-mode delta solver) and of the FPTAS scaled rows (core/fptas).
 //
 // Each kernel is elementwise over contiguous arrays, so a wider
 // backend performs exactly the scalar reference's arithmetic per element —
@@ -19,8 +21,6 @@
 #include "retask/simd/backend.hpp"
 
 namespace retask::simd {
-
-inline constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
 /// One backend's kernel implementations. All pointers are non-null in every
 /// table (narrow backends fall back to the scalar body for kernels their ISA
@@ -47,16 +47,6 @@ struct KernelTable {
   void (*relax_desc_i64)(std::int64_t* rej, double* payload, std::uint64_t* take_row,
                          std::size_t shift, std::size_t lo, std::size_t hi,
                          std::int64_t add_cycles, double add_payload);
-
-  /// First index i with values[i] > init and values[i] == max(values), i.e.
-  /// the scalar left-to-right strict-improvement argmax. Returns kNpos when
-  /// no element beats init.
-  std::size_t (*argmax_f64)(const double* values, std::size_t n, double init);
-
-  /// First index i with values[i] < init and values[i] == min(values), i.e.
-  /// the scalar left-to-right strict-improvement argmin. Returns kNpos when
-  /// no element beats init.
-  std::size_t (*argmin_f64)(const double* values, std::size_t n, double init);
 };
 
 /// Kernel table for the calling thread's active backend.

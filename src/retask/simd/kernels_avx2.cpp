@@ -2,13 +2,10 @@
 // hot kernels. Compiled with -mavx2 (see src/CMakeLists.txt); the dispatcher
 // only hands this table out when the host CPU reports AVX2.
 //
-// Bit-identity notes (why each lane computes exactly the scalar result):
-//  * every kernel is elementwise — no reassociated FP reductions, and the
-//    build disables FMA contraction (-ffp-contract=off), so per-lane
-//    arithmetic matches the scalar reference operation for operation;
-//  * the argmax/argmin reductions return the first index attaining the
-//    optimum, which equals the scalar strict-improvement scan's answer, so
-//    the reduced *value* never leaves the kernel — only the index does.
+// Bit-identity (why each lane computes exactly the scalar result): both
+// kernels are elementwise — no reassociated FP reductions, and the build
+// disables FMA contraction (-ffp-contract=off), so per-lane arithmetic
+// matches the scalar reference operation for operation.
 #include "retask/simd/kernels.hpp"
 
 #if defined(__AVX2__) && (defined(__x86_64__) || defined(__i386__))
@@ -17,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 namespace retask::simd {
 
@@ -91,89 +87,12 @@ void avx2_relax_desc_i64(std::int64_t* rej, double* payload, std::uint64_t* take
   }
 }
 
-std::size_t avx2_argmax_f64(const double* values, std::size_t n, double init) {
-  if (n < 2 * kLanes) return scalar_argmax_f64(values, n, init);
-  __m256d best_v = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    best_v = _mm256_max_pd(best_v, _mm256_loadu_pd(values + i));
-  }
-  alignas(32) double lanes[kLanes];
-  _mm256_store_pd(lanes, best_v);
-  double best = init;
-  bool found = false;
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    if (lanes[k] > best) {
-      best = lanes[k];
-      found = true;
-    }
-  }
-  for (; i < n; ++i) {
-    if (values[i] > best) {
-      best = values[i];
-      found = true;
-    }
-  }
-  if (!found) return kNpos;
-  // First index attaining the maximum == the scalar strict-improvement scan.
-  const __m256d best_b = _mm256_set1_pd(best);
-  std::size_t j = 0;
-  for (; j + kLanes <= n; j += kLanes) {
-    const int eq =
-        _mm256_movemask_pd(_mm256_cmp_pd(_mm256_loadu_pd(values + j), best_b, _CMP_EQ_OQ));
-    if (eq != 0) return j + static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(eq)));
-  }
-  for (; j < n; ++j) {
-    if (values[j] == best) return j;
-  }
-  return kNpos;  // unreachable: the maximum exists
-}
-
-std::size_t avx2_argmin_f64(const double* values, std::size_t n, double init) {
-  if (n < 2 * kLanes) return scalar_argmin_f64(values, n, init);
-  __m256d best_v = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    best_v = _mm256_min_pd(best_v, _mm256_loadu_pd(values + i));
-  }
-  alignas(32) double lanes[kLanes];
-  _mm256_store_pd(lanes, best_v);
-  double best = init;
-  bool found = false;
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    if (lanes[k] < best) {
-      best = lanes[k];
-      found = true;
-    }
-  }
-  for (; i < n; ++i) {
-    if (values[i] < best) {
-      best = values[i];
-      found = true;
-    }
-  }
-  if (!found) return kNpos;
-  const __m256d best_b = _mm256_set1_pd(best);
-  std::size_t j = 0;
-  for (; j + kLanes <= n; j += kLanes) {
-    const int eq =
-        _mm256_movemask_pd(_mm256_cmp_pd(_mm256_loadu_pd(values + j), best_b, _CMP_EQ_OQ));
-    if (eq != 0) return j + static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(eq)));
-  }
-  for (; j < n; ++j) {
-    if (values[j] == best) return j;
-  }
-  return kNpos;  // unreachable
-}
-
 }  // namespace
 
 const KernelTable* avx2_table() noexcept {
   static const KernelTable table{
       &avx2_relax_desc_f64,
       &avx2_relax_desc_i64,
-      &avx2_argmax_f64,
-      &avx2_argmin_f64,
   };
   return &table;
 }

@@ -1,5 +1,5 @@
 // NEON (aarch64) kernel backend: 2-lane double / 2-lane int64 kernels for
-// the relaxations; the scans keep the scalar bodies. Untested in x86 CI; the
+// both relaxations. Untested in x86 CI; the
 // structure mirrors the SSE2/AVX2 backends and the same equivalence tests
 // gate it on ARM hosts.
 #include "retask/simd/kernels.hpp"
@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 namespace retask::simd {
 
@@ -87,8 +86,6 @@ const KernelTable* neon_table() noexcept {
   static const KernelTable table{
       &neon_relax_desc_f64,
       &neon_relax_desc_i64,
-      &scalar_argmax_f64,
-      &scalar_argmin_f64,
   };
   return &table;
 }

@@ -17,8 +17,6 @@ const KernelTable* scalar_table() noexcept {
   static const KernelTable table{
       &scalar_relax_desc_f64,
       &scalar_relax_desc_i64,
-      &scalar_argmax_f64,
-      &scalar_argmin_f64,
   };
   return &table;
 }

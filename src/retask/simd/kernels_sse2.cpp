@@ -1,9 +1,7 @@
-// SSE2 kernel backend: 2-lane double implementations of the kernels SSE2
-// can express. SSE2 has no 64-bit integer compare, so the FPTAS int64
-// relaxation keeps the scalar body (bit-identity is then trivial); the win
-// is the f64 knapsack relaxation —
-// the hottest kernel — plus the argmax/argmin scans. Compiled with -msse2
-// (a no-op on x86-64, where SSE2 is baseline).
+// SSE2 kernel backend: a 2-lane double implementation of the f64 knapsack
+// relaxation, the hottest kernel. SSE2 has no 64-bit integer compare, so the
+// FPTAS int64 relaxation keeps the scalar body (bit-identity is then
+// trivial). Compiled with -msse2 (a no-op on x86-64, where SSE2 is baseline).
 #include "retask/simd/kernels.hpp"
 
 #if defined(__SSE2__) && (defined(__x86_64__) || defined(__i386__))
@@ -12,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 namespace retask::simd {
 
@@ -54,82 +51,12 @@ void sse2_relax_desc_f64(double* row, std::uint64_t* take_row, std::size_t shift
   if (w > lo) scalar_relax_desc_f64(row, take_row, shift, lo, w - 1, add);
 }
 
-std::size_t sse2_argmax_f64(const double* values, std::size_t n, double init) {
-  if (n < 2 * kLanes) return scalar_argmax_f64(values, n, init);
-  __m128d best_v = _mm_set1_pd(-std::numeric_limits<double>::infinity());
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) best_v = _mm_max_pd(best_v, _mm_loadu_pd(values + i));
-  alignas(16) double lanes[kLanes];
-  _mm_store_pd(lanes, best_v);
-  double best = init;
-  bool found = false;
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    if (lanes[k] > best) {
-      best = lanes[k];
-      found = true;
-    }
-  }
-  for (; i < n; ++i) {
-    if (values[i] > best) {
-      best = values[i];
-      found = true;
-    }
-  }
-  if (!found) return kNpos;
-  const __m128d best_b = _mm_set1_pd(best);
-  std::size_t j = 0;
-  for (; j + kLanes <= n; j += kLanes) {
-    const int eq = _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(values + j), best_b));
-    if (eq != 0) return j + static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(eq)));
-  }
-  for (; j < n; ++j) {
-    if (values[j] == best) return j;
-  }
-  return kNpos;  // unreachable
-}
-
-std::size_t sse2_argmin_f64(const double* values, std::size_t n, double init) {
-  if (n < 2 * kLanes) return scalar_argmin_f64(values, n, init);
-  __m128d best_v = _mm_set1_pd(std::numeric_limits<double>::infinity());
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) best_v = _mm_min_pd(best_v, _mm_loadu_pd(values + i));
-  alignas(16) double lanes[kLanes];
-  _mm_store_pd(lanes, best_v);
-  double best = init;
-  bool found = false;
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    if (lanes[k] < best) {
-      best = lanes[k];
-      found = true;
-    }
-  }
-  for (; i < n; ++i) {
-    if (values[i] < best) {
-      best = values[i];
-      found = true;
-    }
-  }
-  if (!found) return kNpos;
-  const __m128d best_b = _mm_set1_pd(best);
-  std::size_t j = 0;
-  for (; j + kLanes <= n; j += kLanes) {
-    const int eq = _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(values + j), best_b));
-    if (eq != 0) return j + static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(eq)));
-  }
-  for (; j < n; ++j) {
-    if (values[j] == best) return j;
-  }
-  return kNpos;  // unreachable
-}
-
 }  // namespace
 
 const KernelTable* sse2_table() noexcept {
   static const KernelTable table{
       &sse2_relax_desc_f64,
       &scalar_relax_desc_i64,
-      &sse2_argmax_f64,
-      &sse2_argmin_f64,
   };
   return &table;
 }

@@ -264,7 +264,9 @@ std::vector<PropertyViolation> check_simd_diff(const RejectionProblem& problem) 
     violations.push_back({"simd-diff", solver, detail});
   };
 
-  // Rejection solvers that go through the kernel layer. ScopedBackend is a
+  // The rejection solvers: the exact DP and the FPTAS go through the kernel
+  // layer, and the greedies, which run no kernel, stay in the lineup so that
+  // a kernel they start calling is covered at once. ScopedBackend is a
   // thread-local override, so forcing it here covers the whole solve even
   // when this round runs on a fuzz pool thread.
   const ExactDpSolver exact;

@@ -90,14 +90,14 @@ struct FuzzOptions {
 /// equality. Single-processor instances only (returns empty otherwise).
 std::vector<PropertyViolation> check_sweep_cache(const RejectionProblem& problem);
 
-/// Forced-scalar vs vector-backend check: solves `problem` with every
-/// kernel-using single-processor solver (exact DP, budgeted DP, FPTAS,
-/// density/marginal greedy) under the scalar kernel table and under every
-/// vector backend the host can execute, reporting any bitwise difference
-/// (accept masks, energies, penalties) as "simd-diff" violations. The SIMD
-/// layer promises bit-identity, so the comparison uses exact double
-/// equality. Single-processor instances only (returns empty otherwise, and
-/// on scalar-only hosts).
+/// Forced-scalar vs vector-backend check: solves `problem` with the
+/// kernel-using single-processor solvers (exact DP, budgeted DP, FPTAS) and
+/// the density/marginal greedies, which run no kernel, under the scalar
+/// kernel table and under every vector backend the host can execute,
+/// reporting any bitwise difference (accept masks, energies, penalties) as
+/// "simd-diff" violations. The SIMD layer promises bit-identity, so the
+/// comparison uses exact double equality. Single-processor instances only
+/// (returns empty otherwise, and on scalar-only hosts).
 std::vector<PropertyViolation> check_simd_diff(const RejectionProblem& problem);
 
 /// Serve-mode delta-solve vs cold-solve check: admits `problem`'s tasks one

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "retask/common/error.hpp"
+#include "retask/core/dp_table.hpp"
 #include "retask/core/exact_dp.hpp"
 #include "retask/core/problem.hpp"
 #include "retask/power/polynomial_power.hpp"
@@ -123,6 +127,50 @@ TEST(Budgeted, DualityWithRejectionProblem) {
       if (opt.accepted[i]) accepted_value += rej.tasks()[i].penalty;
     }
     EXPECT_GE(solve_budgeted_dp(dual).value, accepted_value - 1e-9) << "seed " << seed;
+  }
+}
+
+/// The budgeted DP's read-off rule, written out over the value row: the first
+/// row attaining the largest value over [0, cap], or row 0 when nothing beats
+/// the empty accept set's 0.
+std::size_t first_row_of_largest_value(const std::vector<double>& value, std::size_t cap) {
+  double best = 0.0;
+  std::size_t best_w = 0;
+  for (std::size_t w = 0; w <= cap; ++w) {
+    if (value[w] > best) {
+      best = value[w];
+      best_w = w;
+    }
+  }
+  return best_w;
+}
+
+TEST(Budgeted, StaircaseReadOffMatchesTheFirstRowOfLargestValue) {
+  const RejectionProblem random = test::small_instance(3, 9, 1.6, 1.0);
+  const std::vector<std::vector<FrameTask>> task_sets = {
+      // Nothing beats the empty accept set.
+      {{0, 3, 0.0}, {1, 5, 0.0}, {2, 4, 0.0}},
+      // Ties in value: rows 4 and 6 both carry 1.5, so the lighter must win;
+      // 3 + 5 and 8 cycles both reach row 8 with 2; a value-0 task adds
+      // weight without value.
+      {{0, 3, 1.0}, {1, 5, 1.0}, {2, 8, 2.0}, {3, 2, 0.0}, {4, 4, 1.5}, {5, 6, 1.5}},
+      random.tasks().tasks(),
+  };
+  DpScratch wide;
+  DpScratch narrow;
+  for (std::size_t t = 0; t < task_sets.size(); ++t) {
+    const std::vector<FrameTask>& tasks = task_sets[t];
+    Cycles total = 0;
+    for (const FrameTask& task : tasks) total += task.cycles;
+    const auto fill_cap = static_cast<std::size_t>(std::min<Cycles>(total, 400));
+    // A sweep: every cap read off one fill at the widest, each checked against
+    // the rule over a dedicated fill at that cap.
+    dp_fill(wide, tasks.data(), tasks.size(), fill_cap);
+    for (std::size_t cap = 0; cap <= fill_cap; ++cap) {
+      dp_fill(narrow, tasks.data(), tasks.size(), cap);
+      EXPECT_EQ(dp_best_kept_row(wide.stairs, cap), first_row_of_largest_value(narrow.value, cap))
+          << "task set " << t << " cap " << cap;
+    }
   }
 }
 

@@ -94,6 +94,21 @@ TEST(LocalSearch, KeepsValuableSmallTasksUnderOverload) {
   for (int i = 2; i < 8; ++i) EXPECT_TRUE(s.accepted[static_cast<std::size_t>(i)]) << i;
 }
 
+TEST(LocalSearch, TiedFlipsGoToTheLowerIndex) {
+  // E(W) = W^3 over a 100-cycle capacity. Feasibility makes the density seed
+  // reject both identical tasks 1 and 2, and its pass then rejects task 0,
+  // which frees room for one of them: re-accepting either saves 0.2 of
+  // penalty for 0.152 of energy, re-accepting the second then costs 0.296.
+  // The two flips tie bit for bit, and the lower index takes it.
+  const FrameTaskSet tasks({{0, 50, 0.6}, {1, 20, 0.2}, {2, 20, 0.2}, {3, 40, 50.0}});
+  EnergyCurve curve(PolynomialPowerModel::cubic(), 1.0, IdleDiscipline::kDormantEnable);
+  const RejectionProblem p(tasks, std::move(curve), 0.01, 1);
+  ASSERT_EQ(DensityGreedySolver().solve(p).accepted,
+            (std::vector<bool>{false, false, false, true}));
+  EXPECT_EQ(MarginalGreedySolver().solve(p).accepted,
+            (std::vector<bool>{false, true, false, true}));
+}
+
 TEST(Rand, ProducesFeasibleDeterministicSolutions) {
   const RandomRejectSolver rand_solver(7);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {

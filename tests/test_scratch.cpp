@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "retask/core/budgeted.hpp"
 #include "retask/core/exact_dp.hpp"
 #include "retask/core/fptas.hpp"
 #include "retask/core/greedy.hpp"
@@ -19,7 +20,7 @@ TEST(ScratchArena, ExactDpReusesBuffersAcrossSolves) {
   const ExactDpSolver solver;
   const RejectionSolution first = solver.solve(problem);
 
-  DpScratch& scratch = exact_dp_scratch();
+  DpScratch& scratch = dp_scratch();
   const double* value_data = scratch.value.data();
   const std::size_t value_capacity = scratch.value.capacity();
   ASSERT_GT(value_capacity, 0u);
@@ -50,42 +51,45 @@ TEST(ScratchArena, FptasReusesBuffersAndGrowsMonotonically) {
   const RejectionSolution small_again = solver.solve(test::small_instance(3, 8, 1.4));
   EXPECT_EQ(scratch.rej.data(), rej_data);
   EXPECT_EQ(scratch.rej.capacity(), grown_capacity);
-  // Arena reuse (including the round-local energy memo, which must be
-  // cleared per solve) leaves the answer bit-identical.
+  // Arena reuse leaves the answer bit-identical.
   EXPECT_EQ(small_again.accepted, small_first.accepted);
   EXPECT_EQ(small_again.objective(), small_first.objective());
 }
 
-TEST(ScratchArena, GreedyReusesDeltaRow) {
-  const RejectionProblem problem = test::small_instance(7, 14, 1.7);
-  const MarginalGreedySolver solver;
-  const RejectionSolution first = solver.solve(problem);
-  GreedyScratch& scratch = greedy_scratch();
-  const double* delta_data = scratch.delta.data();
-  ASSERT_GT(scratch.delta.capacity(), 0u);
-
-  const RejectionSolution second = solver.solve(problem);
-  EXPECT_EQ(scratch.delta.data(), delta_data);
-  EXPECT_EQ(second.accepted, first.accepted);
-  EXPECT_EQ(second.objective(), first.objective());
-}
-
 TEST(ScratchArena, InterleavedSolverFamiliesStayIndependent) {
-  // Each family owns a distinct arena, so alternating solvers on one thread
-  // must reproduce the isolated runs bit for bit.
+  // The exact and the budgeted DP share one arena and the FPTAS owns
+  // another; each solve fills before it reads, so alternating solvers of
+  // different sizes on one thread must reproduce the isolated runs bit for
+  // bit.
   const RejectionProblem a = test::small_instance(21, 10, 1.5);
   const RejectionProblem b = test::small_instance(22, 12, 1.9);
+  const BudgetedProblem budgeted{b.tasks(), b.curve(), b.work_per_cycle(),
+                                 0.5 * b.energy_of_cycles(b.cycle_capacity())};
+  const std::vector<double> budgets = {0.2 * budgeted.energy_budget, budgeted.energy_budget};
   const ExactDpSolver exact;
   const FptasSolver fptas(0.2);
   const MarginalGreedySolver greedy;
 
-  const double exact_a = exact.solve(a).objective();
+  const RejectionSolution exact_a = exact.solve(a);
   const double fptas_b = fptas.solve(b).objective();
   const double greedy_a = greedy.solve(a).objective();
+  const BudgetedSolution budgeted_b = solve_budgeted_dp(budgeted);
+  const std::vector<BudgetedSolution> sweep_b = solve_budgeted_dp_sweep(budgeted, budgets);
 
   for (int round = 0; round < 3; ++round) {
-    EXPECT_EQ(exact.solve(a).objective(), exact_a);
+    const RejectionSolution exact_again = exact.solve(a);
+    EXPECT_EQ(exact_again.accepted, exact_a.accepted);
+    EXPECT_EQ(exact_again.objective(), exact_a.objective());
+    const BudgetedSolution budgeted_again = solve_budgeted_dp(budgeted);
+    EXPECT_EQ(budgeted_again.accepted, budgeted_b.accepted);
+    EXPECT_EQ(budgeted_again.value, budgeted_b.value);
     EXPECT_EQ(fptas.solve(b).objective(), fptas_b);
+    const std::vector<BudgetedSolution> sweep_again = solve_budgeted_dp_sweep(budgeted, budgets);
+    ASSERT_EQ(sweep_again.size(), sweep_b.size());
+    for (std::size_t k = 0; k < sweep_b.size(); ++k) {
+      EXPECT_EQ(sweep_again[k].accepted, sweep_b[k].accepted) << "budget " << k;
+      EXPECT_EQ(sweep_again[k].value, sweep_b[k].value) << "budget " << k;
+    }
     EXPECT_EQ(greedy.solve(a).objective(), greedy_a);
   }
 }

@@ -189,60 +189,6 @@ TEST(SimdKernels, RelaxI64MatchesScalarAtEveryWidth) {
   }
 }
 
-TEST(SimdKernels, ArgmaxMatchesScalarIncludingTies) {
-  const simd::KernelTable& scalar = *simd::scalar_table();
-  for (const simd::Backend backend : available_backends()) {
-    const simd::KernelTable& table = simd::kernels_for(backend);
-    for (const std::size_t n : kWidths) {
-      Rng rng(0xA97A ^ (n * 4u + static_cast<std::size_t>(backend)));
-      for (int rep = 0; rep < 12; ++rep) {
-        std::vector<double> values(n);
-        for (double& v : values) v = rng.uniform(-10.0, 10.0);
-        // Force ties (duplicate the value at a random index elsewhere) and
-        // signed zeros so the first-attainment rule is actually exercised.
-        if (n >= 2) {
-          const auto i = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-          const auto j = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-          values[j] = values[i];
-          values[static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))] =
-              rng.uniform() < 0.5 ? 0.0 : -0.0;
-        }
-        for (const double init : {-kInf, 0.0, values[0], 100.0}) {
-          ASSERT_EQ(scalar.argmax_f64(values.data(), n, init),
-                    table.argmax_f64(values.data(), n, init))
-              << simd::to_string(backend) << " n=" << n << " init=" << init;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, ArgminMatchesScalarIncludingInfSentinels) {
-  const simd::KernelTable& scalar = *simd::scalar_table();
-  for (const simd::Backend backend : available_backends()) {
-    const simd::KernelTable& table = simd::kernels_for(backend);
-    for (const std::size_t n : kWidths) {
-      Rng rng(0x317 ^ (n * 8u + 1 + static_cast<std::size_t>(backend)));
-      for (int rep = 0; rep < 8; ++rep) {
-        std::vector<double> values(n);
-        for (double& v : values) {
-          // The greedy's delta rows mix finite deltas with +inf sentinels.
-          v = rng.uniform() < 0.3 ? kInf : rng.uniform(-5.0, 5.0);
-        }
-        if (n >= 2) values[n - 1] = values[0];  // tie across ends
-        for (const double init : {kInf, 0.0, -1e-12}) {
-          ASSERT_EQ(scalar.argmin_f64(values.data(), n, init),
-                    table.argmin_f64(values.data(), n, init))
-              << simd::to_string(backend) << " n=" << n;
-        }
-      }
-    }
-  }
-}
-
 /// A discrete-model rejection instance.
 RejectionProblem hull_instance(std::uint64_t seed, int task_count = 12, double load = 1.6) {
   ScenarioConfig config;

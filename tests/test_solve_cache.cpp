@@ -201,17 +201,22 @@ TEST(EnergyMemoTest, SharedAcrossWorkersReturnsColdValues) {
 
 TEST(EnergyMemoTest, ExitedThreadsReturnTheirSlots) {
   // More short-lived threads than shard slots, one after another: each one
-  // reuses a slot an exited thread returned, so every lookup hits.
+  // reuses a slot an exited thread returned, so every second call hits
+  // (computes only once per thread).
   EnergyMemo memo;
   for (int t = 0; t < 300; ++t) {
-    bool hit = false;
+    int computes = 0;
     double energy = -1.0;
     std::thread worker([&] {
-      memo.record(t, 0.5 * t);
-      hit = memo.lookup(t, energy);
+      const auto compute = [&](Cycles cycles) {
+        ++computes;
+        return 0.5 * static_cast<double>(cycles);
+      };
+      (void)memo.get_or_compute(t, compute);
+      energy = memo.get_or_compute(t, compute);
     });
     worker.join();
-    ASSERT_TRUE(hit) << "thread " << t;
+    ASSERT_EQ(computes, 1) << "thread " << t;
     EXPECT_EQ(energy, 0.5 * t);
   }
   EXPECT_EQ(memo.shard_count(), 1u);
@@ -348,19 +353,24 @@ TEST(EnergyMemoTest, CountsLookupsPastTheLastShardSlot) {
   };
   const std::uint64_t before = exhausted();
   std::barrier all_started(kThreads);
-  std::atomic<int> misses{0};
+  std::atomic<int> bypasses{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      memo.record(t, 0.5 * t);  // takes the thread's slot
+      const auto energy = [](Cycles cycles) { return 0.5 * static_cast<double>(cycles); };
+      (void)memo.get_or_compute(t, energy);  // takes the thread's slot
       all_started.arrive_and_wait();
-      double energy = 0.0;
-      if (!memo.lookup(t, energy)) misses.fetch_add(1, std::memory_order_relaxed);
+      // A thread with a shard hits; one past the last slot computes again.
+      (void)memo.get_or_compute(t, [&](Cycles cycles) {
+        bypasses.fetch_add(1, std::memory_order_relaxed);
+        return energy(cycles);
+      });
     });
   }
   for (std::thread& worker : workers) worker.join();
-  EXPECT_GE(misses.load(), kThreads - 256);
-  EXPECT_EQ(exhausted() - before, static_cast<std::uint64_t>(misses.load()));
+  EXPECT_GE(bypasses.load(), kThreads - 256);
+  // A bypassing thread is counted on both of its calls.
+  EXPECT_EQ(exhausted() - before, 2 * static_cast<std::uint64_t>(bypasses.load()));
 }
 #endif  // RETASK_OBS_ENABLED
 

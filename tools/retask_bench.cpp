@@ -45,7 +45,6 @@
 #include "retask/obs/trace.hpp"
 #include "retask/sched/edf_sim.hpp"
 #include "retask/serve/delta_solver.hpp"
-#include "retask/serve/server.hpp"
 #include "retask/simd/backend.hpp"
 #include "retask/simd/kernels.hpp"
 #include "retask/task/generator.hpp"
@@ -427,30 +426,13 @@ std::vector<Workload> build_workloads(int jobs) {
                                                    serve_wpc](obs::Registry& metrics) {
                            obs::ActiveScope scope(metrics);
                            DeltaSolver delta(*serve_curve, serve_wpc);
-                           ServeLoopStats latency;
-                           const auto begin = std::chrono::steady_clock::now();
                            for (const ServeOp& op : *ops) {
-                             const auto start = std::chrono::steady_clock::now();
                              if (op.admit) {
                                delta.admit({op.id, op.cycles, op.penalty});
                              } else {
                                delta.remove(op.id);
                              }
-                             latency.record_latency(static_cast<std::uint64_t>(
-                                 std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                     std::chrono::steady_clock::now() - start)
-                                     .count()));
                            }
-                           [[maybe_unused]] const double elapsed =
-                               std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                             begin)
-                                   .count();
-                           RETASK_RECORD("serve.admissions_per_sec",
-                                         static_cast<std::int64_t>(
-                                             static_cast<double>(ops->size()) / elapsed));
-                           RETASK_RECORD("serve.request_p99_ns",
-                                         static_cast<std::int64_t>(
-                                             latency.latency_percentile_ns(0.99)));
                          }});
   }
 
@@ -499,8 +481,8 @@ std::vector<Workload> build_workloads(int jobs) {
     }
   });
   {
-    // Batched E over a discrete (table5) curve: the closed-form body reading
-    // the lower hull, which uses no SIMD kernel.
+    // E over a discrete (table5) curve, one energy() call per load: the
+    // closed-form body reading the lower hull, which uses no SIMD kernel.
     const std::unique_ptr<PowerModel> model = make_model_by_name("table5");
     const auto curve = std::make_shared<EnergyCurve>(*model, 1.0,
                                                      IdleDiscipline::kDormantEnable);
@@ -509,10 +491,11 @@ std::vector<Workload> build_workloads(int jobs) {
     const auto cycles = std::make_shared<std::vector<Cycles>>();
     Rng rng(23);
     for (int i = 0; i < 16384; ++i) cycles->push_back(rng.uniform_int(0, cap));
-    workloads.push_back({"energy_table5_batch", [curve, cycles, wpc](obs::Registry&) {
+    workloads.push_back({"energy_table5_per_load", [curve, cycles, wpc](obs::Registry&) {
                            std::vector<double> out(cycles->size());
-                           curve->energy_cycles_batch(wpc, cycles->data(), out.data(),
-                                                      cycles->size());
+                           for (std::size_t i = 0; i < out.size(); ++i) {
+                             out[i] = curve->energy(wpc * static_cast<double>((*cycles)[i]));
+                           }
                          }});
   }
 
