@@ -40,10 +40,14 @@ Cycles budget_cycle_cap(const BudgetedProblem& problem) {
 
 /// Knapsack-over-cycles fill into the scratch arena: the exact DP's table
 /// (core/dp_table.hpp), including the prefix property that makes one fill
-/// at the largest cap serve every smaller cap bit-identically.
+/// at the largest cap serve every smaller cap bit-identically. A fill that
+/// hands off to the dense relaxation counts its reason.
 void fill_budgeted_table(const BudgetedProblem& problem, Cycles cap, DpScratch& scratch) {
-  dp_fill(scratch, problem.tasks.tasks().data(), problem.tasks.size(),
-          static_cast<std::size_t>(cap));
+  [[maybe_unused]] const DpFillCounts counts = dp_fill(
+      scratch, problem.tasks.tasks().data(), problem.tasks.size(), static_cast<std::size_t>(cap));
+  RETASK_COUNT("budgeted.fallback.list_outgrew_reach",
+               counts.handoff == DpHandoff::kListOutgrewReach);
+  RETASK_COUNT("budgeted.fallback.mask_width", counts.handoff == DpHandoff::kMaskWidth);
 }
 
 /// Reads the best accept set for cycle cap `cap` off a table filled at
@@ -54,7 +58,7 @@ BudgetedSolution select_budgeted(const BudgetedProblem& problem, Cycles cap,
   const std::size_t best_w = dp_best_kept_row(scratch.stairs, static_cast<std::size_t>(cap));
 
   std::vector<bool> accepted;
-  dp_backtrack(scratch.take, problem.tasks.tasks().data(), problem.tasks.size(), best_w, accepted);
+  dp_backtrack(scratch, problem.tasks.tasks().data(), problem.tasks.size(), best_w, accepted);
   return make_budgeted_solution(problem, std::move(accepted));
 }
 

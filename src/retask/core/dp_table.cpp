@@ -1,6 +1,7 @@
 #include "retask/core/dp_table.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -12,6 +13,80 @@ namespace retask {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+/// Tasks an accept mask can hold.
+constexpr std::size_t kMaskWidth = 64;
+
+/// The list phase hands off once it holds more than (reach + 1) /
+/// kRowsPerEntry entries.
+constexpr std::size_t kRowsPerEntry = 16;
+
+/// Bytes of one list entry: its row, value and mask.
+constexpr std::size_t kListEntryBytes =
+    sizeof(std::size_t) + sizeof(double) + sizeof(std::uint64_t);
+
+/// Throws Error when two record lists of `entries` entries (a merge's input
+/// and output) would exceed kDpTableByteBudget.
+void require_dp_list_budget(std::size_t entries) {
+  if (entries <= kDpTableByteBudget / (2 * kListEntryBytes)) return;
+  throw Error("DP record lists of " + std::to_string(entries) + " entries need " +
+              std::to_string(entries * 2 * kListEntryBytes) + " bytes, over the " +
+              std::to_string(kDpTableByteBudget) + "-byte table budget");
+}
+
+/// Grows the arrays of `list` to hold at least `entries` entries.
+void grow_entries(DpRecordList& list, std::size_t entries) {
+  if (list.rows.size() >= entries) return;
+  list.rows.resize(entries);
+  list.kept.resize(entries);
+  list.masks.resize(entries);
+}
+
+/// One list-phase level (the merge in core/dp_table.hpp): writes to `out`
+/// the records of the row that relaxing `task` (c <= cap) into the row of
+/// records `in` leaves, each with its accept mask (`bit` is the task's);
+/// `out` must hold 2 * in.size entries. Each step writes its candidate and
+/// keeps it by advancing the output only when it is a record, so the loop
+/// has no data-dependent branch to mispredict.
+void merge(const DpRecordList& in, DpRecordList& out, std::size_t cap, const FrameTask& task,
+           std::uint64_t bit) {
+  const auto c = static_cast<std::size_t>(task.cycles);
+  const double p = task.penalty;
+  const std::size_t* rows = in.rows.data();
+  const double* kept = in.kept.data();
+  const std::uint64_t* masks = in.masks.data();
+  const std::size_t m = in.size;
+  std::size_t* out_rows = out.rows.data();
+  double* out_kept = out.kept.data();
+  std::uint64_t* out_masks = out.masks.data();
+  // Shifted entries past the cap are dropped.
+  const auto shifted = static_cast<std::size_t>(std::upper_bound(rows, rows + m, cap - c) - rows);
+  std::size_t k = 0;
+  double best = kNegInf;
+  const auto emit = [&](std::size_t w, double v, std::uint64_t mask) {
+    out_rows[k] = w;
+    out_kept[k] = v;
+    out_masks[k] = mask;
+    const bool record = v > best;
+    k += record ? 1 : 0;
+    best = record ? v : best;
+  };
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < m && j < shifted) {
+    const std::size_t a = rows[i];
+    const std::size_t b = rows[j] + c;
+    const double v = kept[j] + p;
+    // The shifted entry takes a row `in` also holds only when strictly larger.
+    const bool take = (b < a) | ((b == a) & (v > kept[i]));
+    emit(take ? b : a, take ? v : kept[i], take ? masks[j] | bit : masks[i]);
+    i += a <= b ? 1 : 0;
+    j += b <= a ? 1 : 0;
+  }
+  for (; i < m; ++i) emit(rows[i], kept[i], masks[i]);
+  for (; j < shifted; ++j) emit(rows[j] + c, kept[j] + p, masks[j] | bit);
+  out.size = k;
+}
 
 std::size_t relax(const simd::KernelTable& kernels, double* value, std::uint64_t* take_row,
                   std::size_t cap, std::size_t& reach, const FrameTask& task) {
@@ -82,21 +157,57 @@ void dp_staircase(const double* kept, std::size_t cap, DpStaircase& out) {
 }
 
 DpFillCounts dp_fill(DpScratch& table, const FrameTask* tasks, std::size_t n, std::size_t cap) {
-  const std::size_t width = (cap + 1 + 63) / 64 * 64;
-  require_dp_table_budget("", width, 1, n);
-  table.value.resize(width);
-  table.take.reset(n, width);
+  DpFillCounts counts;
+  DpRecordList& list = table.list;
+  grow_entries(list, 1);
+  list.rows[0] = 0;  // the empty accept set
+  list.kept[0] = 0.0;
+  list.masks[0] = 0;
+  list.size = 1;
+  std::size_t reach = 0;
+  std::size_t level = 0;
+  for (; level < n && counts.handoff == DpHandoff::kNone; ++level) {
+    if (level == kMaskWidth) {
+      counts.handoff = DpHandoff::kMaskWidth;
+      break;
+    }
+    const auto c = static_cast<std::size_t>(tasks[level].cycles);
+    if (c > cap) {  // can never be accepted
+      ++counts.tasks_pruned;
+      continue;
+    }
+    require_dp_list_budget(2 * list.size);
+    grow_entries(table.spare, 2 * list.size);
+    merge(list, table.spare, cap, tasks[level], std::uint64_t{1} << level);
+    std::swap(list, table.spare);
+    counts.list_entries += list.size;
+    reach = std::min(cap, reach + c);
+    if (level + 1 < n && list.size > (reach + 1) / kRowsPerEntry) {
+      counts.handoff = DpHandoff::kListOutgrewReach;
+    }
+  }
+  table.list_levels = level;
+  if (counts.handoff == DpHandoff::kNone) {
+    table.stairs.rows.assign(list.rows.data(), list.rows.data() + list.size);
+    table.stairs.kept.assign(list.kept.data(), list.kept.data() + list.size);
+    return counts;
+  }
 
-  const simd::KernelTable& kernels = simd::kernels();
+  // The dense phase; table.list keeps the records at the hand-off level for
+  // the backtrack.
+  const std::size_t width = (cap + 1 + 63) / 64 * 64;
+  require_dp_table_budget("", width, 1, n - level);
+  table.value.resize(width);
+  table.take.reset(n - level, width);
   double* value = table.value.data();
   // The fill reads and writes only rows [0, cap], so only those are reset.
   std::fill_n(value, cap + 1, kNegInf);
-  value[0] = 0.0;  // the empty accept set
-  DpFillCounts counts;
-  std::size_t reach = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t j = 0; j < list.size; ++j) value[list.rows[j]] = list.kept[j];
+  reach = list.rows[list.size - 1];  // the scattered row is -inf above its last record
+  const simd::KernelTable& kernels = simd::kernels();
+  for (std::size_t i = level; i < n; ++i) {
     const std::size_t touched =
-        relax(kernels, value, table.take.row_words(i), cap, reach, tasks[i]);
+        relax(kernels, value, table.take.row_words(i - level), cap, reach, tasks[i]);
     if (touched == 0) ++counts.tasks_pruned;
     counts.cells_touched += touched;
     counts.cells_skipped += cap + 1 - touched;
@@ -111,16 +222,30 @@ std::size_t dp_best_kept_row(const DpStaircase& stairs, std::size_t cap) {
   return *std::prev(std::upper_bound(stairs.rows.begin(), stairs.rows.end(), cap));
 }
 
-void dp_backtrack(const BitMatrix& take, const FrameTask* tasks, std::size_t n, std::size_t w,
+void dp_backtrack(const DpScratch& table, const FrameTask* tasks, std::size_t n, std::size_t w,
                   std::vector<bool>& accepted) {
   accepted.assign(n, false);
-  for (std::size_t i = n; i-- > 0;) {
-    if (take.test(i, w)) {
+  const std::size_t levels = table.list_levels;
+  for (std::size_t i = n; i-- > levels;) {
+    if (table.take.test(i - levels, w)) {
       accepted[i] = true;
       w -= static_cast<std::size_t>(tasks[i].cycles);
     }
   }
-  RETASK_ASSERT(w == 0);
+  if (levels == 0) {
+    RETASK_ASSERT(w == 0);
+    return;
+  }
+  // The walk reached a record of the list phase's last row (the header
+  // comment), which the list holds with its accept mask.
+  const DpRecordList& list = table.list;
+  const std::size_t* end = list.rows.data() + list.size;
+  const std::size_t* at = std::lower_bound(list.rows.data(), end, w);
+  RETASK_ASSERT(at != end && *at == w);
+  for (std::uint64_t mask = list.masks[static_cast<std::size_t>(at - list.rows.data())];
+       mask != 0; mask &= mask - 1) {
+    accepted[static_cast<std::size_t>(std::countr_zero(mask))] = true;
+  }
 }
 
 }  // namespace retask

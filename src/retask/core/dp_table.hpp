@@ -8,12 +8,13 @@
 // budgeted DP and the serve-mode delta solver (serve/delta_solver.hpp) —
 // shares the pieces in this header:
 //
-//  * the per-task relaxation with reachability pruning (dp_relax), and the
-//    fill built on it (dp_fill), which sizes the table against
-//    kDpTableByteBudget before allocating anything;
+//  * the fill (dp_fill): a list phase that merges the staircase task by task
+//    and, when the list grows too long, a dense phase over the per-task
+//    relaxation with reachability pruning (dp_relax); each phase checks its
+//    buffers against kDpTableByteBudget before allocating them;
 //  * the staircase of a filled value row (dp_staircase), the select that
 //    walks it (dp_select) and the budgeted DP's read-off (dp_best_kept_row);
-//  * the accept-set backtrack through the choice bits (dp_backtrack).
+//  * the accept-set backtrack (dp_backtrack).
 //
 // Prefix property: rows w <= c of a fill at any capacity >= c are
 // bit-identical to a dedicated fill at c, because tasks with cycles > c
@@ -30,6 +31,43 @@
 // (cycles, kept penalty). The staircase of a capacity-c select is the
 // records with w <= c, so one staircase taken after a fill answers every
 // narrower select of a sweep.
+//
+// List phase (the same authors' merge). Write V_k for the value row after
+// the first k tasks as the dense relaxation leaves it: V_k[w] =
+// max(V_{k-1}[w], V_{k-1}[w - c] + p) for task k - 1 = (c, p), where the
+// candidate takes the row only when strictly larger (the tie rule) and then
+// sets the choice bit (k - 1, w). A record of V_k is either a record of
+// V_{k-1} that kept its row or a record of V_{k-1} shifted by (c, p) that
+// took it: a lighter row that ties or beats the source ties or beats the
+// candidate after the same rounded add. So the records of V_k, their values
+// and their choice bits depend only on the records of V_{k-1}. dp_fill
+// merges the record list L with L shifted by (c, p) in ascending w, drops
+// shifted entries past the cap, lets a shifted entry take a row L also holds
+// only when strictly larger, and keeps an entry only when it beats every
+// lighter one kept. Each entry carries its accept set as a 64-bit mask: its
+// source's mask, plus the task's bit when shifted.
+//
+// The backtrack from a record visits only records: a set bit (k - 1, w)
+// leads to w - c, a record of V_{k-1} by the argument above, and a clear one
+// to w itself, whose V_{k-1}[w] = V_k[w] beats every lighter row of V_{k-1}
+// as well. By induction the mask of an entry is the accept set the dense
+// backtrack rebuilds from its row, so a fill the list phase finishes needs
+// no choice bits.
+//
+// Hand-off. A merge costs one step per entry, a dense relaxation one step
+// per row of [c, reach + c]: the list wins on wide, sparse rows and loses
+// once it covers much of the row. After a merge that leaves more than
+// (reach + 1) / 16 entries (reach: the dense fill's bound, min(cap, the
+// merged tasks' cycles)), or once 64 tasks fill the masks, dp_fill relaxes
+// the remaining tasks densely: it scatters the records into a value row of
+// -inf and relaxes each remaining task with a choice row of its own. The
+// scattered row is at most V_h everywhere and equal at its records, so
+// every later row has the same records, values and choice bits at records
+// as a dense fill's. The backtrack walks the dense bits down to the hand-off
+// level and adds the mask of the list entry at the row it reaches, a record
+// there. The rule reads only values the fill already has and changes no
+// record, row or bit: accept sets, values and staircases are the same bits
+// on either path, and only the work and the exact_dp.* counters differ.
 //
 // dp_select walks the staircase in ascending w with the serial sweep's rules,
 // evaluating energies one record at a time: take strict improvements only,
@@ -54,17 +92,16 @@
 #include <vector>
 
 #include "retask/cache/scratch.hpp"
-#include "retask/common/bit_matrix.hpp"
 #include "retask/common/error.hpp"
 #include "retask/core/problem.hpp"
 #include "retask/task/task.hpp"
 
 namespace retask {
 
-/// Largest table a DP solver may hold: one dp_fill's value row and choice
-/// bits, a DeltaSolver's retained rows, or one FPTAS round's two value rows
-/// and choice bits. A fill, request or round that would need more throws
-/// Error naming the size (require_dp_table_budget) before it allocates
+/// Largest table a DP solver may hold: one dp_fill's record lists, or its
+/// value row and choice bits, a DeltaSolver's retained rows, or one FPTAS
+/// round's two value rows and choice bits. A fill, request or round that
+/// would need more throws Error naming the size before it allocates
 /// anything. The widest tables the benches build stay under 1 MiB,
 /// so the ceiling only stops capacities the exact DP could not fill in
 /// memory anyway.
@@ -87,13 +124,24 @@ void require_dp_table_budget(std::string_view owner, std::size_t width, std::siz
 /// cycles). Throws Error for multiprocessor problems.
 Cycles dp_fill_capacity(const RejectionProblem& problem);
 
-/// Cell accounting of one fill (the exact_dp.* counters): each task either
+/// Why a fill left its list phase for the dense relaxation.
+enum class DpHandoff : std::uint8_t {
+  kNone,              ///< the list phase merged every task
+  kListOutgrewReach,  ///< a merge left more than (reach + 1) / 16 entries
+  kMaskWidth,         ///< 64 tasks filled the accept masks
+};
+
+/// Work accounting of one fill (the exact_dp.* counters). Each merge adds
+/// the entries it keeps to list_entries. Each task of the dense phase either
 /// relaxes rows [c, top] (touched) and skips the rest of the cap + 1 rows,
-/// or is pruned (c > cap) and skips them all.
+/// or is pruned (c > cap) and skips them all. A task with c > cap counts as
+/// pruned in either phase.
 struct DpFillCounts {
   std::uint64_t cells_touched = 0;
   std::uint64_t cells_skipped = 0;
   std::uint64_t tasks_pruned = 0;
+  std::uint64_t list_entries = 0;
+  DpHandoff handoff = DpHandoff::kNone;
 };
 
 /// Relaxes `task` (c cycles, penalty p) into a value row filled at
@@ -113,10 +161,13 @@ std::size_t dp_relax(double* value, std::uint64_t* take_row, std::size_t cap,
 void dp_staircase(const double* kept, std::size_t cap, DpStaircase& out);
 
 /// Fills the knapsack table of the `n` tasks at `tasks` at capacity `cap`
-/// into `table`: the value row and one row of choice bits per task, each
-/// cap + 1 cells rounded up to 64, then the staircase over [0, cap] into
-/// table.stairs. The table's size goes through require_dp_table_budget
-/// before anything is allocated.
+/// into `table` and leaves the staircase over [0, cap] in table.stairs. The
+/// list phase merges the leading tasks (table.list_levels of them) and
+/// leaves its last record list, masks included, in table.list. After a
+/// hand-off the remaining tasks fill the value row and one row of choice bits
+/// each, cap + 1 cells rounded up to 64. Before growing, the list buffers are
+/// checked against kDpTableByteBudget and the dense table goes through
+/// require_dp_table_budget; either throws Error naming the bytes.
 DpFillCounts dp_fill(DpScratch& table, const FrameTask* tasks, std::size_t n, std::size_t cap);
 
 /// The row a select picked and the energy evaluations it spent.
@@ -158,10 +209,13 @@ DpPick dp_select(const DpStaircase& stairs, std::size_t cap, double total_penalt
 /// staircase, which row 0 opens.
 std::size_t dp_best_kept_row(const DpStaircase& stairs, std::size_t cap);
 
-/// Reconstructs the accept set from row `w`: for tasks n-1 down to 0, a set
-/// choice bit (i, w) accepts task i and steps w back by its cycles.
-/// `accepted` is assigned n entries in place; the walk must end at row 0.
-void dp_backtrack(const BitMatrix& take, const FrameTask* tasks, std::size_t n, std::size_t w,
+/// Reconstructs the accept set from record row `w` of the fill in `table`:
+/// for tasks n-1 down to table.list_levels, a set choice bit accepts the task
+/// and steps w back by its cycles; the mask of the list entry at the row
+/// reached then accepts the list phase's tasks. `accepted` is assigned n
+/// entries in place. A table without a list phase (list_levels 0, the delta
+/// solver's) must end its walk at row 0.
+void dp_backtrack(const DpScratch& table, const FrameTask* tasks, std::size_t n, std::size_t w,
                   std::vector<bool>& accepted);
 
 }  // namespace retask

@@ -14,13 +14,20 @@ namespace {
 
 /// Fills the knapsack table for `problem`'s task set at capacity `cap` into
 /// the scratch arena and takes its staircase (see core/dp_table.hpp for the
-/// table and the prefix property the sweep entry point exploits).
+/// table and the prefix property the sweep entry point exploits). Each fill
+/// counts one path: exact_dp.list_fills when the list phase finished it, else
+/// the reason it handed off.
 void fill_table(const RejectionProblem& problem, Cycles cap, DpScratch& scratch) {
   [[maybe_unused]] const DpFillCounts counts = dp_fill(
       scratch, problem.tasks().tasks().data(), problem.size(), static_cast<std::size_t>(cap));
   RETASK_COUNT("exact_dp.cells_touched", counts.cells_touched);
   RETASK_COUNT("exact_dp.cells_skipped", counts.cells_skipped);
   RETASK_COUNT("exact_dp.tasks_pruned", counts.tasks_pruned);
+  RETASK_COUNT("exact_dp.list_entries", counts.list_entries);
+  RETASK_COUNT("exact_dp.list_fills", counts.handoff == DpHandoff::kNone);
+  RETASK_COUNT("exact_dp.fallback.list_outgrew_reach",
+               counts.handoff == DpHandoff::kListOutgrewReach);
+  RETASK_COUNT("exact_dp.fallback.mask_width", counts.handoff == DpHandoff::kMaskWidth);
   RETASK_RECORD("exact_dp.table_width", cap + 1);
 }
 
@@ -36,8 +43,7 @@ RejectionSolution select_best(const RejectionProblem& problem, Cycles cap,
   RETASK_COUNT("exact_dp.energy_evals", pick.energy_evals);
 
   std::vector<bool> accepted;
-  dp_backtrack(scratch.take, problem.tasks().tasks().data(), problem.size(), pick.best_w,
-               accepted);
+  dp_backtrack(scratch, problem.tasks().tasks().data(), problem.size(), pick.best_w, accepted);
   return make_solution_on_one(problem, std::move(accepted));
 }
 

@@ -17,7 +17,9 @@
 // achievable accepted cycle count w <= Wcap, the maximum total penalty that
 // can be kept accepted. That is a 0/1-knapsack table over cycles,
 // O(n * Wcap) time, after which one sweep over w picks
-// min E(w) + (rho_total - kept(w)).
+// min E(w) + (rho_total - kept(w)). Only the table's Pareto records can win,
+// so the fill (core/dp_table.hpp) merges those records task by task and
+// relaxes the dense table only once they cover much of it.
 #ifndef RETASK_CORE_EXACT_DP_HPP
 #define RETASK_CORE_EXACT_DP_HPP
 
@@ -25,8 +27,9 @@
 
 namespace retask {
 
-/// Optimal single-processor solver, O(n * Wcap) time and O(n * Wcap / 8)
-/// bytes for choice reconstruction.
+/// Optimal single-processor solver: O(n * Wcap) time and O(n * Wcap / 8)
+/// bytes for choice reconstruction at worst, O(records) per task while the
+/// record list stays short.
 class ExactDpSolver final : public RejectionSolver {
  public:
   RejectionSolution solve(const RejectionProblem& problem) const override;

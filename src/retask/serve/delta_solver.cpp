@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "retask/common/error.hpp"
 #include "retask/core/dp_table.hpp"
@@ -58,10 +59,8 @@ void DeltaSolver::ensure_rows(std::size_t rows) {
   table_.take.resize_rows(rows_);
 }
 
-std::size_t DeltaSolver::checkpoint_rows_after(std::size_t tasks) const {
-  const auto stride = static_cast<std::size_t>(config_.checkpoint_stride);
-  const std::size_t due = tasks / stride - tasks_.size() / stride;  // new stride boundaries
-  return cp_values_.size() + std::max(due, cp_pool_.size());
+std::size_t DeltaSolver::value_rows() const {
+  return 1 + cp_values_.size() + cp_pool_.size();
 }
 
 void DeltaSolver::relax_row(std::size_t i) {
@@ -74,6 +73,16 @@ void DeltaSolver::relax_row(std::size_t i) {
 void DeltaSolver::push_checkpoint_if_due(std::size_t prefix) {
   const auto stride = static_cast<std::size_t>(config_.checkpoint_stride);
   if (prefix == 0 || prefix % stride != 0) return;
+  // Checkpoint j holds the prefix at (j + 1) * stride, so once a new row did
+  // not fit the budget no later checkpoint is taken either; replay_from
+  // starts from the last one taken.
+  const bool in_order = cp_values_.size() + 1 == prefix / stride;
+  const std::optional<std::size_t> bytes = dp_table_bytes(width_, value_rows() + 1, rows_);
+  const bool fits = !cp_pool_.empty() || (bytes && *bytes <= kDpTableByteBudget);
+  if (!in_order || !fits) {
+    RETASK_COUNT("serve.fallback.checkpoint_budget", 1);
+    return;
+  }
   if (cp_pool_.empty()) {
     cp_values_.emplace_back();
   } else {
@@ -124,7 +133,7 @@ const RejectionSolution& DeltaSolver::admit(const FrameTask& task) {
   validate(task);
   require(index_of(task.id) == kNone, "DeltaSolver::admit: task id already resident");
   const std::size_t n = tasks_.size() + 1;
-  require_dp_table_budget("DeltaSolver", width_, 1 + checkpoint_rows_after(n), grown_rows(n));
+  require_dp_table_budget("DeltaSolver", width_, value_rows(), grown_rows(n));
   tasks_.push_back(task);
   total_cycles_ += task.cycles;
   const std::size_t i = tasks_.size() - 1;
@@ -139,7 +148,7 @@ const RejectionSolution& DeltaSolver::admit(const FrameTask& task) {
 
 const RejectionSolution& DeltaSolver::admit_all(const std::vector<FrameTask>& tasks) {
   const std::size_t n = tasks_.size() + tasks.size();
-  require_dp_table_budget("DeltaSolver", width_, 1 + checkpoint_rows_after(n), grown_rows(n));
+  require_dp_table_budget("DeltaSolver", width_, value_rows(), grown_rows(n));
   ensure_rows(n);
   for (const FrameTask& task : tasks) {
     validate(task);
@@ -200,7 +209,7 @@ void DeltaSolver::select() {
   const DpPick pick = dp_select(table_.stairs, cap, total_penalty,
                                 [this](Cycles w) { return energy_of(w); });
   RETASK_COUNT("serve.select_energy_evals", pick.energy_evals);
-  dp_backtrack(table_.take, tasks_.data(), n, pick.best_w, solution_.accepted);
+  dp_backtrack(table_, tasks_.data(), n, pick.best_w, solution_.accepted);
 
   // Score exactly as make_solution does: rejected penalties summed in index
   // order, energy through the single-load evaluation.

@@ -37,9 +37,12 @@
 //
 // The retained table — the value row, the choice rows and every checkpoint
 // row, pooled ones included — never exceeds kDpTableByteBudget: the
-// constructor and every admit or admit_all that would grow it past the
-// budget throw Error before changing any state, so a serve session answers
-// `err` and keeps serving.
+// constructor and every admit or admit_all whose value and choice rows would
+// grow it past the budget throw Error before changing any state, so a serve
+// session answers `err` and keeps serving. Checkpoints are optional: one
+// that would cross the budget is not taken, nor is any later one (each
+// counted as serve.fallback.checkpoint_budget), and a removal or reprice
+// replays from the last one taken.
 #ifndef RETASK_SERVE_DELTA_SOLVER_HPP
 #define RETASK_SERVE_DELTA_SOLVER_HPP
 
@@ -129,16 +132,17 @@ class DeltaSolver {
   /// Choice rows allocated once `rows` are needed (geometric growth).
   std::size_t grown_rows(std::size_t rows) const;
   void ensure_rows(std::size_t rows);
-  /// Checkpoint rows retained once the resident set grows to `tasks` tasks:
-  /// the live and pooled rows, plus new rows for the stride boundaries the
-  /// pool cannot cover.
-  std::size_t checkpoint_rows_after(std::size_t tasks) const;
+  /// Value rows retained: the live row plus every checkpoint row, live and
+  /// pooled.
+  std::size_t value_rows() const;
   /// Clears and relaxes choice row `i` from the current value row, exactly
-  /// as dp_fill does at capacity cycle_capacity_.
+  /// as dp_fill's dense phase does at capacity cycle_capacity_.
   void relax_row(std::size_t i);
   /// Restores the nearest checkpoint at or before prefix length
   /// `invalidated` and replays the remaining tasks in residual order.
   void replay_from(std::size_t invalidated);
+  /// Takes the checkpoint of prefix length `prefix` when one is due, every
+  /// earlier one was taken and the row fits the byte budget.
   void push_checkpoint_if_due(std::size_t prefix);
   void drop_checkpoints_to(std::size_t count);
   /// Reads the optimal solution off the retained table into solution_.

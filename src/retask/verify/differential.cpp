@@ -252,16 +252,30 @@ std::vector<PropertyViolation> check_sweep_cache(const RejectionProblem& problem
   return violations;
 }
 
-std::vector<PropertyViolation> check_simd_diff(const RejectionProblem& problem) {
-  std::vector<PropertyViolation> violations;
-  if (problem.processor_count() != 1) return violations;
+namespace {
 
-  // Every vector backend the host can execute; empty on scalar-only hosts.
-  const std::vector<simd::Backend> vector_backends = simd::available_vector_backends();
-  if (vector_backends.empty()) return violations;
+/// `problem`'s tasks repeated, with fresh ids, until there are more than an
+/// accept mask holds, on the same platform: the exact DP's fill always hands
+/// off to its dense phase, which the list phase would otherwise spare the
+/// kernels on instances as small as the fuzz rounds draw.
+RejectionProblem past_mask_width(const RejectionProblem& problem) {
+  std::vector<FrameTask> tasks;
+  while (tasks.size() <= 64) {
+    for (FrameTask task : problem.tasks().tasks()) {
+      task.id = static_cast<int>(tasks.size());
+      tasks.push_back(task);
+    }
+  }
+  return RejectionProblem(FrameTaskSet(std::move(tasks)), problem.curve(),
+                          problem.work_per_cycle(), 1);
+}
 
+/// check_simd_diff on one problem; `label` tags its violations' solver names.
+void simd_diff(const RejectionProblem& problem, const std::string& label,
+               const std::vector<simd::Backend>& vector_backends,
+               std::vector<PropertyViolation>& violations) {
   const auto mismatch = [&](const std::string& solver, const std::string& detail) {
-    violations.push_back({"simd-diff", solver, detail});
+    violations.push_back({"simd-diff", solver + label, detail});
   };
 
   // The rejection solvers: the exact DP and the FPTAS go through the kernel
@@ -298,31 +312,45 @@ std::vector<PropertyViolation> check_simd_diff(const RejectionProblem& problem) 
 
   // Budgeted DP (value-maximization twin of the rejection DP).
   const Cycles cap = std::min(problem.cycle_capacity(), problem.tasks().total_cycles());
-  if (cap >= 1) {
-    const double budget = problem.energy_of_cycles(cap);
-    if (budget > 0.0) {
-      BudgetedProblem budgeted{problem.tasks(), problem.curve(), problem.work_per_cycle(),
-                               budget};
-      try {
-        BudgetedSolution scalar;
-        {
-          simd::ScopedBackend forced(simd::Backend::kScalar);
-          scalar = solve_budgeted_dp(budgeted);
-        }
-        for (const simd::Backend backend : vector_backends) {
-          simd::ScopedBackend forced(backend);
-          const BudgetedSolution vectored = solve_budgeted_dp(budgeted);
-          if (vectored.accepted != scalar.accepted || vectored.value != scalar.value ||
-              vectored.energy != scalar.energy) {
-            mismatch("budgeted-dp", std::string(simd::to_string(backend)) + " value " +
-                                        fmt(vectored.value) + " != scalar " + fmt(scalar.value) +
-                                        " (or accept masks differ)");
-          }
-        }
-      } catch (const std::exception& error) {
-        mismatch("budgeted-dp", std::string("simd diff threw: ") + error.what());
+  if (cap < 1) return;
+  const double budget = problem.energy_of_cycles(cap);
+  if (budget <= 0.0) return;
+  BudgetedProblem budgeted{problem.tasks(), problem.curve(), problem.work_per_cycle(), budget};
+  try {
+    BudgetedSolution scalar;
+    {
+      simd::ScopedBackend forced(simd::Backend::kScalar);
+      scalar = solve_budgeted_dp(budgeted);
+    }
+    for (const simd::Backend backend : vector_backends) {
+      simd::ScopedBackend forced(backend);
+      const BudgetedSolution vectored = solve_budgeted_dp(budgeted);
+      if (vectored.accepted != scalar.accepted || vectored.value != scalar.value ||
+          vectored.energy != scalar.energy) {
+        mismatch("budgeted-dp", std::string(simd::to_string(backend)) + " value " +
+                                    fmt(vectored.value) + " != scalar " + fmt(scalar.value) +
+                                    " (or accept masks differ)");
       }
     }
+  } catch (const std::exception& error) {
+    mismatch("budgeted-dp", std::string("simd diff threw: ") + error.what());
+  }
+}
+
+}  // namespace
+
+std::vector<PropertyViolation> check_simd_diff(const RejectionProblem& problem) {
+  std::vector<PropertyViolation> violations;
+  if (problem.processor_count() != 1) return violations;
+
+  // Every vector backend the host can execute; empty on scalar-only hosts.
+  const std::vector<simd::Backend> vector_backends = simd::available_vector_backends();
+  if (vector_backends.empty()) return violations;
+
+  simd_diff(problem, "", vector_backends, violations);
+  if (problem.size() > 0) {
+    simd_diff(past_mask_width(problem), " (tasks repeated past 64)", vector_backends,
+              violations);
   }
   return violations;
 }

@@ -95,7 +95,9 @@ std::vector<PropertyViolation> check_sweep_cache(const RejectionProblem& problem
 /// the density/marginal greedies, which run no kernel, under the scalar
 /// kernel table and under every vector backend the host can execute,
 /// reporting any bitwise difference (accept masks, energies, penalties) as
-/// "simd-diff" violations. The SIMD layer promises bit-identity, so the
+/// "simd-diff" violations. The exact DP's list phase runs no kernel, so the
+/// check repeats on `problem`'s tasks repeated past 64, whose fills always
+/// reach the dense phase. The SIMD layer promises bit-identity, so the
 /// comparison uses exact double equality. Single-processor instances only
 /// (returns empty otherwise, and on scalar-only hosts).
 std::vector<PropertyViolation> check_simd_diff(const RejectionProblem& problem);

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
+#include "retask/common/bit_matrix.hpp"
 #include "retask/common/error.hpp"
 #include "retask/core/dp_table.hpp"
 #include "retask/core/exact_dp.hpp"
@@ -145,6 +147,18 @@ std::size_t first_row_of_largest_value(const std::vector<double>& value, std::si
   return best_w;
 }
 
+/// The dense value row of `tasks` filled at capacity `cap`, one dp_relax per
+/// task (its choice bits are not needed).
+std::vector<double> dense_value_row(const std::vector<FrameTask>& tasks, std::size_t cap) {
+  std::vector<double> value(cap + 1, -std::numeric_limits<double>::infinity());
+  value[0] = 0.0;
+  BitMatrix take;
+  take.reset(1, cap + 1);
+  std::size_t reach = 0;
+  for (const FrameTask& task : tasks) dp_relax(value.data(), take.row_words(0), cap, reach, task);
+  return value;
+}
+
 TEST(Budgeted, StaircaseReadOffMatchesTheFirstRowOfLargestValue) {
   const RejectionProblem random = test::small_instance(3, 9, 1.6, 1.0);
   const std::vector<std::vector<FrameTask>> task_sets = {
@@ -157,32 +171,33 @@ TEST(Budgeted, StaircaseReadOffMatchesTheFirstRowOfLargestValue) {
       random.tasks().tasks(),
   };
   DpScratch wide;
-  DpScratch narrow;
   for (std::size_t t = 0; t < task_sets.size(); ++t) {
     const std::vector<FrameTask>& tasks = task_sets[t];
     Cycles total = 0;
     for (const FrameTask& task : tasks) total += task.cycles;
     const auto fill_cap = static_cast<std::size_t>(std::min<Cycles>(total, 400));
     // A sweep: every cap read off one fill at the widest, each checked against
-    // the rule over a dedicated fill at that cap.
+    // the rule over a dedicated dense row at that cap.
     dp_fill(wide, tasks.data(), tasks.size(), fill_cap);
     for (std::size_t cap = 0; cap <= fill_cap; ++cap) {
-      dp_fill(narrow, tasks.data(), tasks.size(), cap);
-      EXPECT_EQ(dp_best_kept_row(wide.stairs, cap), first_row_of_largest_value(narrow.value, cap))
+      EXPECT_EQ(dp_best_kept_row(wide.stairs, cap),
+                first_row_of_largest_value(dense_value_row(tasks, cap), cap))
           << "task set " << t << " cap " << cap;
     }
   }
 }
 
 TEST(Budgeted, OversizedTableThrowsErrorBeforeAllocating) {
-  // A 1e13-cycle capacity over 7e12 total cycles: the shared exact-DP fill
-  // refuses the ~56 TB table instead of attempting the allocation.
+  // A 1e13-cycle capacity over 65 tasks of 1e11 cycles: the record list
+  // cannot carry a 65th task's bit, and the shared exact-DP fill refuses the
+  // ~53 TB dense table for it instead of attempting the allocation.
   EnergyCurve curve(PolynomialPowerModel::xscale(), 1.0, IdleDiscipline::kDormantEnable);
   const double work_per_cycle = curve.max_workload() / 1e13;
   const double budget = curve.energy(curve.max_workload());
-  const BudgetedProblem p{
-      FrameTaskSet({{1, Cycles{4000000000000}, 5.0}, {2, Cycles{3000000000000}, 7.0}}),
-      std::move(curve), work_per_cycle, budget};
+  std::vector<FrameTask> tasks;
+  for (int i = 1; i <= 65; ++i) tasks.push_back({i, Cycles{100000000000}, 1.0});
+  const BudgetedProblem p{FrameTaskSet(std::move(tasks)), std::move(curve), work_per_cycle,
+                          budget};
   EXPECT_THROW(solve_budgeted_dp(p), Error);
 }
 

@@ -13,9 +13,12 @@
 
 #include "retask/common/error.hpp"
 #include "retask/common/rng.hpp"
+#include "retask/core/dp_table.hpp"
 #include "retask/core/exact_dp.hpp"
+#include "retask/obs/metrics.hpp"
 #include "retask/power/polynomial_power.hpp"
 #include "retask/task/generator.hpp"
+#include "test_util.hpp"
 
 namespace retask {
 namespace {
@@ -185,6 +188,39 @@ TEST(DeltaSolver, ValueRowOverTheBudgetThrowsBeforeAllocating) {
   } catch (const Error& error) {
     const std::string needs = "needs " + std::to_string(width * sizeof(double)) + " bytes";
     EXPECT_NE(std::string(error.what()).find(needs), std::string::npos) << error.what();
+  }
+}
+
+TEST(DeltaSolver, CheckpointsStopAtTheByteBudget) {
+  // A value row just over half the budget (about 537 MB): the solver and
+  // the choice rows of its first stride of 8 tasks (67 MB) fit, but a
+  // checkpoint row would not. The admit at the end of the stride must still
+  // answer, without its checkpoint, and a removal replays from the empty
+  // prefix.
+  const EnergyCurve curve = xscale_curve();
+  const std::size_t width = kDpTableByteBudget / 2 / sizeof(double) + 64;
+  const auto capacity = static_cast<Cycles>(width - 1);
+  const double wpc = curve.max_workload() / static_cast<double>(capacity);
+  ASSERT_EQ(cycle_capacity_for(curve, wpc), capacity);
+  DeltaSolver::Config config;
+  config.checkpoint_stride = 8;
+  DeltaSolver delta(curve, wpc, config);
+  obs::Registry metrics;
+  {
+    obs::ActiveScope scope(metrics);
+    for (int id = 0; id < 8; ++id) {
+      ASSERT_NO_THROW(delta.admit({id, 10 + id, 0.01 * (id % 7)})) << "admit " << id;
+    }
+  }
+  expect_matches_cold(delta, "admits to the end of the first stride");
+  const std::uint64_t cold_falls = delta.cold_falls();
+  delta.remove(7);
+  EXPECT_EQ(delta.cold_falls(), cold_falls + 1);  // no checkpoint to replay from
+  expect_matches_cold(delta, "remove after the missing checkpoint");
+  if (test::kObsEnabled) {
+    EXPECT_EQ(metrics.counter(obs::intern_metric(obs::MetricKind::kCounter,
+                                                 "serve.fallback.checkpoint_budget")),
+              1u);
   }
 }
 

@@ -19,6 +19,7 @@
 #include "retask/common/rng.hpp"
 #include "retask/core/dp_table.hpp"
 #include "retask/core/exhaustive.hpp"
+#include "retask/obs/metrics.hpp"
 #include "retask/power/polynomial_power.hpp"
 #include "retask/power/table_power.hpp"
 #include "retask/simd/backend.hpp"
@@ -75,20 +76,22 @@ TEST(ExactDp, OversizedTaskIsAlwaysRejected) {
 }
 
 TEST(ExactDp, OversizedTableThrowsErrorBeforeAllocating) {
-  // 4e12 + 3e12 cycles under a 1e13-cycle capacity: the fill capacity is
-  // 7e12, so the table (a 64-aligned value row of 7e12 + 64 doubles plus
-  // two rows of choice bits) would take 57 750 000 000 528 bytes. The fill
-  // must refuse it with an Error naming that size, before allocating.
+  // 65 tasks of 1e11 cycles under a 1e13-cycle capacity: the record list
+  // holds only the 65 multiples of 1e11, but the accept masks fill up at 64
+  // tasks, and the dense table for the last one at fill capacity 6.5e12 (a
+  // 64-aligned value row of 6.5e12 + 64 doubles plus one row of choice bits)
+  // would take 52 812 500 000 520 bytes. The fill must refuse it with an
+  // Error naming that size, before allocating.
   EnergyCurve curve(PolynomialPowerModel::xscale(), 1.0, IdleDiscipline::kDormantEnable);
   const double work_per_cycle = curve.max_workload() / 1e13;
-  const RejectionProblem p(
-      FrameTaskSet({{1, Cycles{4000000000000}, 5.0}, {2, Cycles{3000000000000}, 7.0}}),
-      std::move(curve), work_per_cycle, 1);
+  std::vector<FrameTask> tasks;
+  for (int i = 1; i <= 65; ++i) tasks.push_back({i, Cycles{100000000000}, 1.0});
+  const RejectionProblem p(FrameTaskSet(std::move(tasks)), std::move(curve), work_per_cycle, 1);
   try {
     ExactDpSolver().solve(p);
     FAIL() << "expected an Error";
   } catch (const Error& error) {
-    EXPECT_NE(std::string(error.what()).find("57750000000528 bytes"), std::string::npos)
+    EXPECT_NE(std::string(error.what()).find("52812500000520 bytes"), std::string::npos)
         << error.what();
   }
   EXPECT_THROW(ExactDpSolver().solve_sweep({&p, &p}), Error);
@@ -158,6 +161,33 @@ std::vector<RejectionProblem> word_edge_instances() {
   return out;
 }
 
+/// Word-edge instances whose fill hands off to the dense relaxation, one pair
+/// per capacity of word_edge_instances(): the same twelve-task shape led by a
+/// one-cycle task, whose two-entry list already outgrows (1 + 1) / 16, and 70
+/// tasks of up to cap / 3 cycles, more than an accept mask holds. Each keeps
+/// the task that cannot fit, so the dense phase relaxes every word-edge
+/// width and takes the prune path.
+std::vector<RejectionProblem> word_edge_handoff_instances() {
+  std::vector<RejectionProblem> out;
+  for (const Cycles cap : {Cycles{62}, Cycles{63}, Cycles{64}, Cycles{130}, Cycles{1000}}) {
+    for (const int count : {12, 70}) {
+      Rng rng(9000 + static_cast<std::uint64_t>(cap) + static_cast<std::uint64_t>(count));
+      std::vector<FrameTask> tasks;
+      for (int i = 0; i < count; ++i) {
+        const Cycles cycles =
+            i == 0 && count == 12 ? 1 : rng.uniform_int(1, std::max<Cycles>(1, cap / 3));
+        tasks.push_back({i, cycles, rng.uniform(0.1, 5.0)});
+      }
+      tasks.push_back({count, cap + 5, 1.0});
+      EnergyCurve curve(PolynomialPowerModel::xscale(), 1.0, IdleDiscipline::kDormantEnable);
+      const double work_per_cycle = curve.max_workload() / static_cast<double>(cap);
+      out.emplace_back(FrameTaskSet(std::move(tasks)), std::move(curve), work_per_cycle, 1);
+      EXPECT_EQ(out.back().cycle_capacity(), cap);
+    }
+  }
+  return out;
+}
+
 TEST(ExactDp, WordEdgeTablesMatchExhaustiveEveryBackend) {
   const ExactDpSolver dp;
   const ExhaustiveSolver exhaustive;
@@ -170,19 +200,63 @@ TEST(ExactDp, WordEdgeTablesMatchExhaustiveEveryBackend) {
       EXPECT_NEAR(dp.solve(p).objective(), want, 1e-6 * std::max(1.0, want));
     }
   }
+  // The hand-off instances: the twelve-task ones against exhaustive search,
+  // the 70-task ones against the forced-scalar solve, bit for bit, and each
+  // must run its dense phase.
+  for (const RejectionProblem& p : word_edge_handoff_instances()) {
+    const bool small = p.size() <= 13;
+    const double want = small ? exhaustive.solve(p).objective() : 0.0;
+    RejectionSolution scalar;
+    {
+      simd::ScopedBackend forced(simd::Backend::kScalar);
+      scalar = dp.solve(p);
+    }
+    for (const simd::Backend backend : available_backends()) {
+      simd::ScopedBackend forced(backend);
+      SCOPED_TRACE(std::string(simd::to_string(backend)) + " / capacity " +
+                   std::to_string(p.cycle_capacity()) + " / tasks " + std::to_string(p.size()));
+      obs::Registry metrics;
+      RejectionSolution got;
+      {
+        obs::ActiveScope scope(metrics);
+        got = dp.solve(p);
+      }
+      if (small) {
+        EXPECT_NEAR(got.objective(), want, 1e-6 * std::max(1.0, want));
+      }
+      EXPECT_EQ(got.accepted, scalar.accepted);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.objective()),
+                std::bit_cast<std::uint64_t>(scalar.objective()));
+      if (test::kObsEnabled) {
+        EXPECT_EQ(test::dense_handoffs(metrics, "exact_dp"), 1u);
+      }
+    }
+  }
 }
 
 TEST(ExactDp, WordEdgeSweepsMatchPerPointSolvesBitwiseEveryBackend) {
   const ExactDpSolver dp;
-  for (const RejectionProblem& p : word_edge_instances()) {
+  std::vector<RejectionProblem> instances = word_edge_instances();
+  const std::size_t first_handoff = instances.size();
+  for (RejectionProblem& p : word_edge_handoff_instances()) instances.push_back(std::move(p));
+  for (std::size_t n = 0; n < instances.size(); ++n) {
+    const RejectionProblem& p = instances[n];
     const std::vector<RejectionProblem> points = make_capacity_sweep(p, {0.5, 0.8, 1.0});
     std::vector<const RejectionProblem*> group;
     for (const RejectionProblem& point : points) group.push_back(&point);
     for (const simd::Backend backend : available_backends()) {
       simd::ScopedBackend forced(backend);
       SCOPED_TRACE(std::string(simd::to_string(backend)) + " / capacity " +
-                   std::to_string(p.cycle_capacity()));
-      const std::vector<RejectionSolution> warm = dp.solve_sweep(group);
+                   std::to_string(p.cycle_capacity()) + " / tasks " + std::to_string(p.size()));
+      obs::Registry metrics;
+      std::vector<RejectionSolution> warm;
+      {
+        obs::ActiveScope scope(metrics);
+        warm = dp.solve_sweep(group);
+      }
+      if (test::kObsEnabled && n >= first_handoff) {
+        EXPECT_EQ(test::dense_handoffs(metrics, "exact_dp"), 1u);
+      }
       ASSERT_EQ(warm.size(), points.size());
       for (std::size_t k = 0; k < points.size(); ++k) {
         const RejectionSolution cold = dp.solve(points[k]);

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "retask/core/budgeted.hpp"
 #include "retask/core/exact_dp.hpp"
 #include "retask/core/fptas.hpp"
@@ -15,21 +18,38 @@
 namespace retask {
 namespace {
 
+/// The storage of the exact-DP arena's two record lists, as an unordered
+/// set: the merges swap the lists level by level, so a solve may leave each
+/// buffer in the other slot.
+std::vector<const void*> list_storage(const DpScratch& scratch) {
+  std::vector<const void*> out;
+  for (const DpRecordList* list : {&scratch.list, &scratch.spare}) {
+    out.push_back(list->rows.data());
+    out.push_back(list->kept.data());
+    out.push_back(list->masks.data());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(ScratchArena, ExactDpReusesBuffersAcrossSolves) {
   const RejectionProblem problem = test::small_instance(11, 12, 1.6);
   const ExactDpSolver solver;
   const RejectionSolution first = solver.solve(problem);
 
   DpScratch& scratch = dp_scratch();
-  const double* value_data = scratch.value.data();
-  const std::size_t value_capacity = scratch.value.capacity();
-  ASSERT_GT(value_capacity, 0u);
+  ASSERT_EQ(scratch.list_levels, problem.size());  // the list phase finished the fill
+  const std::vector<const void*> storage = list_storage(scratch);
+  const std::size_t* stairs_data = scratch.stairs.rows.data();
+  const std::size_t capacity = scratch.list.rows.capacity() + scratch.spare.rows.capacity();
+  ASSERT_GT(capacity, 0u);
 
-  // A same-size solve must not touch the allocator: the value row is
-  // assign()ed in place and BitMatrix::reset reuses its word storage.
+  // A same-size solve must not touch the allocator: the merges write the two
+  // lists in place, and the staircase is assign()ed into its own buffer.
   const RejectionSolution second = solver.solve(problem);
-  EXPECT_EQ(scratch.value.data(), value_data);
-  EXPECT_EQ(scratch.value.capacity(), value_capacity);
+  EXPECT_EQ(list_storage(scratch), storage);
+  EXPECT_EQ(scratch.list.rows.capacity() + scratch.spare.rows.capacity(), capacity);
+  EXPECT_EQ(scratch.stairs.rows.data(), stairs_data);
   EXPECT_EQ(second.accepted, first.accepted);
   EXPECT_EQ(second.objective(), first.objective());
 }

@@ -21,6 +21,7 @@
 #include "retask/core/greedy.hpp"
 #include "retask/core/lower_bound.hpp"
 #include "retask/exp/harness.hpp"
+#include "retask/obs/metrics.hpp"
 #include "retask/power/table_power.hpp"
 #include "retask/simd/backend.hpp"
 #include "test_util.hpp"
@@ -206,24 +207,37 @@ TEST(SimdSolvers, EveryBackendReproducesForcedScalarBitwise) {
   solvers.push_back(std::make_unique<DensityGreedySolver>());
   solvers.push_back(std::make_unique<MarginalGreedySolver>());
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    // Both model families: continuous and discrete.
-    const std::vector<RejectionProblem> problems = {test::small_instance(seed, 12, 1.6),
-                                                    hull_instance(seed)};
+    // Both model families: continuous and discrete. The exact DP's list
+    // phase solves these without a kernel, so two shapes it hands off to the
+    // dense relaxation follow: an mp-scale PE and more than 64 tasks.
+    const std::vector<RejectionProblem> problems = {
+        test::small_instance(seed, 12, 1.6), hull_instance(seed), test::mp_pe_instance(seed),
+        test::mask_width_instance(seed)};
+    constexpr std::size_t kFirstHandoff = 2;
     for (std::size_t p = 0; p < problems.size(); ++p) {
-      for (const auto& solver : solvers) {
-        SCOPED_TRACE(solver->name() + " seed=" + std::to_string(seed) +
+      for (std::size_t s = 0; s < solvers.size(); ++s) {
+        const RejectionSolver& solver = *solvers[s];
+        SCOPED_TRACE(solver.name() + " seed=" + std::to_string(seed) +
                      " problem=" + std::to_string(p));
         RejectionSolution reference;
         {
           simd::ScopedBackend forced(simd::Backend::kScalar);
-          reference = solver->solve(problems[p]);
+          reference = solver.solve(problems[p]);
         }
         for (const simd::Backend backend : available_backends()) {
           simd::ScopedBackend forced(backend);
-          const RejectionSolution got = solver->solve(problems[p]);
+          obs::Registry metrics;
+          RejectionSolution got;
+          {
+            obs::ActiveScope scope(metrics);
+            got = solver.solve(problems[p]);
+          }
           EXPECT_EQ(got.accepted, reference.accepted) << simd::to_string(backend);
           EXPECT_TRUE(bits_equal(got.energy, reference.energy)) << simd::to_string(backend);
           EXPECT_TRUE(bits_equal(got.penalty, reference.penalty)) << simd::to_string(backend);
+          if (test::kObsEnabled && s == 0 && p >= kFirstHandoff) {
+            EXPECT_EQ(test::dense_handoffs(metrics, "exact_dp"), 1u) << simd::to_string(backend);
+          }
         }
       }
     }
@@ -232,21 +246,36 @@ TEST(SimdSolvers, EveryBackendReproducesForcedScalarBitwise) {
 
 TEST(SimdSolvers, BudgetedDpIsBackendInvariant) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const RejectionProblem source = hull_instance(seed, 10, 1.4);
-    BudgetedProblem problem{source.tasks(), source.curve(), source.work_per_cycle(),
-                            /*energy_budget=*/0.6 * source.energy_of_cycles(
-                                std::min(source.tasks().total_cycles(), source.cycle_capacity()))};
-    BudgetedSolution reference;
-    {
-      simd::ScopedBackend forced(simd::Backend::kScalar);
-      reference = solve_budgeted_dp(problem);
-    }
-    for (const simd::Backend backend : available_backends()) {
-      simd::ScopedBackend forced(backend);
-      const BudgetedSolution got = solve_budgeted_dp(problem);
-      EXPECT_EQ(got.accepted, reference.accepted) << simd::to_string(backend);
-      EXPECT_TRUE(bits_equal(got.value, reference.value)) << simd::to_string(backend);
-      EXPECT_TRUE(bits_equal(got.energy, reference.energy)) << simd::to_string(backend);
+    // As above, the last two shapes run the dense phase of the fill.
+    const std::vector<RejectionProblem> sources = {
+        hull_instance(seed, 10, 1.4), test::mp_pe_instance(seed), test::mask_width_instance(seed)};
+    for (std::size_t p = 0; p < sources.size(); ++p) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " problem=" + std::to_string(p));
+      const RejectionProblem& source = sources[p];
+      BudgetedProblem problem{
+          source.tasks(), source.curve(), source.work_per_cycle(),
+          /*energy_budget=*/0.6 * source.energy_of_cycles(
+              std::min(source.tasks().total_cycles(), source.cycle_capacity()))};
+      BudgetedSolution reference;
+      {
+        simd::ScopedBackend forced(simd::Backend::kScalar);
+        reference = solve_budgeted_dp(problem);
+      }
+      for (const simd::Backend backend : available_backends()) {
+        simd::ScopedBackend forced(backend);
+        obs::Registry metrics;
+        BudgetedSolution got;
+        {
+          obs::ActiveScope scope(metrics);
+          got = solve_budgeted_dp(problem);
+        }
+        EXPECT_EQ(got.accepted, reference.accepted) << simd::to_string(backend);
+        EXPECT_TRUE(bits_equal(got.value, reference.value)) << simd::to_string(backend);
+        EXPECT_TRUE(bits_equal(got.energy, reference.energy)) << simd::to_string(backend);
+        if (test::kObsEnabled && p > 0) {
+          EXPECT_EQ(test::dense_handoffs(metrics, "budgeted"), 1u) << simd::to_string(backend);
+        }
+      }
     }
   }
 }
