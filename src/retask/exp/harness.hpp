@@ -35,9 +35,11 @@ struct AlgoStats {
   OnlineStats acceptance;  ///< fraction of tasks accepted
   OnlineStats objective;   ///< raw objective values
   /// Solver metrics collected while this algorithm ran on this point's
-  /// instances (obs::ActiveScope per cell). Counters and histograms merge
-  /// commutatively, so the merged registry is bit-identical at any job
-  /// count; empty in RETASK_OBS=OFF builds.
+  /// instances: each thread of the call records the cells of one point x
+  /// algorithm into one registry (obs::ActiveScope without folding), and
+  /// the threads' registries merge into this one. Counters, gauges and
+  /// histogram buckets merge commutatively, so its deterministic rows are
+  /// bit-identical at any job count; empty in RETASK_OBS=OFF builds.
   obs::Registry metrics;
 
   /// Ordered reduce: folds `other`'s accumulators into this one's (the
@@ -85,7 +87,13 @@ struct BatchOptions {
 /// point by point at any job count; see BatchOptions for the metric
 /// attribution caveat under sweep_reuse. Each instance is one parallel unit:
 /// it solves its points through one solve_sweep when they share a task set
-/// (and sweep_reuse is on), else through one solve per cell.
+/// (and sweep_reuse is on), else through one solve per cell. Solver metrics
+/// go to one registry per (point, algorithm) for each thread that runs
+/// instances, not one per cell; after the parallel region they merge into
+/// the returned AlgoStats::metrics, and each merged registry folds once into
+/// the calling thread's obs::active(), so a caller's obs::ActiveScope around
+/// the call sees every cell's metrics at any job count (a call that throws
+/// folds what its solves recorded as well).
 std::vector<std::vector<AlgoStats>> run_comparison_batch(
     const std::vector<ProblemFactory>& factories,
     const std::vector<std::unique_ptr<RejectionSolver>>& lineup,

@@ -166,8 +166,15 @@ BenchComparison compare_bench_reports(const BenchReport& current, const BenchRep
     }
     for (const auto& [metric_name, base_value] : base.metrics) {
       const double* cur_value = cur->metric(metric_name);
-      if (cur_value != nullptr && *cur_value != base_value) {
+      if (cur_value == nullptr) {
+        comparison.metric_drift.push_back({base.name, metric_name, base_value, std::nullopt});
+      } else if (*cur_value != base_value) {
         comparison.metric_drift.push_back({base.name, metric_name, base_value, *cur_value});
+      }
+    }
+    for (const auto& [metric_name, cur_value] : cur->metrics) {
+      if (base.metric(metric_name) == nullptr) {
+        comparison.metric_drift.push_back({base.name, metric_name, std::nullopt, cur_value});
       }
     }
   }

@@ -4,11 +4,16 @@
 // BenchReport (median-of-k wall times plus the deterministic solver metrics
 // of one run) as JSON — BENCH_PR<k>.json is the repo's recorded perf
 // trajectory. compare_bench_reports() checks a fresh report against a
-// checked-in baseline: a workload regresses when its median wall time
-// exceeds threshold x the baseline's. Metric differences never fail the
-// comparison (counters legitimately move when an algorithm changes); they
-// are surfaced so a reviewer can tell "same work, slower" from "more
-// work".
+// checked-in baseline on two gates:
+//
+//  * time: a workload regresses when its median wall time exceeds
+//    threshold x the baseline's;
+//  * work: every deterministic metric must equal the baseline's exactly,
+//    and a metric present on only one side fails too. These rows are
+//    bit-identical from run to run, so a change in work (cells, energy
+//    evaluations, probes) fails at once, however noisy the wall times. A
+//    change that moves a counter on purpose refreshes the baseline and
+//    says so.
 //
 // The logic lives in the library (not the tool) so tests can drive the
 // pass/fail/bootstrap paths directly.
@@ -17,6 +22,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,12 +72,13 @@ struct BenchRegression {
   double ratio = 0.0;  ///< current / baseline
 };
 
-/// One deterministic metric whose value moved between baseline and current.
+/// One deterministic metric whose value moved between baseline and current,
+/// or that only one side reports (the other side is then empty).
 struct BenchMetricDrift {
   std::string workload;
   std::string metric;
-  double baseline = 0.0;
-  double current = 0.0;
+  std::optional<double> baseline;
+  std::optional<double> current;
 };
 
 struct BenchComparison {
@@ -79,20 +86,22 @@ struct BenchComparison {
   std::vector<BenchRegression> improvements;  ///< ratio < 1 / threshold
   std::vector<std::string> missing;           ///< in baseline, absent from current
   std::vector<std::string> added;             ///< in current, absent from baseline
-  std::vector<BenchMetricDrift> metric_drift;
+  std::vector<BenchMetricDrift> metric_drift;  ///< any metric that is not equal
 
-  /// Comparison verdict: no workload regressed and nothing the baseline
-  /// tracks disappeared. Improvements, metric drift and added workloads are
-  /// informational — but a significant improvement means the checked-in
-  /// baseline understates current performance and should be refreshed
-  /// (tools/retask_bench --write-baseline), or future regressions up to the
-  /// improvement's size will pass unnoticed.
-  bool ok() const { return regressions.empty() && missing.empty(); }
+  /// Comparison verdict: no workload regressed, nothing the baseline tracks
+  /// disappeared and every deterministic metric of the workloads both sides
+  /// ran is equal. Improvements and added workloads are informational — but
+  /// a significant improvement means the checked-in baseline understates
+  /// current performance and should be refreshed (tools/retask_bench
+  /// --write-baseline), or future regressions up to the improvement's size
+  /// will pass unnoticed.
+  bool ok() const { return regressions.empty() && missing.empty() && metric_drift.empty(); }
 };
 
 /// Compares `current` against `baseline` with the given wall-time
 /// `threshold` (> 0; e.g. 2.0 = fail past a 2x slowdown, report runs more
-/// than 2x FASTER as improvements). Workloads are matched by name.
+/// than 2x FASTER as improvements). Workloads are matched by name, and the
+/// metrics of a workload both sides ran by name.
 BenchComparison compare_bench_reports(const BenchReport& current, const BenchReport& baseline,
                                       double threshold);
 

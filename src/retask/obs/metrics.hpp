@@ -11,10 +11,15 @@
 //    add into a plain vector, never a map lookup.
 //  * Recording — every thread owns a default Registry and writes through a
 //    thread-local "active registry" pointer. A caller that wants per-unit
-//    attribution (the experiment harness attributes per instance x
-//    algorithm cell) installs a fresh Registry with ActiveScope for the
-//    duration of the unit; on scope exit the collected data is folded back
-//    into the surrounding registry so process-wide totals stay complete.
+//    attribution installs a Registry with ActiveScope for the duration of
+//    the unit; on scope exit the collected data is folded back into the
+//    surrounding registry so process-wide totals stay complete. The
+//    experiment harness attributes per (point, algorithm): each thread that
+//    runs instances of a call keeps one Registry per point x algorithm,
+//    installs it around every cell without folding, and after the parallel
+//    region the merged registries fold once into the calling thread's
+//    active registry — so a registry is grown once per (point, algorithm)
+//    and thread, not once per cell.
 //  * Reporting — Registry::merge combines registries with commutative,
 //    associative operations only (integer adds, min/max), exactly like
 //    OnlineStats::merge backs the harness's ordered reduce. Merging the

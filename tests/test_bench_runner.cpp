@@ -154,15 +154,46 @@ TEST(BenchCompare, MissingAndAddedWorkloadsAreTracked) {
   EXPECT_TRUE(comparison.regressions.empty());
 }
 
-TEST(BenchCompare, MetricDriftIsInformationalOnly) {
+TEST(BenchCompare, MetricDriftFailsTheComparison) {
+  // Deterministic metrics repeat exactly, so any change in work fails at
+  // once, however well the wall times hold.
   const BenchReport baseline = sample_report();
   BenchReport current = baseline;
-  current.workloads[1].metrics[0].second += 1000.0;
+  current.workloads[1].metrics[0].second += 1.0;
   const BenchComparison comparison = obs::compare_bench_reports(current, baseline, 2.0);
-  EXPECT_TRUE(comparison.ok());
+  EXPECT_FALSE(comparison.ok());
+  EXPECT_TRUE(comparison.regressions.empty());
   ASSERT_EQ(comparison.metric_drift.size(), 1u);
   EXPECT_EQ(comparison.metric_drift[0].workload, "exact_dp_n24_cap16k");
   EXPECT_EQ(comparison.metric_drift[0].metric, "exact_dp.cells_touched");
+  EXPECT_EQ(comparison.metric_drift[0].baseline, 203269.0);
+  EXPECT_EQ(comparison.metric_drift[0].current, 203270.0);
+}
+
+TEST(BenchCompare, MetricOnOneSideOnlyFailsTheComparison) {
+  const BenchReport baseline = sample_report();
+  // A counter that stops being recorded (or reads 0, which the report
+  // omits)...
+  BenchReport dropped = baseline;
+  dropped.workloads[0].metrics.pop_back();
+  const BenchComparison lost = obs::compare_bench_reports(dropped, baseline, 2.0);
+  EXPECT_FALSE(lost.ok());
+  ASSERT_EQ(lost.metric_drift.size(), 1u);
+  EXPECT_EQ(lost.metric_drift[0].workload, "greedy_density_n2048");
+  EXPECT_EQ(lost.metric_drift[0].metric, "greedy.density_solves");
+  EXPECT_EQ(lost.metric_drift[0].baseline, 1.0);
+  EXPECT_FALSE(lost.metric_drift[0].current.has_value());
+
+  // ...and one the baseline never saw both fail.
+  BenchReport added = baseline;
+  added.workloads[1].metrics.emplace_back("exact_dp.list_fills", 1.0);
+  const BenchComparison gained = obs::compare_bench_reports(added, baseline, 2.0);
+  EXPECT_FALSE(gained.ok());
+  ASSERT_EQ(gained.metric_drift.size(), 1u);
+  EXPECT_EQ(gained.metric_drift[0].workload, "exact_dp_n24_cap16k");
+  EXPECT_EQ(gained.metric_drift[0].metric, "exact_dp.list_fills");
+  EXPECT_FALSE(gained.metric_drift[0].baseline.has_value());
+  EXPECT_EQ(gained.metric_drift[0].current, 1.0);
 }
 
 TEST(BenchCompare, ZeroBaselineMedianNeverDividesByZero) {

@@ -3,14 +3,19 @@
 // the bundled JSON parser. The determinism tests are the contract the
 // ROADMAP's "bit-identical at any job count" claim extends to metrics.
 #include <algorithm>
+#include <chrono>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "retask/cache/sweep.hpp"
 #include "retask/common/error.hpp"
 #include "retask/core/exact_dp.hpp"
 #include "retask/core/fptas.hpp"
@@ -147,28 +152,115 @@ TEST(Metrics, ActiveScopeAttributesAndFoldsIntoParent) {
 
 #if RETASK_OBS_ENABLED
 
-// The harness's metrics registries must be bit-identical at any job count:
-// same multiset of per-cell registries, merged in instance order.
+/// The deterministic report rows of `registry`, one "name=value" line each,
+/// leaving out the rows whose name starts with `skip_prefix` (if given).
+std::string deterministic_rows(const Registry& registry, const std::string& skip_prefix = "") {
+  std::ostringstream os;
+  for (const MetricRow& row : obs::report_rows(registry, /*include_timers=*/false)) {
+    if (!skip_prefix.empty() && row.name.rfind(skip_prefix, 0) == 0) continue;
+    os << row.name << "=" << row.value << "\n";
+  }
+  return os.str();
+}
+
+double lower_bound_reference(const RejectionProblem& problem) {
+  return fractional_lower_bound(problem);
+}
+
+/// Notes which threads build a harness call's problems. Each build also
+/// takes a millisecond, so that the pool spreads even quick instances over
+/// its threads and a test sees the threads' registries merge.
+class ThreadLog {
+ public:
+  ProblemFactory wrap(ProblemFactory factory) {
+    return [this, factory = std::move(factory)](std::uint64_t seed) {
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        threads_.insert(std::this_thread::get_id());
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      return factory(seed);
+    };
+  }
+
+  std::size_t threads() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return threads_.size();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::set<std::thread::id> threads_;
+};
+
+std::vector<std::unique_ptr<RejectionSolver>> metrics_lineup() {
+  std::vector<std::unique_ptr<RejectionSolver>> lineup;
+  lineup.push_back(std::make_unique<DensityGreedySolver>());
+  lineup.push_back(std::make_unique<MarginalGreedySolver>());
+  lineup.push_back(std::make_unique<FptasSolver>(0.1));
+  lineup.push_back(std::make_unique<ExactDpSolver>());
+  return lineup;
+}
+
+/// Solves every cell of a run_comparison_batch grid alone on this thread,
+/// each under its own scope, and returns the merge of each (point,
+/// algorithm)'s cells with the harness's own counters added. A `sweep` grid
+/// is solved the way sweep reuse solves it: one solve_sweep per instance,
+/// filed under the first point.
+std::vector<std::vector<Registry>> merged_cells_solved_alone(
+    const std::vector<ProblemFactory>& factories,
+    const std::vector<std::unique_ptr<RejectionSolver>>& lineup, int instances,
+    std::uint64_t seed0, bool sweep) {
+  const obs::MetricId solves = obs::intern_metric(MetricKind::kCounter, "harness.solves");
+  const obs::MetricId tasks = obs::intern_metric(MetricKind::kCounter, "harness.tasks_total");
+  const obs::MetricId rejected =
+      obs::intern_metric(MetricKind::kCounter, "harness.tasks_rejected");
+  const std::size_t points = factories.size();
+  std::vector<std::vector<Registry>> merged(points, std::vector<Registry>(lineup.size()));
+  for (int k = 0; k < instances; ++k) {
+    std::vector<RejectionProblem> problems;
+    std::vector<const RejectionProblem*> group;
+    for (const ProblemFactory& factory : factories) {
+      problems.push_back(factory(seed0 + static_cast<std::uint64_t>(k)));
+    }
+    for (const RejectionProblem& problem : problems) group.push_back(&problem);
+    for (std::size_t a = 0; a < lineup.size(); ++a) {
+      std::vector<Registry> cells(points);
+      std::vector<RejectionSolution> solutions(points);
+      if (sweep) {
+        obs::ActiveScope scope(cells[0], /*fold_into_parent=*/false);
+        solutions = lineup[a]->solve_sweep(group);
+      } else {
+        for (std::size_t point = 0; point < points; ++point) {
+          obs::ActiveScope scope(cells[point], /*fold_into_parent=*/false);
+          solutions[point] = lineup[a]->solve(problems[point]);
+        }
+      }
+      for (std::size_t point = 0; point < points; ++point) {
+        const std::size_t size = problems[point].size();
+        cells[point].add(solves, 1);
+        cells[point].add(tasks, size);
+        cells[point].add(rejected, size - solutions[point].accepted_count());
+        merged[point][a].merge(cells[point]);
+      }
+    }
+  }
+  return merged;
+}
+
+// The harness's metrics registries must be bit-identical at any job count,
+// and each (point, algorithm) registry must hold that point's cells and no
+// other's: the merge of the cells solved one by one under their own scopes.
 TEST(Metrics, HarnessMetricsAreBitIdenticalAcrossJobCounts) {
   const auto run_with_jobs = [](int jobs) {
     const ProblemFactory factory = [](std::uint64_t seed) {
       return test::small_instance(seed, 10, 1.4);
     };
-    std::vector<std::unique_ptr<RejectionSolver>> lineup;
-    lineup.push_back(std::make_unique<DensityGreedySolver>());
-    lineup.push_back(std::make_unique<MarginalGreedySolver>());
-    lineup.push_back(std::make_unique<FptasSolver>(0.1));
-    lineup.push_back(std::make_unique<ExactDpSolver>());
-    const std::vector<AlgoStats> stats = run_comparison(
-        factory, lineup, [](const RejectionProblem& p) { return fractional_lower_bound(p); },
-        /*instances=*/12, /*seed0=*/1, jobs);
+    const std::vector<AlgoStats> stats =
+        run_comparison(factory, metrics_lineup(), lower_bound_reference,
+                       /*instances=*/12, /*seed0=*/1, jobs);
     std::ostringstream os;
-    for (const AlgoStats& s : stats) {
-      os << s.name << "\n";
-      for (const MetricRow& row : obs::report_rows(s.metrics, /*include_timers=*/false)) {
-        os << "  " << row.name << "=" << row.value << "\n";
-      }
-    }
+    for (const AlgoStats& s : stats) os << s.name << "\n" << deterministic_rows(s.metrics);
     return os.str();
   };
 
@@ -181,6 +273,94 @@ TEST(Metrics, HarnessMetricsAreBitIdenticalAcrossJobCounts) {
   EXPECT_NE(sequential.find("fptas.guess_rounds"), std::string::npos);
   EXPECT_NE(sequential.find("harness.tasks_rejected"), std::string::npos);
   EXPECT_EQ(sequential, parallel);
+
+  // Three-point grids: a capacity sweep, whose points share each instance's
+  // task set, so sweep reuse files the whole sweep under point 0; and one
+  // task set per point, so every cell is solved on its own.
+  std::vector<ProblemFactory> capacities;
+  std::vector<ProblemFactory> loads;
+  for (const double factor : {1.0, 0.8, 0.6}) {
+    capacities.push_back([factor](std::uint64_t seed) {
+      return make_capacity_sweep(test::small_instance(seed, 10, 1.4), {factor}).front();
+    });
+  }
+  for (const double load : {0.8, 1.4, 2.0}) {
+    loads.push_back([load](std::uint64_t seed) { return test::small_instance(seed, 10, load); });
+  }
+  const struct {
+    const char* name;
+    const std::vector<ProblemFactory>& factories;
+    bool sweep;
+  } grids[] = {{"capacity sweep", capacities, true}, {"task set per point", loads, false}};
+  constexpr int kInstances = 6;
+  constexpr std::uint64_t kSeed0 = 3;
+  const std::vector<std::unique_ptr<RejectionSolver>> lineup = metrics_lineup();
+  for (const auto& grid : grids) {
+    SCOPED_TRACE(grid.name);
+    const std::vector<std::vector<Registry>> expected =
+        merged_cells_solved_alone(grid.factories, lineup, kInstances, kSeed0, grid.sweep);
+    // The exact DP's rows tell the points apart, and the sweep shares its
+    // table, so a registry filed under another point cannot match.
+    const std::size_t exact = lineup.size() - 1;
+    EXPECT_NE(deterministic_rows(expected[0][exact]), deterministic_rows(expected[1][exact]));
+    EXPECT_EQ(deterministic_rows(expected[0][exact]).find("dp.warm_starts") != std::string::npos,
+              grid.sweep);
+    for (const int jobs : {1, 8}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs));
+      ThreadLog log;
+      std::vector<ProblemFactory> factories;
+      for (const ProblemFactory& factory : grid.factories) factories.push_back(log.wrap(factory));
+      const std::vector<std::vector<AlgoStats>> stats = run_comparison_batch(
+          factories, lineup, lower_bound_reference, kInstances, kSeed0, jobs);
+      EXPECT_EQ(log.threads() > 1, jobs > 1);
+      ASSERT_EQ(stats.size(), expected.size());
+      for (std::size_t point = 0; point < stats.size(); ++point) {
+        ASSERT_EQ(stats[point].size(), lineup.size());
+        for (std::size_t a = 0; a < lineup.size(); ++a) {
+          EXPECT_EQ(deterministic_rows(stats[point][a].metrics),
+                    deterministic_rows(expected[point][a]))
+              << "point " << point << ", " << stats[point][a].name;
+        }
+      }
+    }
+  }
+}
+
+// A caller's scope around the harness sees every cell's metrics, whichever
+// threads ran the cells: the harness folds its registries into the caller's
+// active registry after the parallel region, at any job count.
+TEST(Metrics, CallerScopeSeesTheWholeHarnessCall) {
+  const ProblemFactory factory = [](std::uint64_t seed) {
+    return test::small_instance(seed, 10, 1.4);
+  };
+  std::vector<std::unique_ptr<RejectionSolver>> lineup;
+  lineup.push_back(std::make_unique<ExactDpSolver>());
+  lineup.push_back(std::make_unique<FptasSolver>(0.1));
+  std::vector<std::string> runs;
+  for (const int jobs : {1, 4}) {
+    for (int run = 0; run < 3; ++run) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs) + " run " + std::to_string(run));
+      ThreadLog log;
+      Registry seen;
+      std::vector<AlgoStats> stats;
+      {
+        obs::ActiveScope scope(seen, /*fold_into_parent=*/false);
+        stats = run_comparison(log.wrap(factory), lineup, lower_bound_reference,
+                               /*instances=*/32, /*seed0=*/1, jobs);
+      }
+      EXPECT_EQ(log.threads() > 1, jobs > 1);
+      Registry returned;
+      for (const AlgoStats& s : stats) returned.merge(s.metrics);
+      // The pool's parallel.* counters land with the threads that drained
+      // the units; every other row comes from the call's solves.
+      runs.push_back(deterministic_rows(seen, "parallel."));
+      EXPECT_EQ(runs.back(), deterministic_rows(returned));
+    }
+  }
+  EXPECT_NE(runs.front().find("harness.solves=64\n"), std::string::npos);
+  for (std::size_t run = 1; run < runs.size(); ++run) {
+    EXPECT_EQ(runs[run], runs.front()) << "run " << run << " of jobs 1, 1, 1, 4, 4, 4";
+  }
 }
 
 TEST(Metrics, SolverRunPopulatesScopedRegistry) {
