@@ -42,23 +42,25 @@ void grow_entries(DpRecordList& list, std::size_t entries) {
   list.masks.resize(entries);
 }
 
-/// One list-phase level (the merge in core/dp_table.hpp): writes to `out`
-/// the records of the row that relaxing `task` (c <= cap) into the row of
-/// records `in` leaves, each with its accept mask (`bit` is the task's);
-/// `out` must hold 2 * in.size entries. Each step writes its candidate and
-/// keeps it by advancing the output only when it is a record, so the loop
-/// has no data-dependent branch to mispredict.
-void merge(const DpRecordList& in, DpRecordList& out, std::size_t cap, const FrameTask& task,
-           std::uint64_t bit) {
+/// One list-phase level (the merge in core/dp_table.hpp): writes to the
+/// `out_*` arrays the records of the row that relaxing `task` (c <= cap)
+/// into the row of `m` records at `rows`/`kept` leaves, and returns how many
+/// it kept. With kMasks each record carries its accept mask (`bit` is the
+/// task's); without, the mask arrays are never touched and may be null. The
+/// output must hold 2 * m entries. Each step writes its candidate and keeps it
+/// by advancing the output only when it is a record, so the loop has no
+/// data-dependent branch to mispredict.
+template <bool kMasks>
+std::size_t merge_records(const std::size_t* rows, const double* kept,
+                          const std::uint64_t* masks, std::size_t m, std::size_t cap,
+                          const FrameTask& task, std::uint64_t bit, std::size_t* out_rows,
+                          double* out_kept, std::uint64_t* out_masks) {
   const auto c = static_cast<std::size_t>(task.cycles);
   const double p = task.penalty;
-  const std::size_t* rows = in.rows.data();
-  const double* kept = in.kept.data();
-  const std::uint64_t* masks = in.masks.data();
-  const std::size_t m = in.size;
-  std::size_t* out_rows = out.rows.data();
-  double* out_kept = out.kept.data();
-  std::uint64_t* out_masks = out.masks.data();
+  const auto mask_of = [&](std::size_t i) -> std::uint64_t {
+    if constexpr (kMasks) return masks[i];
+    return 0;
+  };
   // Shifted entries past the cap are dropped.
   const auto shifted = static_cast<std::size_t>(std::upper_bound(rows, rows + m, cap - c) - rows);
   std::size_t k = 0;
@@ -66,7 +68,7 @@ void merge(const DpRecordList& in, DpRecordList& out, std::size_t cap, const Fra
   const auto emit = [&](std::size_t w, double v, std::uint64_t mask) {
     out_rows[k] = w;
     out_kept[k] = v;
-    out_masks[k] = mask;
+    if constexpr (kMasks) out_masks[k] = mask;
     const bool record = v > best;
     k += record ? 1 : 0;
     best = record ? v : best;
@@ -79,13 +81,20 @@ void merge(const DpRecordList& in, DpRecordList& out, std::size_t cap, const Fra
     const double v = kept[j] + p;
     // The shifted entry takes a row `in` also holds only when strictly larger.
     const bool take = (b < a) | ((b == a) & (v > kept[i]));
-    emit(take ? b : a, take ? v : kept[i], take ? masks[j] | bit : masks[i]);
+    emit(take ? b : a, take ? v : kept[i], take ? mask_of(j) | bit : mask_of(i));
     i += a <= b ? 1 : 0;
     j += b <= a ? 1 : 0;
   }
-  for (; i < m; ++i) emit(rows[i], kept[i], masks[i]);
-  for (; j < shifted; ++j) emit(rows[j] + c, kept[j] + p, masks[j] | bit);
-  out.size = k;
+  for (; i < m; ++i) emit(rows[i], kept[i], mask_of(i));
+  for (; j < shifted; ++j) emit(rows[j] + c, kept[j] + p, mask_of(j) | bit);
+  return k;
+}
+
+/// merge_records over record lists; `out` must hold 2 * in.size entries.
+void merge(const DpRecordList& in, DpRecordList& out, std::size_t cap, const FrameTask& task,
+           std::uint64_t bit) {
+  out.size = merge_records<true>(in.rows.data(), in.kept.data(), in.masks.data(), in.size, cap,
+                                 task, bit, out.rows.data(), out.kept.data(), out.masks.data());
 }
 
 std::size_t relax(const simd::KernelTable& kernels, double* value, std::uint64_t* take_row,
@@ -154,6 +163,18 @@ void dp_staircase(const double* kept, std::size_t cap, DpStaircase& out) {
       out.kept.push_back(record);
     }
   }
+}
+
+void dp_merge_staircase(const DpStaircase& in, std::size_t cap, const FrameTask& task,
+                        DpStaircase& out) {
+  RETASK_ASSERT(static_cast<std::size_t>(task.cycles) <= cap);
+  const std::size_t m = in.rows.size();
+  out.rows.resize(2 * m);
+  out.kept.resize(2 * m);
+  const std::size_t k = merge_records<false>(in.rows.data(), in.kept.data(), nullptr, m, cap,
+                                             task, 0, out.rows.data(), out.kept.data(), nullptr);
+  out.rows.resize(k);
+  out.kept.resize(k);
 }
 
 DpFillCounts dp_fill(DpScratch& table, const FrameTask* tasks, std::size_t n, std::size_t cap) {

@@ -12,8 +12,10 @@
 //    and, when the list grows too long, a dense phase over the per-task
 //    relaxation with reachability pruning (dp_relax); each phase checks its
 //    buffers against kDpTableByteBudget before allocating them;
-//  * the staircase of a filled value row (dp_staircase), the select that
-//    walks it (dp_select) and the budgeted DP's read-off (dp_best_kept_row);
+//  * the staircase of a filled value row (dp_staircase), the staircase one
+//    more task's relaxation would leave (dp_merge_staircase, which the delta
+//    solver's read-only probe walks), the select that walks a staircase
+//    (dp_select) and the budgeted DP's read-off (dp_best_kept_row);
 //  * the accept-set backtrack (dp_backtrack).
 //
 // Prefix property: rows w <= c of a fill at any capacity >= c are
@@ -159,6 +161,15 @@ std::size_t dp_relax(double* value, std::uint64_t* take_row, std::size_t cap,
 /// (the empty accept set, kept 0) always opens it. `out` keeps its capacity
 /// across calls.
 void dp_staircase(const double* kept, std::size_t cap, DpStaircase& out);
+
+/// Writes to `out` the staircase of the row that relaxing `task` (c <= cap)
+/// into a value row filled at capacity `cap` leaves, read off that row's
+/// staircase `in` alone: the list phase's merge (the header comment) without
+/// accept masks, one step per record. It equals, bit for bit, dp_staircase of
+/// the relaxed row over its reachable rows. `out` keeps its capacity across
+/// calls and must not alias `in`.
+void dp_merge_staircase(const DpStaircase& in, std::size_t cap, const FrameTask& task,
+                        DpStaircase& out);
 
 /// Fills the knapsack table of the `n` tasks at `tasks` at capacity `cap`
 /// into `table` and leaves the staircase over [0, cap] in table.stairs. The

@@ -28,6 +28,10 @@ struct PeState {
   double objective = 0.0;           ///< E(load) + locally rejected penalties
   Cycles accepted_load = 0;
   std::unique_ptr<DeltaSolver> delta;
+  /// Local index of the accepted member with the most cycles (ties: lowest
+  /// index), member.size() when none accepted; valid unless largest_stale.
+  std::size_t largest = 0;
+  bool largest_stale = true;
 };
 
 }  // namespace
@@ -138,6 +142,17 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
     index_of_id.reserve(n);
     for (std::size_t i = 0; i < n; ++i) index_of_id.emplace(problem.tasks()[i].id, i);
 
+    // The screens read the least-loaded PEs and a PE's largest accepted task
+    // for every candidate, but a PE changes only on a commit, a solver seed
+    // or a swap probe, so both facts are cached and rescanned on the first
+    // read after changed().
+    std::size_t least[2] = {};  // the two least-loaded PEs by (load, index)
+    bool least_stale = true;
+    const auto changed = [&](std::size_t p) {
+      pe[p].largest_stale = true;
+      least_stale = true;
+    };
+
     const auto refresh_from_delta = [&](std::size_t p) {
       PeState& state = pe[p];
       const RejectionSolution& sol = state.delta->solution();
@@ -151,15 +166,17 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
       }
       state.objective = sol.energy + sol.penalty;
       state.accepted_load = state.delta->accepted_load();
+      changed(p);
     };
 
     const auto ensure_delta = [&](std::size_t p) -> DeltaSolver& {
       PeState& state = pe[p];
       if (state.delta == nullptr) {
         // A checkpoint every quarter of the residents, at most every 16: a
-        // probe's undo removes the task it appended, and with a stride at or
-        // above the resident count no checkpoint precedes that task, so
-        // every undo would replay the whole PE.
+        // swap probe removes the PE's largest accepted task, wherever it sits
+        // in the resident order, and with a stride at or above the resident
+        // count no checkpoint precedes it, so every such removal would replay
+        // the whole PE.
         DeltaSolver::Config delta_config;
         const std::size_t quarter = (state.member.size() + 3) / 4;
         delta_config.checkpoint_stride =
@@ -219,6 +236,7 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
         state.accepted_load += t.cycles;
         state.objective += gain;
         location[gi] = static_cast<int>(q);
+        changed(q);
       }
     };
     const auto drop_rejected = [&](std::size_t p, std::size_t gi) {
@@ -234,6 +252,7 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
         state.member.erase(it);
         state.accepted.erase(state.accepted.begin() + static_cast<std::ptrdiff_t>(k));
         state.objective -= problem.tasks()[gi].penalty;
+        changed(p);
       }
       location[gi] = -1;  // the caller re-places it immediately
     };
@@ -253,20 +272,45 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
         state.accepted.erase(state.accepted.begin() + static_cast<std::ptrdiff_t>(k));
         state.accepted_load -= t.cycles;
         state.objective += q_gain;
+        changed(q);
       }
       accept_on(r, gj, r_gain);
     };
 
-    // Least-loaded target PE (ties: lowest index), excluding `skip`.
+    // Least-loaded target PE (ties: lowest index), excluding `skip`: the
+    // least-loaded PE, or the runner-up when that is `skip` (m >= 2 here).
     const auto least_loaded_except = [&](int skip) -> int {
-      int best = -1;
-      for (std::size_t q = 0; q < m; ++q) {
-        if (static_cast<int>(q) == skip) continue;
-        if (best < 0 || pe[q].accepted_load < pe[static_cast<std::size_t>(best)].accepted_load) {
-          best = static_cast<int>(q);
+      if (least_stale) {
+        least[0] = pe[1].accepted_load < pe[0].accepted_load ? 1 : 0;
+        least[1] = 1 - least[0];
+        for (std::size_t q = 2; q < m; ++q) {
+          if (pe[q].accepted_load < pe[least[0]].accepted_load) {
+            least[1] = least[0];
+            least[0] = q;
+          } else if (pe[q].accepted_load < pe[least[1]].accepted_load) {
+            least[1] = q;
+          }
         }
+        least_stale = false;
       }
-      return best;
+      return static_cast<int>(least[0] == static_cast<std::size_t>(skip) ? least[1] : least[0]);
+    };
+
+    // PeState::largest of PE q, rescanned when stale.
+    const auto largest_accepted = [&](std::size_t q) -> std::size_t {
+      PeState& state = pe[q];
+      if (state.largest_stale) {
+        state.largest = state.member.size();
+        Cycles cycles = -1;
+        for (std::size_t k = 0; k < state.member.size(); ++k) {
+          if (state.accepted[k] && problem.tasks()[state.member[k]].cycles > cycles) {
+            state.largest = k;
+            cycles = problem.tasks()[state.member[k]].cycles;
+          }
+        }
+        state.largest_stale = false;
+      }
+      return state.largest;
     };
 
     std::vector<std::pair<double, std::size_t>> candidates;  // (-penalty, index)
@@ -305,7 +349,6 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
           if (source.accepted[static_cast<std::size_t>(it - source.member.begin())]) continue;
         }
         const int q = least_loaded_except(p);
-        if (q < 0) break;  // m == 1: nowhere to move
         const auto qs = static_cast<std::size_t>(q);
 
         // Screened move: accepting gi on q as-is changes the objective by
@@ -326,19 +369,12 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
         // task j to the least-loaded third PE r, then accept gi on q. Both
         // marginals are exact for the as-is accept sets, so this commits
         // directly too.
-        std::size_t j_local = pe[qs].member.size();
-        Cycles j_cycles = -1;
-        for (std::size_t k = 0; k < pe[qs].member.size(); ++k) {
-          if (pe[qs].accepted[k] && problem.tasks()[pe[qs].member[k]].cycles > j_cycles) {
-            j_local = k;
-            j_cycles = problem.tasks()[pe[qs].member[k]].cycles;
-          }
-        }
+        const std::size_t j_local = largest_accepted(qs);
         if (j_local != pe[qs].member.size()) {
           const std::size_t gj = pe[qs].member[j_local];
           const FrameTask& jtask = problem.tasks()[gj];
           const int r = least_loaded_except(q);
-          if (r >= 0 && r != p &&
+          if (r != p &&
               marginal_cost(qs, jtask.cycles, task.cycles) +
                       marginal_cost(static_cast<std::size_t>(r), 0, jtask.cycles) <
                   task.penalty) {
@@ -367,42 +403,43 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
         if (exact_budget == 0) continue;
         --exact_budget;
         ++move_probes;
+        // A probe reads the solver without changing it (probe_admit), so the
+        // solver is written only when the move pays.
         DeltaSolver& target = ensure_delta(qs);
         const double q_before = pe[qs].objective;
-        const RejectionSolution& probed = target.admit(task);
-        const double q_after = probed.energy + probed.penalty;
+        const double q_after = target.probe_admit(task);
         const double move_delta = (q_after - q_before) - task.penalty;
         const double tol = -1e-12 * std::max(1.0, q_before + task.penalty);
         if (move_delta < tol) {
           if (p >= 0) drop_rejected(static_cast<std::size_t>(p), gi);
+          target.admit(task);
           refresh_from_delta(qs);
           ++moves_applied;
           ++applied_this_round;
           continue;
         }
-        target.remove(task.id);  // undo: pops the appended task, replay is
-                                 // checkpoint-local, state returns bitwise
 
-        // Exact swap probe behind the same escalation gate.
+        // Exact swap probe behind the same escalation gate: j really leaves
+        // q, then gi is probed on q and j on r.
         if (swap_budget == 0 || j_local == pe[qs].member.size()) continue;
         const std::size_t gj = pe[qs].member[j_local];
         const FrameTask& jtask = problem.tasks()[gj];
         const int r = least_loaded_except(q);
-        if (r < 0 || r == p) continue;  // no third PE to absorb j
+        if (r == p) continue;  // no third PE to absorb j
         const auto rs = static_cast<std::size_t>(r);
         --swap_budget;
         ++swap_probes;
         DeltaSolver& third = ensure_delta(rs);
         const double r_before = pe[rs].objective;
         target.remove(jtask.id);
-        const RejectionSolution& q_probe = target.admit(task);
-        const double q_swapped = q_probe.energy + q_probe.penalty;
-        const RejectionSolution& r_probe = third.admit(jtask);
-        const double r_after = r_probe.energy + r_probe.penalty;
+        const double q_swapped = target.probe_admit(task);
+        const double r_after = third.probe_admit(jtask);
         const double swap_delta =
             (q_swapped - q_before) + (r_after - r_before) - task.penalty;
         const double swap_tol = -1e-12 * std::max(1.0, q_before + r_before + task.penalty);
         if (swap_delta < swap_tol) {
+          target.admit(task);
+          third.admit(jtask);
           if (p >= 0) drop_rejected(static_cast<std::size_t>(p), gi);
           refresh_from_delta(qs);
           refresh_from_delta(rs);
@@ -410,11 +447,9 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
           ++applied_this_round;
           continue;
         }
-        // Undo in reverse. Re-admitting j appends it at the end of q's
-        // residual order — same set, same optimum value; the value row is
-        // rebuilt deterministically, so the search stays reproducible.
-        third.remove(jtask.id);
-        target.remove(task.id);
+        // Put j back. Re-admitting appends it at the end of q's resident
+        // order — same set, same optimum value; the value row is rebuilt
+        // deterministically, so the search stays reproducible.
         target.admit(jtask);
         refresh_from_delta(qs);
       }

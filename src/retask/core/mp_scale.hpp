@@ -18,12 +18,18 @@
 //     PE's solution is a pure function of its subproblem, so the phase is
 //     invariant to RETASK_JOBS and the SIMD backend.
 //  3. A move/swap local search re-seats locally-rejected tasks on the
-//     least-loaded PE. Probes go through per-PE DeltaSolver instances
-//     (serve/delta_solver.hpp): one O(W) admit-relaxation per probe and a
-//     checkpointed-replay undo, instead of a cold O(n_p * W) re-solve. The
-//     solvers are built lazily (only PEs the search touches pay the table
-//     fill), each with a checkpoint every quarter of its residents (at most
-//     every 16), so undoing a probe replays from a checkpoint.
+//     least-loaded PE. Marginal screens commit directly; the highest-penalty
+//     screen failures escalate to exact probes on per-PE DeltaSolver
+//     instances (serve/delta_solver.hpp) instead of a cold O(n_p * W)
+//     re-solve. A probe is a read-only probe_admit, one step per staircase
+//     record, and the solver is written only when the move pays. A swap
+//     probe removes the target's largest accepted task for real and puts it
+//     back when the swap does not pay. The solvers are built lazily (only
+//     PEs the search touches pay the table fill), each with a checkpoint
+//     every quarter of its residents (at most every 16), so that removal
+//     replays from a checkpoint. The screens read cached per-PE facts (the
+//     two least-loaded PEs, each PE's largest accepted task), rescanned only
+//     after a PE changes.
 //
 // The search is serial and deterministic; all parallelism lives in phase 2,
 // whose per-PE solves are bit-exact. Counters: the mp.* family (probes,

@@ -14,6 +14,18 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
+/// probe_admit's buffers: the merged staircase and the accept set it
+/// backtracks. One set per thread, shared by every solver the thread probes.
+struct ProbeScratch {
+  DpStaircase stairs;
+  std::vector<bool> accepted;
+};
+
+ProbeScratch& probe_scratch() {
+  thread_local ProbeScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 double assigned_speed(const EnergyCurve& curve, double work_per_cycle, Cycles load) {
@@ -129,11 +141,15 @@ void DeltaSolver::replay_from(std::size_t invalidated) {
   }
 }
 
-const RejectionSolution& DeltaSolver::admit(const FrameTask& task) {
+void DeltaSolver::require_admissible(const FrameTask& task,
+                                     std::string_view resident_message) const {
   validate(task);
-  require(index_of(task.id) == kNone, "DeltaSolver::admit: task id already resident");
-  const std::size_t n = tasks_.size() + 1;
-  require_dp_table_budget("DeltaSolver", width_, value_rows(), grown_rows(n));
+  require(index_of(task.id) == kNone, resident_message);
+  require_dp_table_budget("DeltaSolver", width_, value_rows(), grown_rows(tasks_.size() + 1));
+}
+
+const RejectionSolution& DeltaSolver::admit(const FrameTask& task) {
+  require_admissible(task, "DeltaSolver::admit: task id already resident");
   tasks_.push_back(task);
   total_cycles_ += task.cycles;
   const std::size_t i = tasks_.size() - 1;
@@ -187,8 +203,57 @@ const RejectionSolution& DeltaSolver::reprice(int id, double penalty) {
   return solution_;
 }
 
+double DeltaSolver::probe_admit(const FrameTask& task) const {
+  require_admissible(task, "DeltaSolver::probe_admit: task id already resident");
+  const std::size_t n = tasks_.size();
+  const auto c = static_cast<std::size_t>(task.cycles);
+  const auto cap = static_cast<std::size_t>(std::min(cycle_capacity_, total_cycles_ + task.cycles));
+  // The same sum select() would take after the append: residents in order,
+  // then the new task.
+  const double total_penalty = resident_penalty() + task.penalty;
+
+  // The records of the relaxed row are the retained staircase merged with
+  // its shift by (c, p) (core/dp_table.hpp); a task wider than the table
+  // relaxes nothing and leaves the staircase as it is.
+  ProbeScratch& scratch = probe_scratch();
+  const bool fits = c <= width_ - 1;
+  if (fits) dp_merge_staircase(table_.stairs, width_ - 1, task, scratch.stairs);
+  const DpPick pick = dp_select(fits ? scratch.stairs : table_.stairs, cap, total_penalty,
+                                [this](Cycles w) { return energy_of(w); });
+  RETASK_COUNT("serve.select_energy_evals", pick.energy_evals);
+
+  // The choice bit the relaxation would set at the picked row, by the dense
+  // rule; below it the retained bits rebuild the rest of the accept set.
+  const std::size_t w = pick.best_w;
+  const double* value = table_.value.data();
+  const bool taken = w >= c && value[w - c] + task.penalty > value[w];
+  dp_backtrack(table_, tasks_.data(), n, taken ? w - c : w, scratch.accepted);
+
+  // Score as select() does, the new task last.
+  Cycles load = taken ? task.cycles : 0;
+  double penalty = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (scratch.accepted[i]) {
+      load += tasks_[i].cycles;
+    } else {
+      penalty += tasks_[i].penalty;
+    }
+  }
+  if (!taken) penalty += task.penalty;
+  return energy_of(load) + penalty;
+}
+
 double DeltaSolver::energy_of(Cycles cycles) const {
   return curve_.energy(work_per_cycle_ * static_cast<double>(cycles));
+}
+
+double DeltaSolver::resident_penalty() const {
+  // Recomputed in residual order every time — FrameTaskSet accumulates its
+  // total the same way, and float addition is order-sensitive, so an
+  // incrementally maintained sum could drift from the cold solve's bits.
+  double total = 0.0;
+  for (const FrameTask& task : tasks_) total += task.penalty;
+  return total;
 }
 
 void DeltaSolver::select() {
@@ -198,15 +263,9 @@ void DeltaSolver::select() {
   // <= that cap bit-identical, so sweeping the same range reads the same
   // answer.
   const auto cap = static_cast<std::size_t>(std::min(cycle_capacity_, total_cycles_));
-  // Recomputed in residual order every time — FrameTaskSet accumulates its
-  // total the same way, and float addition is order-sensitive, so an
-  // incrementally maintained sum could drift from the cold solve's bits.
-  double total_penalty = 0.0;
-  for (const FrameTask& task : tasks_) total_penalty += task.penalty;
-
   // Rows above the reach are unreachable (-inf) and never records.
   dp_staircase(table_.value.data(), std::min(cap, reachable_), table_.stairs);
-  const DpPick pick = dp_select(table_.stairs, cap, total_penalty,
+  const DpPick pick = dp_select(table_.stairs, cap, resident_penalty(),
                                 [this](Cycles w) { return energy_of(w); });
   RETASK_COUNT("serve.select_energy_evals", pick.energy_evals);
   dp_backtrack(table_, tasks_.data(), n, pick.best_w, solution_.accepted);

@@ -21,6 +21,14 @@
 //    solver keeps a value-row checkpoint every `checkpoint_stride` tasks
 //    and replays only the tasks past the nearest surviving checkpoint; a
 //    change inside the first stride replays everything (the cold fall).
+//  * probe_admit answers what admit would, without writing anything: the
+//    records of the relaxed row are the retained staircase merged with its
+//    shift by the task's (cycles, penalty) (the list-phase argument of
+//    core/dp_table.hpp), so the probe merges the staircase the last select
+//    took, walks it with the same select, decides the new task's choice bit
+//    at the picked row by the dense rule and backtracks the rest through the
+//    retained choice bits — one step per record instead of an O(W)
+//    relaxation, and no undo. Its buffers are per thread, not per solver.
 //
 // Replay preserves the residual insertion order, so the per-task choice
 // bits — and with them the reconstructed accept set — match what a cold
@@ -31,7 +39,8 @@
 // pins the edge cases.
 //
 // The request path allocates nothing in steady state: the table and its
-// staircase live in a private DpScratch arena at their high-water mark,
+// staircase live in a private DpScratch arena at their high-water mark, a
+// probe's merged staircase and accept set in a per-thread scratch,
 // checkpoint rows are recycled through a pool, and the solution's vectors
 // are assign()ed in place.
 //
@@ -48,6 +57,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -83,6 +93,13 @@ class DeltaSolver {
   /// is solution().accepted.back() — an admitted task may be rejected, and
   /// admitting one task may evict a previously accepted one.
   const RejectionSolution& admit(const FrameTask& task);
+
+  /// The objective solution().energy + solution().penalty would hold after
+  /// admit(task), bit for bit, computed without admitting: no table row,
+  /// checkpoint, solution or counter of this solver changes (its energy
+  /// evaluations count in serve.select_energy_evals, as a select's do).
+  /// Validates exactly as admit does, so it throws Error wherever admit would.
+  double probe_admit(const FrameTask& task) const;
 
   /// Bulk admission: appends every task (validated; ids must be new and
   /// pairwise distinct) with ONE select at the end instead of one per task.
@@ -145,11 +162,17 @@ class DeltaSolver {
   /// earlier one was taken and the row fits the byte budget.
   void push_checkpoint_if_due(std::size_t prefix);
   void drop_checkpoints_to(std::size_t count);
+  /// admit's checks: a valid task whose id is not resident (else Error with
+  /// `resident_message`), and one more task's rows within the byte budget.
+  void require_admissible(const FrameTask& task, std::string_view resident_message) const;
   /// Reads the optimal solution off the retained table into solution_.
   void select();
   /// energy(work_per_cycle * cycles) — the same computation
   /// RejectionProblem::energy_of_cycles performs.
   double energy_of(Cycles cycles) const;
+  /// The residents' penalties summed in resident order, as a cold solve's
+  /// FrameTaskSet sums them.
+  double resident_penalty() const;
 
   EnergyCurve curve_;
   double work_per_cycle_ = 1.0;

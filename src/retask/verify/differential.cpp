@@ -1,7 +1,9 @@
 #include "retask/verify/differential.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 
@@ -36,6 +38,10 @@ std::string fmt(double value) {
   os.precision(17);
   os << value;
   return os.str();
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 std::string penalty_model_name(PenaltyModel model) {
@@ -384,11 +390,30 @@ std::vector<PropertyViolation> check_delta_diff(const InstanceSpec& spec,
     return true;
   };
 
+  // Every admit is probed first: probe_admit must leave the solution as it
+  // was and answer the objective the admit then returns, bit for bit.
+  const auto probed_admit = [&](const FrameTask& task, const std::string& step) {
+    const RejectionSolution before = delta.solution();
+    const double probed = delta.probe_admit(task);
+    const RejectionSolution& after = delta.solution();
+    if (after.accepted != before.accepted || !same_bits(after.energy, before.energy) ||
+        !same_bits(after.penalty, before.penalty)) {
+      mismatch(step + ": probe changed the solution");
+      return false;
+    }
+    const RejectionSolution& admitted = delta.admit(task);
+    const double objective = admitted.energy + admitted.penalty;
+    if (!same_bits(probed, objective)) {
+      mismatch(step + ": probe objective " + fmt(probed) + " != admitted " + fmt(objective));
+      return false;
+    }
+    return agrees(step);
+  };
+
   try {
     const FrameTaskSet& tasks = problem.tasks();
     for (std::size_t i = 0; i < tasks.size(); ++i) {
-      delta.admit(tasks[i]);
-      if (!agrees("admit id " + std::to_string(tasks[i].id))) return violations;
+      if (!probed_admit(tasks[i], "admit id " + std::to_string(tasks[i].id))) return violations;
     }
     // Seeded mutation walk (replays bit-for-bit from the instance spec):
     // remove residents, readmit removed tasks, reprice survivors.
@@ -409,8 +434,7 @@ std::vector<PropertyViolation> check_delta_diff(const InstanceSpec& spec,
             rng.uniform_int(0, static_cast<std::int64_t>(removed.size()) - 1));
         const FrameTask task = removed[at];
         removed.erase(removed.begin() + static_cast<std::ptrdiff_t>(at));
-        delta.admit(task);
-        if (!agrees("readmit id " + std::to_string(task.id))) return violations;
+        if (!probed_admit(task, "readmit id " + std::to_string(task.id))) return violations;
       } else if (op == 2 && delta.size() > 0) {
         const auto at = static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(delta.size()) - 1));

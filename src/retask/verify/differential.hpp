@@ -107,8 +107,10 @@ std::vector<PropertyViolation> check_simd_diff(const RejectionProblem& problem);
 /// the checkpointed replay path), then drives a seeded random walk of
 /// remove / readmit / reprice mutations over the resident set. After every
 /// step the incremental solution must be bitwise identical (accept mask,
-/// energy, penalty) to a cold ExactDpSolver solve of the same resident set;
-/// any difference is a "delta-diff" violation. The incremental path promises
+/// energy, penalty) to a cold ExactDpSolver solve of the same resident set,
+/// and every admit and readmit is probed first: the probe must leave the
+/// solution untouched and equal the admitted energy + penalty bitwise. Any
+/// difference is a "delta-diff" violation. The incremental path promises
 /// strict bit-identity, so the comparison uses exact double equality.
 /// Single-processor instances only (returns empty otherwise).
 std::vector<PropertyViolation> check_delta_diff(const InstanceSpec& spec,

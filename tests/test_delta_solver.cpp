@@ -2,9 +2,11 @@
 // test is strict bit-identity with cold ExactDpSolver solves over the same
 // resident set after every mutation — admits (one relaxation row), removals
 // and reprices (checkpointed replay), and the cold-fall path (change inside
-// the first checkpoint stride).
+// the first checkpoint stride) — and of a read-only probe with the admit
+// that follows it.
 #include "retask/serve/delta_solver.hpp"
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -222,6 +224,89 @@ TEST(DeltaSolver, CheckpointsStopAtTheByteBudget) {
                                                  "serve.fallback.checkpoint_budget")),
               1u);
   }
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Probes `task`, checks that the probe changed nothing observable, admits
+/// the task and checks that the probe answered the admit's objective bit for
+/// bit.
+void expect_probe_matches_admit(DeltaSolver& delta, const FrameTask& task, const char* where) {
+  const RejectionSolution before = delta.solution();
+  const std::vector<FrameTask> resident = delta.resident();
+  const std::uint64_t hits = delta.delta_hits();
+  const std::uint64_t colds = delta.cold_falls();
+  const double probed = delta.probe_admit(task);
+  EXPECT_EQ(delta.solution().accepted, before.accepted) << where;
+  EXPECT_EQ(delta.solution().processor_of, before.processor_of) << where;
+  EXPECT_EQ(bits(delta.solution().energy), bits(before.energy)) << where;
+  EXPECT_EQ(bits(delta.solution().penalty), bits(before.penalty)) << where;
+  ASSERT_EQ(delta.resident().size(), resident.size()) << where;
+  for (std::size_t i = 0; i < resident.size(); ++i) {
+    EXPECT_EQ(delta.resident()[i].id, resident[i].id) << where;
+  }
+  EXPECT_EQ(delta.delta_hits(), hits) << where;
+  EXPECT_EQ(delta.cold_falls(), colds) << where;
+  const RejectionSolution& admitted = delta.admit(task);
+  EXPECT_EQ(bits(probed), bits(admitted.energy + admitted.penalty))
+      << where << ": probe " << probed << " vs admit " << admitted.energy + admitted.penalty;
+  expect_matches_cold(delta, where);
+}
+
+TEST(DeltaSolver, ProbeAdmitAnswersTheFollowingAdmitBitwise) {
+  DeltaSolver::Config config;
+  config.checkpoint_stride = 4;
+  DeltaSolver delta(xscale_curve(), kWpc, config);
+  for (const FrameTask& task : mixed_tasks()) expect_probe_matches_admit(delta, task, "admit");
+  // After a checkpointed replay and after a reprice, the probe reads the
+  // rebuilt table.
+  delta.remove(5);
+  expect_probe_matches_admit(delta, {5, 60, 0.4}, "after remove");
+  delta.reprice(2, 4.0);
+  expect_probe_matches_admit(delta, {9, 110, 1.1}, "after reprice");
+}
+
+TEST(DeltaSolver, ProbeAdmitEdgeCases) {
+  {
+    DeltaSolver empty(xscale_curve(), kWpc);
+    expect_probe_matches_admit(empty, {1, 100, 1.0}, "empty solver");
+  }
+  DeltaSolver delta(xscale_curve(), kWpc);
+  delta.admit({1, 80, 0.6});
+  // More cycles than the capacity: the relaxation skips the task.
+  expect_probe_matches_admit(delta, {2, 10000, 5.0}, "wider than the capacity");
+  EXPECT_FALSE(delta.solution().accepted.back());
+  // A zero penalty never takes a row: the shifted candidates only tie.
+  expect_probe_matches_admit(delta, {3, 50, 0.0}, "zero penalty");
+  EXPECT_FALSE(delta.solution().accepted.back());
+
+  // A shifted candidate that ties the kept value: at row 100 the candidate
+  // of task 15, row 50's 0.7 (task 14) plus 0.4, ties the 0.4 + 0.7 of
+  // tasks 11 and 14, so the row stays theirs, and the optimum picks it. The
+  // tied accept sets reject different tasks, whose penalties sum to
+  // different bits (0.1 + 0.1 + 0.4 against 0.4 + 0.1 + 0.1), so only the
+  // relaxation's strict rule gives the admit's objective.
+  DeltaSolver tie(xscale_curve(), kWpc);
+  for (const FrameTask& task : {FrameTask{11, 50, 0.4}, FrameTask{12, 30, 0.1},
+                                FrameTask{13, 50, 0.1}, FrameTask{14, 50, 0.7}}) {
+    tie.admit(task);
+  }
+  expect_probe_matches_admit(tie, {15, 50, 0.4}, "tied candidate");
+  EXPECT_EQ(tie.solution().accepted, (std::vector<bool>{true, false, false, true, false}));
+}
+
+TEST(DeltaSolver, ProbeAdmitThrowsWhereAdmitThrows) {
+  DeltaSolver delta(xscale_curve(), kWpc);
+  delta.admit({1, 50, 1.0});
+  const RejectionSolution before = delta.solution();
+  for (const FrameTask& bad :
+       {FrameTask{2, 0, 1.0}, FrameTask{2, 50, -1.0}, FrameTask{1, 60, 2.0}}) {
+    EXPECT_THROW(delta.probe_admit(bad), Error) << "id " << bad.id << " cycles " << bad.cycles;
+    EXPECT_THROW(delta.admit(bad), Error) << "id " << bad.id << " cycles " << bad.cycles;
+  }
+  EXPECT_EQ(delta.size(), 1u);
+  EXPECT_EQ(delta.solution().accepted, before.accepted);
+  EXPECT_EQ(bits(delta.solution().energy), bits(before.energy));
 }
 
 TEST(DeltaSolver, AssignedSpeedMatchesPlanAndLoad) {

@@ -1,11 +1,13 @@
 // Tests for the many-core scale solver: validity, the bound/baseline
 // sandwich, the rounds=0 composition identity with MP-LTF-DP, bitwise
-// invariance across jobs / SIMD backends, and the FFD
+// invariance across jobs / SIMD backends, a swap probe's checkpointed
+// removal, the least-loaded tie rule of the move screen, and the FFD
 // placement policy under overload.
 #include "retask/core/mp_scale.hpp"
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "retask/core/lower_bound.hpp"
 #include "retask/core/multiproc.hpp"
 #include "retask/obs/metrics.hpp"
+#include "retask/power/polynomial_power.hpp"
 #include "retask/simd/backend.hpp"
 #include "test_util.hpp"
 
@@ -114,27 +117,62 @@ TEST(MpScale, BitwiseInvariantAcrossJobsAndBackends) {
 }
 
 #if defined(RETASK_OBS_ENABLED) && RETASK_OBS_ENABLED
-TEST(MpScale, ProbeUndoOnASmallPeReplaysFromACheckpoint) {
-  // Two PEs of about eight residents each. A move probe that does not pay
-  // removes the task it appended, the PE's last resident; with a checkpoint
-  // stride under the PE's size that replays from the last checkpoint (a
-  // delta hit) instead of the whole PE (a cold fall).
-  const RejectionProblem p = test::small_instance(2, 16, 1.6, 1.0, 2);
-  MpScaleConfig config;
-  config.max_swap_probes = 0;  // move probes only: every undo removes the last resident
+TEST(MpScale, SwapProbeRemovalOnASmallPeReplaysFromACheckpoint) {
+  // Three PEs of about eight residents each. A swap probe removes the
+  // target PE's largest accepted task for real and, when the swap does not
+  // pay, admits it back; with a checkpoint stride under the PE's size that
+  // removal replays from the last checkpoint before the task (a delta hit)
+  // instead of the whole PE (a cold fall). Move probes write nothing.
+  const RejectionProblem p = test::small_instance(2, 24, 2.4, 1.0, 3);
   obs::Registry metrics;
   {
     obs::ActiveScope scope(metrics);
-    check_solution(p, MultiProcScaleSolver(config).solve(p));
+    check_solution(p, MultiProcScaleSolver().solve(p));
   }
   const auto counter = [&](const char* name) {
     return metrics.counter(obs::intern_metric(obs::MetricKind::kCounter, name));
   };
-  ASSERT_GT(counter("mp.move_probes"), counter("mp.moves_applied"));  // some probe undone
+  ASSERT_GT(counter("mp.swap_probes"), counter("mp.swaps_applied"));  // some swap put back
   EXPECT_EQ(counter("serve.cold_falls"), 0u);
   EXPECT_GT(counter("serve.delta_hits"), 0u);
 }
 #endif
+
+TEST(MpScale, MovedTaskLandsOnTheLowestIndexLeastLoadedPe) {
+  // FFD packs PE 0 to its 200-cycle capacity with tasks 1-3, where each
+  // 10-cycle task costs more energy than its penalty, and PE 1 takes task 4,
+  // which PE 0 cannot fit. PEs 2 and 3 stay empty, tied least-loaded. Each
+  // rejected task moves to the least-loaded PE other than its source, ties
+  // to the lowest index: task 2 to PE 2, then task 3 to PE 3, since the
+  // first move loaded PE 2.
+  const EnergyCurve curve(PolynomialPowerModel::xscale(), 1.0, IdleDiscipline::kDormantEnable);
+  const RejectionProblem p(
+      FrameTaskSet({{1, 180, 5.0}, {2, 10, 0.15}, {3, 10, 0.12}, {4, 150, 5.0}}), curve,
+      1.0 / 200.0, 4);
+  MpScaleConfig config;
+  config.partition = PartitionPolicy::kFirstFitDecreasing;
+  config.local_search_rounds = 0;
+  EXPECT_EQ(MultiProcScaleSolver(config).solve(p).processor_of, (std::vector<int>{0, -1, -1, 1}));
+  config.local_search_rounds = 2;
+  const RejectionSolution s = MultiProcScaleSolver(config).solve(p);
+  check_solution(p, s);
+  EXPECT_EQ(s.processor_of, (std::vector<int>{0, 2, 3, 1}));
+
+  // Tasks with no source: FFD fills each PE with one 190-cycle task, so the
+  // two 20-cycle tasks fit nowhere and enter the search unplaced. PEs 0 and
+  // 1 reject their cheap tasks, which leaves them tied at load 0: task 4
+  // goes to PE 0, then task 5 to PE 1.
+  const RejectionProblem overflow(
+      FrameTaskSet({{1, 190, 0.05}, {2, 190, 0.05}, {3, 190, 5.0}, {4, 20, 0.3}, {5, 20, 0.25}}),
+      curve, 1.0 / 200.0, 3);
+  config.local_search_rounds = 0;
+  EXPECT_EQ(MultiProcScaleSolver(config).solve(overflow).processor_of,
+            (std::vector<int>{-1, -1, 2, -1, -1}));
+  config.local_search_rounds = 2;
+  const RejectionSolution placed = MultiProcScaleSolver(config).solve(overflow);
+  check_solution(overflow, placed);
+  EXPECT_EQ(placed.processor_of, (std::vector<int>{-1, -1, 2, 0, 1}));
+}
 
 TEST(MpScale, FfdPolicyRejectsOverflowAndStaysValid) {
   // Overloaded system under feasibility-driven FFD: whatever fits nowhere is

@@ -57,7 +57,8 @@ usage: retask_fuzz [options]
   --delta-diff       also replay every instance as a serve-mode admit /
                      remove / reprice walk through the incremental
                      DeltaSolver, requiring bit-identical solutions to a
-                     cold solve after every mutation
+                     cold solve after every mutation and every admit's
+                     read-only probe to answer that admit's objective
   --stochastic-diff  also draw seeded early-completion trajectories and
                      cross-check ladder-quantized vs continuous reclamation
                      policies: zero deadline misses on both backends, the
