@@ -19,6 +19,17 @@
 namespace retask {
 namespace {
 
+/// Per-round cap on move probes (the highest-penalty locally-rejected tasks
+/// are probed first) and on the more expensive two-PE swap probes.
+constexpr std::size_t kMaxMoveProbes = 4096;
+constexpr std::uint64_t kMaxSwapProbes = 256;
+/// Per-round cap on escalated exact probes. A screened-out candidate can
+/// still be admittable by rearranging the target PE — the relaxation sees
+/// evictions the marginal screen cannot — but the first probe on a PE pays a
+/// full DeltaSolver seed, so only the highest-penalty screen failures get
+/// one.
+constexpr std::uint64_t kMaxExactProbes = 16;
+
 /// Per-PE state of the local search. `member`/`accepted` mirror the PE's
 /// resident set in order; once `delta` exists it is the source of truth and
 /// refresh_from_delta re-derives both from it.
@@ -330,12 +341,10 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
         if (location[i] < 0 && !oversized[i]) candidates.emplace_back(-problem.tasks()[i].penalty, i);
       }
       std::sort(candidates.begin(), candidates.end());
-      if (candidates.size() > static_cast<std::size_t>(config_.max_move_probes)) {
-        candidates.resize(static_cast<std::size_t>(config_.max_move_probes));
-      }
+      if (candidates.size() > kMaxMoveProbes) candidates.resize(kMaxMoveProbes);
 
-      std::uint64_t swap_budget = static_cast<std::uint64_t>(config_.max_swap_probes);
-      std::uint64_t exact_budget = static_cast<std::uint64_t>(config_.max_exact_probes);
+      std::uint64_t swap_budget = kMaxSwapProbes;
+      std::uint64_t exact_budget = kMaxExactProbes;
       for (const auto& [neg_penalty, gi] : candidates) {
         (void)neg_penalty;
         const FrameTask& task = problem.tasks()[gi];

@@ -51,16 +51,6 @@ struct MpScaleConfig {
   PartitionPolicy partition = PartitionPolicy::kLargestFirst;
   /// Move/swap local-search rounds; 0 disables the improvement phase.
   int local_search_rounds = 2;
-  /// Per-round cap on move probes (the highest-penalty locally-rejected
-  /// tasks are probed first) and on the more expensive two-PE swap probes.
-  int max_move_probes = 4096;
-  int max_swap_probes = 256;
-  /// Per-round cap on escalated exact probes. A screened-out candidate can
-  /// still be admittable by rearranging the target PE — the relaxation sees
-  /// evictions the marginal screen cannot — but the first probe on a PE
-  /// pays a full DeltaSolver seed, so only the highest-penalty screen
-  /// failures get one.
-  int max_exact_probes = 16;
   /// parallel_for jobs for the per-PE solves; 0 resolves RETASK_JOBS.
   int jobs = 0;
   /// Also compute the multiprocessor Lagrangian bound and record the

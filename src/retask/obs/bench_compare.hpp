@@ -46,10 +46,11 @@ struct BenchReport {
   std::string schema = "retask-bench-v1";
   int jobs = 1;     ///< worker threads the suite was pinned to
   int repeats = 0;  ///< measured runs per workload (median over these)
-  /// SIMD kernel backend the run dispatched to ("scalar", "sse2", "avx2",
-  /// "neon"); always written, optional on read (older reports predate it
-  /// and leave it empty). Wall times from different backends are not
-  /// comparable, so baseline refreshes guard on this field.
+  /// SIMD kernel backend the run dispatched to ("scalar" or "avx2"; reports
+  /// from older builds may also say "sse2" or "neon", which still load, since
+  /// the field is a plain string); always written, optional on read (older
+  /// reports predate it and leave it empty). Wall times from different
+  /// backends are not comparable, so baseline refreshes guard on this field.
   std::string backend;
   std::vector<BenchWorkloadResult> workloads;
 

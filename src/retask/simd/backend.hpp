@@ -1,12 +1,13 @@
 // Runtime SIMD backend selection for the vector-kernel layer.
 //
-// The library ships one scalar reference implementation of every kernel plus
-// optional SSE2 / AVX2 / NEON translation units compiled with the matching
-// target flags. At first use the dispatcher picks the widest backend the host
-// CPU supports; the `RETASK_SIMD=off|scalar|sse2|avx2|neon|auto` environment
-// variable overrides that choice process-wide, and `ScopedBackend` overrides
-// it per thread (used by the differential fuzzer to pit backends against
-// each other on worker threads without racing).
+// The library ships two implementations of every kernel: the scalar
+// reference and, on x86 GCC/Clang builds, AVX2 bodies compiled by function
+// attribute. At first use the dispatcher picks AVX2 when the host CPU
+// reports it, else scalar (aarch64 and pre-AVX2 x86 hosts run the scalar
+// reference); the `RETASK_SIMD=off|scalar|avx2|auto` environment variable
+// overrides that choice process-wide, and `ScopedBackend` overrides it per
+// thread (used by the differential fuzzer to pit backends against each other
+// on worker threads without racing).
 //
 // Every backend is bit-identical to the scalar path by construction: all
 // kernels are elementwise (no reassociated floating-point reductions), so
@@ -17,21 +18,18 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace retask::simd {
 
-/// Kernel implementation families, narrowest first. `kScalar` is always
-/// available; the vector backends exist only when the translation unit was
-/// compiled for that ISA *and* the host CPU reports support at runtime.
+/// Kernel implementation families. `kScalar` is always available; `kAvx2`
+/// only when the library was built for x86 by GCC or Clang *and* the host
+/// CPU reports AVX2 at runtime.
 enum class Backend {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-  kNeon = 3,
+  kAvx2 = 1,
 };
 
-/// Human-readable backend name ("scalar", "sse2", "avx2", "neon").
+/// Human-readable backend name ("scalar", "avx2").
 std::string_view to_string(Backend backend) noexcept;
 
 /// Parses a backend name as accepted by `RETASK_SIMD`. "off" and "scalar"
@@ -41,18 +39,12 @@ std::string_view to_string(Backend backend) noexcept;
 /// "auto"/"" (caller should detect).
 bool parse_backend(std::string_view name, Backend& backend);
 
-/// Widest backend the host CPU supports among those compiled in.
+/// `kAvx2` when it is available, else `kScalar`.
 Backend detect_backend() noexcept;
 
 /// True when `backend`'s kernel table was compiled in and the host CPU can
 /// execute it.
 bool backend_available(Backend backend) noexcept;
-
-/// Every vector (non-scalar) backend the host can execute, in enum order;
-/// empty on scalar-only hosts. The single source of the backend list for
-/// the differential checks (`--simd-diff`, `--mp-diff`) and the
-/// equivalence tests, so a new backend is picked up everywhere at once.
-std::vector<Backend> available_vector_backends();
 
 /// The backend the calling thread will dispatch to: the thread-local
 /// override if one is active, else the process-wide selection (resolved on

@@ -2,13 +2,12 @@
 // of the exact-DP value row (core/dp_table: the exact DP, the budgeted DP and
 // the serve-mode delta solver) and of the FPTAS scaled rows (core/fptas).
 //
-// Each kernel is elementwise over contiguous arrays, so a wider
-// backend performs exactly the scalar reference's arithmetic per element —
-// no reassociated sums, no FMA contraction (the build sets -ffp-contract=off)
-// — which is what makes the bit-identity guarantee hold. The scalar bodies in
-// `kernels_scalar_impl.inl` are the normative semantics; every vector
-// implementation must match them bit for bit on every input the solvers can
-// produce.
+// Each kernel is elementwise over contiguous arrays, so the AVX2 backend
+// performs exactly the scalar reference's arithmetic per element — no
+// reassociated sums, no FMA contraction (the build sets -ffp-contract=off) —
+// which is what makes the bit-identity guarantee hold. The scalar bodies in
+// `kernels.cpp` are the normative semantics; the AVX2 bodies beside them
+// must match them bit for bit on every input the solvers can produce.
 //
 // Callers fetch the active table once per solve region via `kernels()` and
 // invoke through the function pointers; the table never changes mid-call.
@@ -23,8 +22,7 @@
 namespace retask::simd {
 
 /// One backend's kernel implementations. All pointers are non-null in every
-/// table (narrow backends fall back to the scalar body for kernels their ISA
-/// cannot express, e.g. 64-bit integer compares on SSE2).
+/// table.
 struct KernelTable {
   /// Descending-order knapsack relaxation over a double row:
   ///   for w = hi down to lo:
@@ -55,12 +53,6 @@ const KernelTable& kernels();
 /// Kernel table for a specific backend (throws when unavailable). Used by
 /// the equivalence tests to compare tables directly.
 const KernelTable& kernels_for(Backend backend);
-
-// Per-backend tables; null when the TU was compiled without that ISA.
-const KernelTable* scalar_table() noexcept;
-const KernelTable* sse2_table() noexcept;
-const KernelTable* avx2_table() noexcept;
-const KernelTable* neon_table() noexcept;
 
 }  // namespace retask::simd
 

@@ -278,7 +278,6 @@ RejectionProblem past_mask_width(const RejectionProblem& problem) {
 
 /// check_simd_diff on one problem; `label` tags its violations' solver names.
 void simd_diff(const RejectionProblem& problem, const std::string& label,
-               const std::vector<simd::Backend>& vector_backends,
                std::vector<PropertyViolation>& violations) {
   const auto mismatch = [&](const std::string& solver, const std::string& detail) {
     violations.push_back({"simd-diff", solver + label, detail});
@@ -301,15 +300,12 @@ void simd_diff(const RejectionProblem& problem, const std::string& label,
         simd::ScopedBackend forced(simd::Backend::kScalar);
         scalar = solver->solve(problem);
       }
-      for (const simd::Backend backend : vector_backends) {
-        simd::ScopedBackend forced(backend);
-        const RejectionSolution vectored = solver->solve(problem);
-        if (vectored.accepted != scalar.accepted || vectored.energy != scalar.energy ||
-            vectored.penalty != scalar.penalty) {
-          mismatch(solver->name(), std::string(simd::to_string(backend)) + " objective " +
-                                       fmt(vectored.objective()) + " != scalar " +
-                                       fmt(scalar.objective()) + " (or accept masks differ)");
-        }
+      simd::ScopedBackend forced(simd::Backend::kAvx2);
+      const RejectionSolution vectored = solver->solve(problem);
+      if (vectored.accepted != scalar.accepted || vectored.energy != scalar.energy ||
+          vectored.penalty != scalar.penalty) {
+        mismatch(solver->name(), "avx2 objective " + fmt(vectored.objective()) + " != scalar " +
+                                     fmt(scalar.objective()) + " (or accept masks differ)");
       }
     } catch (const std::exception& error) {
       mismatch(solver->name(), std::string("simd diff threw: ") + error.what());
@@ -328,15 +324,12 @@ void simd_diff(const RejectionProblem& problem, const std::string& label,
       simd::ScopedBackend forced(simd::Backend::kScalar);
       scalar = solve_budgeted_dp(budgeted);
     }
-    for (const simd::Backend backend : vector_backends) {
-      simd::ScopedBackend forced(backend);
-      const BudgetedSolution vectored = solve_budgeted_dp(budgeted);
-      if (vectored.accepted != scalar.accepted || vectored.value != scalar.value ||
-          vectored.energy != scalar.energy) {
-        mismatch("budgeted-dp", std::string(simd::to_string(backend)) + " value " +
-                                    fmt(vectored.value) + " != scalar " + fmt(scalar.value) +
-                                    " (or accept masks differ)");
-      }
+    simd::ScopedBackend forced(simd::Backend::kAvx2);
+    const BudgetedSolution vectored = solve_budgeted_dp(budgeted);
+    if (vectored.accepted != scalar.accepted || vectored.value != scalar.value ||
+        vectored.energy != scalar.energy) {
+      mismatch("budgeted-dp", "avx2 value " + fmt(vectored.value) + " != scalar " +
+                                  fmt(scalar.value) + " (or accept masks differ)");
     }
   } catch (const std::exception& error) {
     mismatch("budgeted-dp", std::string("simd diff threw: ") + error.what());
@@ -349,14 +342,12 @@ std::vector<PropertyViolation> check_simd_diff(const RejectionProblem& problem) 
   std::vector<PropertyViolation> violations;
   if (problem.processor_count() != 1) return violations;
 
-  // Every vector backend the host can execute; empty on scalar-only hosts.
-  const std::vector<simd::Backend> vector_backends = simd::available_vector_backends();
-  if (vector_backends.empty()) return violations;
+  // Scalar-only hosts have no second backend to compare.
+  if (!simd::backend_available(simd::Backend::kAvx2)) return violations;
 
-  simd_diff(problem, "", vector_backends, violations);
+  simd_diff(problem, "", violations);
   if (problem.size() > 0) {
-    simd_diff(past_mask_width(problem), " (tasks repeated past 64)", vector_backends,
-              violations);
+    simd_diff(past_mask_width(problem), " (tasks repeated past 64)", violations);
   }
   return violations;
 }
@@ -671,17 +662,20 @@ std::vector<PropertyViolation> check_mp_diff(const InstanceSpec& spec,
                                  fmt(base.objective()) + " (or masks/bindings differ)");
       }
     }
-    for (const simd::Backend backend : simd::available_vector_backends()) {
+    if (simd::backend_available(simd::Backend::kAvx2)) {
+      // jobs = 1 keeps every per-PE fill on this thread: ScopedBackend is a
+      // thread-local override, and pool workers dispatch to the process-wide
+      // backend instead.
+      const MultiProcScaleSolver serial(base_config);
       RejectionSolution scalar;
       {
         simd::ScopedBackend forced(simd::Backend::kScalar);
-        scalar = MultiProcScaleSolver().solve(problem);
+        scalar = serial.solve(problem);
       }
-      simd::ScopedBackend forced(backend);
-      const RejectionSolution vectored = MultiProcScaleSolver().solve(problem);
+      simd::ScopedBackend forced(simd::Backend::kAvx2);
+      const RejectionSolution vectored = serial.solve(problem);
       if (!same_solution(scalar, vectored)) {
-        mismatch("mp-scale", std::string(simd::to_string(backend)) + " objective " +
-                                 fmt(vectored.objective()) + " != scalar " +
+        mismatch("mp-scale", "avx2 objective " + fmt(vectored.objective()) + " != scalar " +
                                  fmt(scalar.objective()) + " (or masks/bindings differ)");
       }
     }

@@ -90,10 +90,10 @@ struct FuzzOptions {
 /// equality. Single-processor instances only (returns empty otherwise).
 std::vector<PropertyViolation> check_sweep_cache(const RejectionProblem& problem);
 
-/// Forced-scalar vs vector-backend check: solves `problem` with the
+/// Forced-scalar vs AVX2 check: solves `problem` with the
 /// kernel-using single-processor solvers (exact DP, budgeted DP, FPTAS) and
 /// the density/marginal greedies, which run no kernel, under the scalar
-/// kernel table and under every vector backend the host can execute,
+/// kernel table and under the AVX2 one when the host can execute it,
 /// reporting any bitwise difference (accept masks, energies, penalties) as
 /// "simd-diff" violations. The exact DP's list phase runs no kernel, so the
 /// check repeats on `problem`'s tasks repeated past 64, whose fills always
@@ -142,7 +142,8 @@ std::vector<PropertyViolation> check_stochastic_diff(const InstanceSpec& spec,
 /// instance's cycle weights, every policy, several bin counts — bin
 /// assignments and bin loads must match bit for bit; (2) the mp-scale
 /// solver's invariance contract — solutions at different job counts and
-/// under every available SIMD backend must be bitwise identical; (3)
+/// under forced-scalar and (when available) AVX2 kernels must be bitwise
+/// identical; (3)
 /// composition identities — with local search off and no oversized task,
 /// mp-scale under LTF placement reproduces mp-ltf-dp bitwise, and every
 /// produced solution's objective stays at or above the multiprocessor

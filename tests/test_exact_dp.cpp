@@ -130,13 +130,6 @@ TEST(ExactDp, GuardsMultiprocessorInstances) {
 // Word-edge instances: tables that straddle the 64-cell choice words and
 // also take the prune path, on every backend.
 
-/// The scalar backend plus every vector backend the host can execute.
-std::vector<simd::Backend> available_backends() {
-  std::vector<simd::Backend> out = {simd::Backend::kScalar};
-  for (const simd::Backend b : simd::available_vector_backends()) out.push_back(b);
-  return out;
-}
-
 /// Four instances at each capacity 62, 63, 64, 130 and 1000: table widths
 /// 63/64/65/131/1001 straddle the 64-cell choice words. Twelve tasks of up
 /// to cap / 3 cycles populate most of the table, and one task per instance
@@ -193,7 +186,7 @@ TEST(ExactDp, WordEdgeTablesMatchExhaustiveEveryBackend) {
   const ExhaustiveSolver exhaustive;
   for (const RejectionProblem& p : word_edge_instances()) {
     const double want = exhaustive.solve(p).objective();
-    for (const simd::Backend backend : available_backends()) {
+    for (const simd::Backend backend : test::available_backends()) {
       simd::ScopedBackend forced(backend);
       SCOPED_TRACE(std::string(simd::to_string(backend)) + " / capacity " +
                    std::to_string(p.cycle_capacity()));
@@ -211,7 +204,7 @@ TEST(ExactDp, WordEdgeTablesMatchExhaustiveEveryBackend) {
       simd::ScopedBackend forced(simd::Backend::kScalar);
       scalar = dp.solve(p);
     }
-    for (const simd::Backend backend : available_backends()) {
+    for (const simd::Backend backend : test::available_backends()) {
       simd::ScopedBackend forced(backend);
       SCOPED_TRACE(std::string(simd::to_string(backend)) + " / capacity " +
                    std::to_string(p.cycle_capacity()) + " / tasks " + std::to_string(p.size()));
@@ -244,7 +237,7 @@ TEST(ExactDp, WordEdgeSweepsMatchPerPointSolvesBitwiseEveryBackend) {
     const std::vector<RejectionProblem> points = make_capacity_sweep(p, {0.5, 0.8, 1.0});
     std::vector<const RejectionProblem*> group;
     for (const RejectionProblem& point : points) group.push_back(&point);
-    for (const simd::Backend backend : available_backends()) {
+    for (const simd::Backend backend : test::available_backends()) {
       simd::ScopedBackend forced(backend);
       SCOPED_TRACE(std::string(simd::to_string(backend)) + " / capacity " +
                    std::to_string(p.cycle_capacity()) + " / tasks " + std::to_string(p.size()));

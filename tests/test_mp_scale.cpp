@@ -97,6 +97,12 @@ TEST(MpScale, MoreLocalSearchRoundsNeverHurt) {
 
 TEST(MpScale, BitwiseInvariantAcrossJobsAndBackends) {
   const MultiProcScaleSolver base_solver;
+  // The backend legs run jobs = 1: ScopedBackend is a thread-local override,
+  // and with more jobs the per-PE fills run on pool workers, which dispatch
+  // to the process-wide backend instead.
+  MpScaleConfig serial_config;
+  serial_config.jobs = 1;
+  const MultiProcScaleSolver serial_solver(serial_config);
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const RejectionProblem p = test::small_instance(seed, 16, 3.0, 1.0, 5);
     const RejectionSolution base = base_solver.solve(p);
@@ -106,11 +112,9 @@ TEST(MpScale, BitwiseInvariantAcrossJobsAndBackends) {
       EXPECT_TRUE(same_solution(MultiProcScaleSolver(config).solve(p), base))
           << "seed " << seed << " jobs " << jobs;
     }
-    for (const simd::Backend backend : {simd::Backend::kScalar, simd::Backend::kSse2,
-                                        simd::Backend::kAvx2, simd::Backend::kNeon}) {
-      if (!simd::backend_available(backend)) continue;
+    for (const simd::Backend backend : test::available_backends()) {
       simd::ScopedBackend scope(backend);
-      EXPECT_TRUE(same_solution(base_solver.solve(p), base))
+      EXPECT_TRUE(same_solution(serial_solver.solve(p), base))
           << "seed " << seed << " backend " << simd::to_string(backend);
     }
   }

@@ -11,6 +11,7 @@
 #include "retask/exp/workload.hpp"
 #include "retask/obs/metrics.hpp"
 #include "retask/power/polynomial_power.hpp"
+#include "retask/simd/backend.hpp"
 
 namespace retask {
 namespace test {
@@ -83,6 +84,13 @@ inline std::uint64_t dense_handoffs(const obs::Registry& metrics, const std::str
         obs::intern_metric(obs::MetricKind::kCounter, owner + ".fallback." + name));
   };
   return reason("list_outgrew_reach") + reason("mask_width");
+}
+
+/// The scalar backend, plus AVX2 when the host can execute it.
+inline std::vector<simd::Backend> available_backends() {
+  std::vector<simd::Backend> out = {simd::Backend::kScalar};
+  if (simd::backend_available(simd::Backend::kAvx2)) out.push_back(simd::Backend::kAvx2);
+  return out;
 }
 
 /// Whether the build records metrics (RETASK_OBS); checks through counters

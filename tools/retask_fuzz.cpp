@@ -52,8 +52,8 @@ usage: retask_fuzz [options]
                      solve_budgeted_dp_sweep) stay bit-identical to the
                      per-point cold solves on every instance
   --simd-diff        also solve every instance under the forced-scalar
-                     kernels and under every vector backend the host can
-                     execute, requiring bit-identical solutions
+                     kernels and under the AVX2 ones when the host can
+                     execute them, requiring bit-identical solutions
   --delta-diff       also replay every instance as a serve-mode admit /
                      remove / reprice walk through the incremental
                      DeltaSolver, requiring bit-identical solutions to a
