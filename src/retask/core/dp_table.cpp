@@ -21,6 +21,9 @@ constexpr std::size_t kMaskWidth = 64;
 /// kRowsPerEntry entries.
 constexpr std::size_t kRowsPerEntry = 16;
 
+/// Rows dp_staircase scans between two growths of its output.
+constexpr std::size_t kStaircaseChunk = 256;
+
 /// Bytes of one list entry: its row, value and mask.
 constexpr std::size_t kListEntryBytes =
     sizeof(std::size_t) + sizeof(double) + sizeof(std::uint64_t);
@@ -153,16 +156,30 @@ std::size_t dp_relax(double* value, std::uint64_t* take_row, std::size_t cap,
 }
 
 void dp_staircase(const double* kept, std::size_t cap, DpStaircase& out) {
-  out.rows.clear();
-  out.kept.clear();
+  // Each row is written at the output's end, which advances only on a record,
+  // so the scan has no data-dependent branch. Before each chunk the output
+  // grows to hold the chunk past the records so far; it is never trimmed
+  // between chunks, so each growth adds one slot per record the previous
+  // chunk found, and storage stays at the record count plus one chunk.
+  std::size_t k = 0;
   double record = kNegInf;
-  for (std::size_t w = 0; w <= cap; ++w) {
-    if (kept[w] > record) {
-      record = kept[w];
-      out.rows.push_back(w);
-      out.kept.push_back(record);
+  for (std::size_t lo = 0; lo <= cap; lo += kStaircaseChunk) {
+    const std::size_t hi = std::min(cap, lo + kStaircaseChunk - 1);
+    out.rows.resize(k + (hi + 1 - lo));
+    out.kept.resize(k + (hi + 1 - lo));
+    std::size_t* rows = out.rows.data();
+    double* values = out.kept.data();
+    for (std::size_t w = lo; w <= hi; ++w) {
+      const double v = kept[w];
+      rows[k] = w;
+      values[k] = v;
+      const bool is_record = v > record;
+      k += is_record ? 1 : 0;
+      record = is_record ? v : record;
     }
   }
+  out.rows.resize(k);
+  out.kept.resize(k);
 }
 
 void dp_merge_staircase(const DpStaircase& in, std::size_t cap, const FrameTask& task,

@@ -71,21 +71,34 @@
 // record, row or bit: accept sets, values and staircases are the same bits
 // on either path, and only the work and the exact_dp.* counters differ.
 //
-// dp_select walks the staircase in ascending w with the serial sweep's rules,
-// evaluating energies one record at a time: take strict improvements only,
-// stop at the first record whose energy alone reaches the best objective,
-// and skip a record whose penalty plus the last evaluated energy reaches it.
-// That prune is the serial sweep's penalty prune tightened by a lower bound:
-// E is non-decreasing, so every later record's energy is at least the last
-// one evaluated, and rounding is monotone, so such a record's objective
-// reaches the best too. No row the walk passes over could improve the best,
-// and a row that would have ended the serial sweep early leaves every later
-// row with an energy that already reaches the best, so the walk selects the
-// same row, with the same objective bits, as the serial sweep over every row
-// [0, cap]: the first row of least objective.
+// dp_select returns the first row of least objective among the n records
+// w <= cap in two passes over blocks of about sqrt(n) records. Its pruning
+// is exact for three reasons. E is non-decreasing along the staircase, and
+// the penalty total_penalty - kept[j] is non-increasing, because kept rises
+// and rounding is monotone. Every penalty is >= 0: a kept value is a
+// left-to-right sum over a subset of the same non-negative penalties, in the
+// same order as the total, and adding a non-negative term never lowers a
+// rounded sum, so no kept value exceeds the total. So E(w) alone bounds the
+// objective of row w and of every later record, and E(first record) +
+// penalty(last record) bounds every objective in a block.
+//
+// A record beats the best when its objective is smaller, or equal at a lower
+// row, so ties go to the lower row whichever pass meets them. Pass 1
+// evaluates E at each block's first record, keeps the first least objective
+// as the incumbent, and stops at the first energy that cannot beat it. Pass
+// 2 walks, in ascending order, only the blocks whose bound can still beat the
+// best, and inside a block keeps the serial sweep's rules with the block's
+// first energy as the starting lower bound: skip a record whose penalty plus
+// the last evaluated energy cannot beat the best, stop at the first energy
+// that cannot, and take a record that beats it. No record or block either
+// pass passes over could beat the best, so the walk selects the same row,
+// with the same objective bits, as the serial sweep over every row [0, cap].
 #ifndef RETASK_CORE_DP_TABLE_HPP
 #define RETASK_CORE_DP_TABLE_HPP
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -158,8 +171,10 @@ std::size_t dp_relax(double* value, std::uint64_t* take_row, std::size_t cap,
 
 /// Takes the staircase of rows [0, cap] of `kept` into `out`: every row
 /// whose value beats every lighter row's, ascending. In a filled row, row 0
-/// (the empty accept set, kept 0) always opens it. `out` keeps its capacity
-/// across calls.
+/// (the empty accept set, kept 0) always opens it. The scan has no
+/// data-dependent branch, and `out` grows a chunk of rows at a time, so it
+/// holds the record count plus one chunk; it keeps its capacity across
+/// calls.
 void dp_staircase(const double* kept, std::size_t cap, DpStaircase& out);
 
 /// Writes to `out` the staircase of the row that relaxing `task` (c <= cap)
@@ -188,26 +203,81 @@ struct DpPick {
   std::uint64_t energy_evals = 0;
 };
 
+/// Most blocks dp_select splits a staircase into: blocks hold about the
+/// square root of the record count up to 4 096 records, and more beyond.
+inline constexpr std::size_t kDpSelectMaxBlocks = 64;
+
+/// Records per dp_select block for a walk over `records` records:
+/// ceil(sqrt(records)), raised so that at most kDpSelectMaxBlocks blocks
+/// cover them.
+inline std::size_t dp_select_block_size(std::size_t records) {
+  auto size = static_cast<std::size_t>(std::sqrt(static_cast<double>(records)));
+  while (size * size < records) ++size;  // the exact ceiling, whatever sqrt rounded to
+  return std::max(size, (records + kDpSelectMaxBlocks - 1) / kDpSelectMaxBlocks);
+}
+
 /// Selects, among the records of `stairs` with w <= cap, the row minimizing
-/// E(w) + (total_penalty - kept[w]) by the serial walk in the header comment;
-/// `energy(w)` must return E(w) as a pure function of w, non-decreasing in w.
-/// The result is bit-identical to the serial sweep over every row [0, cap].
+/// E(w) + (total_penalty - kept[w]) by the two-pass walk in the header
+/// comment; `energy(w)` must return E(w) as a pure function of w,
+/// non-decreasing in w, and total_penalty must be the in-order sum the kept
+/// values are sub-sums of. The result is bit-identical to the serial sweep
+/// over every row [0, cap]: the first row of least objective.
 template <typename EnergyFn>
 DpPick dp_select(const DpStaircase& stairs, std::size_t cap, double total_penalty,
                  EnergyFn&& energy) {
+  const std::size_t* rows = stairs.rows.data();
+  const double* kept = stairs.kept.data();
+  const auto n = static_cast<std::size_t>(
+      std::upper_bound(rows, rows + stairs.rows.size(), cap) - rows);
+  RETASK_ASSERT(n > 0);
   DpPick pick;
-  double last_energy = -std::numeric_limits<double>::infinity();
-  for (std::size_t j = 0; j < stairs.rows.size() && stairs.rows[j] <= cap; ++j) {
-    const double penalty = total_penalty - stairs.kept[j];
-    if (last_energy + penalty >= pick.best_objective) continue;
-    const double e = energy(static_cast<Cycles>(stairs.rows[j]));
+  // Whether an objective lower bound `bound` for records from row w on could
+  // still displace the best: by being smaller, or equal at a lower row.
+  const auto may_beat = [&pick](double bound, std::size_t w) {
+    return bound < pick.best_objective || (bound == pick.best_objective && w < pick.best_w);
+  };
+  const auto take = [&pick](double objective, std::size_t w) {
+    pick.best_objective = objective;
+    pick.best_w = w;
+  };
+  const auto evaluate = [&](std::size_t j) {
     ++pick.energy_evals;
-    if (e >= pick.best_objective) break;  // no heavier row can beat the best
-    last_energy = e;
-    const double objective = e + penalty;
-    if (objective < pick.best_objective) {
-      pick.best_objective = objective;
-      pick.best_w = stairs.rows[j];
+    return energy(static_cast<Cycles>(rows[j]));
+  };
+
+  // Pass 1: E at the first record of each block. An energy that cannot beat
+  // the best alone ends the pass, because every later record's objective is
+  // at least that energy; the blocks before it are the ones pass 2 may walk.
+  const std::size_t size = dp_select_block_size(n);
+  std::array<double, kDpSelectMaxBlocks> first_energy{};
+  std::size_t blocks = 0;
+  for (; blocks * size < n; ++blocks) {
+    const std::size_t j = blocks * size;
+    const double e = evaluate(j);
+    if (!may_beat(e, rows[j])) break;
+    first_energy[blocks] = e;
+    const double objective = e + (total_penalty - kept[j]);
+    if (may_beat(objective, rows[j])) take(objective, rows[j]);
+  }
+
+  // Pass 2: the blocks whose bound E(first) + penalty(last) may still beat
+  // the best, by the serial rules, starting from E(first) as the energy
+  // lower bound. A block's first record already lost to the best in pass 1,
+  // so each walk starts after it.
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t first = b * size;
+    const std::size_t end = std::min(n, first + size);
+    double last_energy = first_energy[b];
+    if (!may_beat(last_energy, rows[first])) break;
+    if (!may_beat(last_energy + (total_penalty - kept[end - 1]), rows[first])) continue;
+    for (std::size_t j = first + 1; j < end; ++j) {
+      const double penalty = total_penalty - kept[j];
+      if (!may_beat(last_energy + penalty, rows[j])) continue;
+      const double e = evaluate(j);
+      if (!may_beat(e, rows[j])) return pick;  // no heavier row can beat the best
+      last_energy = e;
+      const double objective = e + penalty;
+      if (may_beat(objective, rows[j])) take(objective, rows[j]);
     }
   }
   RETASK_ASSERT(pick.best_objective < std::numeric_limits<double>::infinity());

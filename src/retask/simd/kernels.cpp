@@ -59,7 +59,9 @@ void scalar_relax_desc_i64(std::int64_t* rej, double* payload, std::uint64_t* ta
 constexpr KernelTable kScalarTable{&scalar_relax_desc_f64, &scalar_relax_desc_i64};
 
 // ---------------------------------------------------------------------------
-// AVX2: 4-lane double / 4-lane int64 bodies.
+// AVX2: the double body relaxes 16 rows (four vectors) per step, then 4 rows
+// per step; the int64 body relaxes 4 rows per step. Both end in the scalar
+// reference for the last rows.
 //
 // Bit-identity (why each lane computes exactly the scalar result): both
 // kernels are elementwise — no reassociated FP reductions, and the build
@@ -70,23 +72,62 @@ constexpr KernelTable kScalarTable{&scalar_relax_desc_f64, &scalar_relax_desc_i6
 
 constexpr std::size_t kLanes = 4;
 
-// ORs a 4-bit lane mask into the take bitset at bit position `base`,
-// spilling into the next word when the chunk straddles a word boundary.
+// Rows one step of the f64 relaxation's main loop covers: four vectors.
+constexpr std::size_t kStepRows = 4 * kLanes;
+
+// ORs the kBits-bit lane mask `bits` into the take bitset at bit position
+// `base`, spilling into the next word when the mask straddles a word boundary.
+template <std::size_t kBits>
 inline void or_take_bits(std::uint64_t* take_row, std::size_t base, unsigned bits) {
   const std::size_t word = base >> 6;
   const std::size_t off = base & 63;
   take_row[word] |= static_cast<std::uint64_t>(bits) << off;
-  if (off > 64 - kLanes) take_row[word + 1] |= static_cast<std::uint64_t>(bits) >> (64 - off);
+  if (off > 64 - kBits) take_row[word + 1] |= static_cast<std::uint64_t>(bits) >> (64 - off);
 }
 
 __attribute__((target("avx2"))) void avx2_relax_desc_f64(double* row, std::uint64_t* take_row,
                                                          std::size_t shift, std::size_t lo,
                                                          std::size_t hi, double add) {
-  // Descending chunks preserve the scalar loop's old-value semantics: every
+  // Descending steps preserve the scalar loop's old-value semantics: every
   // read index w - shift is strictly below all indices already written
-  // (shift >= 0), and within a chunk both vectors load before the store.
+  // (shift >= 0), and within a step every vector loads before any store,
+  // which matters when shift < kStepRows and the sources overlap the rows the
+  // step writes.
   const __m256d add_v = _mm256_set1_pd(add);
   std::size_t w = hi + 1;  // exclusive upper end of the unprocessed range
+  while (w >= lo + kStepRows) {
+    const std::size_t base = w - kStepRows;
+    double* dst = row + base;
+    const double* src = dst - shift;
+    const __m256d d0 = _mm256_loadu_pd(dst);
+    const __m256d d1 = _mm256_loadu_pd(dst + kLanes);
+    const __m256d d2 = _mm256_loadu_pd(dst + 2 * kLanes);
+    const __m256d d3 = _mm256_loadu_pd(dst + 3 * kLanes);
+    const __m256d c0 = _mm256_add_pd(_mm256_loadu_pd(src), add_v);
+    const __m256d c1 = _mm256_add_pd(_mm256_loadu_pd(src + kLanes), add_v);
+    const __m256d c2 = _mm256_add_pd(_mm256_loadu_pd(src + 2 * kLanes), add_v);
+    const __m256d c3 = _mm256_add_pd(_mm256_loadu_pd(src + 3 * kLanes), add_v);
+    const __m256d g0 = _mm256_cmp_pd(c0, d0, _CMP_GT_OQ);
+    const __m256d g1 = _mm256_cmp_pd(c1, d1, _CMP_GT_OQ);
+    const __m256d g2 = _mm256_cmp_pd(c2, d2, _CMP_GT_OQ);
+    const __m256d g3 = _mm256_cmp_pd(c3, d3, _CMP_GT_OQ);
+    const auto bits = static_cast<unsigned>(_mm256_movemask_pd(g0) | _mm256_movemask_pd(g1) << 4 |
+                                            _mm256_movemask_pd(g2) << 8 |
+                                            _mm256_movemask_pd(g3) << 12);
+    // A step that improves some lane stores all four vectors, in which an
+    // unimproved lane blends its own loaded bits back (the row then holds
+    // the bits the scalar loop leaves, which writes improved rows only), and
+    // ORs its 16 take bits at once. A step that improves none skips both: on
+    // the exact DP's rows that runs faster than storing every step.
+    if (bits != 0) {
+      _mm256_storeu_pd(dst, _mm256_blendv_pd(d0, c0, g0));
+      _mm256_storeu_pd(dst + kLanes, _mm256_blendv_pd(d1, c1, g1));
+      _mm256_storeu_pd(dst + 2 * kLanes, _mm256_blendv_pd(d2, c2, g2));
+      _mm256_storeu_pd(dst + 3 * kLanes, _mm256_blendv_pd(d3, c3, g3));
+      or_take_bits<kStepRows>(take_row, base, bits);
+    }
+    w = base;
+  }
   while (w >= lo + kLanes) {
     const std::size_t base = w - kLanes;
     const __m256d src = _mm256_loadu_pd(row + base - shift);
@@ -96,7 +137,7 @@ __attribute__((target("avx2"))) void avx2_relax_desc_f64(double* row, std::uint6
     const int bits = _mm256_movemask_pd(improved);
     if (bits != 0) {
       _mm256_storeu_pd(row + base, _mm256_blendv_pd(dst, cand, improved));
-      or_take_bits(take_row, base, static_cast<unsigned>(bits));
+      or_take_bits<kLanes>(take_row, base, static_cast<unsigned>(bits));
     }
     w = base;
   }
@@ -128,7 +169,7 @@ __attribute__((target("avx2"))) void avx2_relax_desc_i64(std::int64_t* rej, doub
       const __m256d pay_cand = _mm256_add_pd(pay_src, add_p);
       _mm256_storeu_pd(payload + base,
                        _mm256_blendv_pd(pay_dst, pay_cand, _mm256_castsi256_pd(improved)));
-      or_take_bits(take_row, base, static_cast<unsigned>(bits));
+      or_take_bits<kLanes>(take_row, base, static_cast<unsigned>(bits));
     }
     w = base;
   }

@@ -364,6 +364,109 @@ TEST(DpSelect, StaircaseMatchesTheSerialRuleOverEveryRow) {
   }
 }
 
+/// Long value rows (500 to 6 000 cells) whose staircases hold hundreds to
+/// thousands of records and so span many select blocks: a rising walk in
+/// steps of 1/16 with dips, plateaus and -inf runs. The last row rises at
+/// almost every cell, so its staircase needs more than kDpSelectMaxBlocks
+/// blocks of sqrt(n) records.
+std::vector<std::vector<double>> long_staircase_rows() {
+  std::vector<std::vector<double>> rows;
+  Rng rng(0x10CA1);
+  for (const std::size_t width : {500, 1700, 3100, 6000, 6000}) {
+    const bool steep = rows.size() == 4;
+    std::vector<double> row(width);
+    row[0] = 0.0;
+    double level = 0.0;
+    std::int64_t gap = 0;  // cells left in the current -inf run
+    for (std::size_t w = 1; w < width; ++w) {
+      const double u = rng.uniform();
+      if (gap > 0 || (!steep && u < 0.04)) {
+        gap = gap > 0 ? gap - 1 : rng.uniform_int(0, 30);
+        row[w] = kNegInf;
+      } else if (!steep && u < 0.25) {
+        row[w] = row[w - 1];  // a plateau (or the -inf run goes on)
+      } else {
+        const std::int64_t step = steep ? rng.uniform_int(0, 4) : rng.uniform_int(-2, 6);
+        level += static_cast<double>(step) / 16.0;
+        row[w] = level;
+      }
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// Caps in [0, top] at which a select cuts the staircase `stairs` at a block
+/// edge (at, one past and one before a multiple of its block size) or at
+/// B^2 - 1, B^2 and B^2 + 1 records, each cap both on the last record it
+/// keeps and on the row before the next record.
+std::vector<std::size_t> block_edge_caps(const DpStaircase& stairs, std::size_t top) {
+  const std::size_t records = stairs.rows.size();
+  std::vector<std::size_t> counts;  // records at or below the cap
+  for (std::size_t m = 1; m <= records; ++m) {
+    const std::size_t size = dp_select_block_size(m);
+    const std::size_t into_block = m % size;
+    if (into_block <= 1 || into_block == size - 1) counts.push_back(m);
+  }
+  for (std::size_t b = 1; b * b <= records + 1; ++b) {
+    for (const std::size_t m : {b * b - 1, b * b, b * b + 1}) {
+      if (m >= 1 && m <= records) counts.push_back(m);
+    }
+  }
+  std::vector<std::size_t> caps;
+  for (const std::size_t m : counts) {
+    caps.push_back(stairs.rows[m - 1]);
+    caps.push_back(m < records ? stairs.rows[m] - 1 : top);
+  }
+  std::sort(caps.begin(), caps.end());
+  caps.erase(std::unique(caps.begin(), caps.end()), caps.end());
+  return caps;
+}
+
+TEST(DpSelect, BlockedWalkMatchesTheSerialRuleOnLongStaircases) {
+  DpStaircase stairs;
+  std::size_t checked = 0;
+  for (const std::vector<double>& kept : long_staircase_rows()) {
+    const std::size_t top = kept.size() - 1;
+    dp_staircase(kept.data(), top, stairs);
+    ASSERT_GE(stairs.rows.size(), 100u);
+    double max_kept = 0.0;
+    for (const double k : kept) max_kept = std::max(max_kept, k);
+    // Step energies on the 1/16 grid of the kept values, so objectives are
+    // exact and equal ones recur far apart; their slopes put the optimum
+    // early, in the middle and late. The continuous curve fits the whole row
+    // at top speed.
+    const double slope = max_kept / static_cast<double>(top);
+    const EnergyCurve continuous(PolynomialPowerModel::xscale(), 1.0,
+                                 IdleDiscipline::kDormantEnable);
+    const double wpc = 1.0 / static_cast<double>(top);
+    std::vector<std::pair<std::string, std::function<double(Cycles)>>> energies = {
+        {"continuous", [&](Cycles w) { return continuous.energy(wpc * static_cast<double>(w)); }}};
+    for (const double factor : {0.5, 1.0, 2.0}) {
+      const double step = std::max(1.0, std::round(factor * slope * 7.0 * 16.0)) / 16.0;
+      energies.emplace_back("step " + std::to_string(step),
+                            [step](Cycles w) { return step * static_cast<double>(w / 7); });
+    }
+    const std::vector<std::size_t> caps = block_edge_caps(stairs, top);
+    for (const double total : {max_kept, max_kept + 2.0}) {
+      for (const auto& [label, energy] : energies) {
+        for (const std::size_t cap : caps) {
+          SCOPED_TRACE(label + " width " + std::to_string(kept.size()) + " cap " +
+                       std::to_string(cap) + " total " + std::to_string(total));
+          const SerialPick want = serial_select(kept, cap, total, energy);
+          const DpPick got = dp_select(stairs, cap, total, energy);
+          ASSERT_EQ(got.best_w, want.best_w);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.best_objective),
+                    std::bit_cast<std::uint64_t>(want.best_objective));
+          ASSERT_LE(got.energy_evals, want.energy_evals);
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
 TEST(DpSelect, StaircaseKeepsOnlyStrictPrefixRecords) {
   const std::vector<double> kept = {0.0, kNegInf, 0.5, 0.5, 0.2, 1.0, kNegInf, 1.0, 2.0};
   DpStaircase stairs;
@@ -372,6 +475,25 @@ TEST(DpSelect, StaircaseKeepsOnlyStrictPrefixRecords) {
   EXPECT_EQ(stairs.kept, (std::vector<double>{0.0, 0.5, 1.0, 2.0}));
   dp_staircase(kept.data(), 4, stairs);  // a narrower cap, reusing the buffers
   EXPECT_EQ(stairs.rows, (std::vector<std::size_t>{0, 2}));
+}
+
+TEST(DpSelect, StaircaseOfAStrictlyRisingRowKeepsEveryRowAcrossReuses) {
+  // Every row is a record, so the output grows through every chunk of the
+  // scan to the row's full width; the same buffers then serve a wide, a
+  // narrow and a wide scan again.
+  std::vector<double> rising(4097);
+  for (std::size_t w = 0; w < rising.size(); ++w) rising[w] = 0.25 * static_cast<double>(w);
+  DpStaircase stairs;
+  for (const std::size_t cap : {4096, 4096, 3, 0, 4096, 255, 256, 257}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    dp_staircase(rising.data(), cap, stairs);
+    ASSERT_EQ(stairs.rows.size(), cap + 1);
+    ASSERT_EQ(stairs.kept.size(), cap + 1);
+    for (std::size_t w = 0; w <= cap; ++w) {
+      ASSERT_EQ(stairs.rows[w], w);
+      ASSERT_EQ(stairs.kept[w], rising[w]);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -32,9 +32,11 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Row widths covering the interesting edges: below, at and above the AVX2
-/// width (4 lanes) and its multiples, the take-bit word boundary, and a bulk
-/// size.
-const std::vector<std::size_t> kWidths = {1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 130, 4096};
+/// width (4 lanes), the 16-row step of the f64 relaxation and their
+/// multiples, the take-bit word boundary, and bulk sizes.
+const std::vector<std::size_t> kWidths = {1,  2,  3,  4,  5,  7,  8,   9,   15,  16,  17,  31,
+                                          32, 33, 48, 49, 50, 63, 64,  65,  79,  80,  81,  127,
+                                          128, 129, 130, 4096, 4097};
 
 /// Bitwise equality for doubles (distinguishes -0.0 from 0.0 and compares
 /// NaN/inf payloads exactly).
@@ -123,6 +125,41 @@ TEST(SimdKernels, RelaxF64MatchesScalarAtEveryWidth) {
               << " w=" << w;
         }
         ASSERT_EQ(take_a, take_b) << simd::to_string(backend) << " width=" << width;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, RelaxF64MatchesScalarAtEveryShiftAndWordOffset) {
+  // Shifts 0-17 put a step's sources inside the rows it writes, and 64
+  // consecutive upper ends start the steps at every bit offset of a take
+  // word, so the OR that straddles two words runs at each offset.
+  const simd::KernelTable& scalar = simd::kernels_for(simd::Backend::kScalar);
+  constexpr std::size_t kWidth = 300;
+  for (const simd::Backend backend : test::available_backends()) {
+    const simd::KernelTable& table = simd::kernels_for(backend);
+    Rng rng(0x5171F7 ^ static_cast<std::size_t>(backend));
+    for (std::size_t shift = 0; shift <= 17; ++shift) {
+      for (std::size_t offset = 0; offset < 64; ++offset) {
+        const std::size_t hi = kWidth - 1 - offset;
+        const std::size_t lo = shift + offset % 5;
+        const std::vector<double> base = random_f64_row(rng, kWidth);
+        std::vector<std::uint64_t> base_take((kWidth + 63) / 64);
+        for (auto& w : base_take) w = rng() & rng();  // sparse, so new bits show
+        const double add = shift == 0 ? rng.uniform(-1.0, 1.0) : rng.uniform(0.1, 20.0);
+
+        std::vector<double> row_a = base;
+        std::vector<double> row_b = base;
+        std::vector<std::uint64_t> take_a = base_take;
+        std::vector<std::uint64_t> take_b = base_take;
+        scalar.relax_desc_f64(row_a.data(), take_a.data(), shift, lo, hi, add);
+        table.relax_desc_f64(row_b.data(), take_b.data(), shift, lo, hi, add);
+        for (std::size_t w = 0; w < kWidth; ++w) {
+          ASSERT_TRUE(bits_equal(row_a[w], row_b[w]))
+              << simd::to_string(backend) << " shift=" << shift << " hi=" << hi << " w=" << w;
+        }
+        ASSERT_EQ(take_a, take_b) << simd::to_string(backend) << " shift=" << shift
+                                  << " hi=" << hi;
       }
     }
   }

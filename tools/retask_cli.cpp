@@ -12,6 +12,7 @@
 #include "retask/io/cli_options.hpp"
 #include "retask/io/task_io.hpp"
 #include "retask/retask.hpp"
+#include "retask/simd/backend.hpp"
 
 namespace {
 
@@ -77,6 +78,10 @@ void print_stochastic_replay(const RejectionProblem& problem, const RejectionSol
 }
 
 int run(const CliOptions& options) {
+  // Resolve the kernel backend before reading the input, so a bad
+  // RETASK_SIMD fails every run alike, whether or not its solve reaches a
+  // kernel.
+  static_cast<void>(simd::active_backend());
   if (options.jobs > 0) set_default_jobs(options.jobs);
   const std::unique_ptr<PowerModel> model = make_model_by_name(options.model);
   const std::unique_ptr<RejectionSolver> solver = make_solver(options.solver);

@@ -25,6 +25,7 @@
 #include "retask/io/cli_options.hpp"
 #include "retask/serve/protocol.hpp"
 #include "retask/serve/server.hpp"
+#include "retask/simd/backend.hpp"
 
 #ifdef __unix__
 #include <sys/socket.h>
@@ -260,6 +261,10 @@ int main(int argc, char** argv) {
       std::cout << kUsage;
       return 0;
     }
+    // Resolve the kernel backend before reading any input, so a bad
+    // RETASK_SIMD fails at startup rather than on the first request whose
+    // solve reaches a kernel.
+    static_cast<void>(simd::active_backend());
     if (options.encode) return run_encode();
     if (options.decode) return run_decode();
     if (options.jobs > 0) set_default_jobs(options.jobs);
